@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install lint test test-fast test-fused bench bench-fast bench-smoke serve-smoke bench-parallel-smoke trace-smoke loop-smoke serve-load-smoke bench-dse-smoke bench-cross-device-smoke ci examples clean
+.PHONY: install lint test test-fast test-fused bench bench-fast bench-smoke serve-smoke bench-parallel-smoke trace-smoke loop-smoke serve-load-smoke bench-dse-smoke bench-cross-device-smoke bench-repo-smoke ci examples clean
 
 install:
 	$(PY) setup.py develop
@@ -78,8 +78,20 @@ bench-dse-smoke:
 bench-cross-device-smoke:
 	$(PY) benchmarks/bench_cross_device.py --smoke
 
+# The repository benchmark (bench/, declared in BENCHMARK.json) on all
+# four workloads at smoke length.  run.py exits non-zero when a
+# workload's worker crashes or times out; the second step also fails
+# the gate when a workload reports a failed output check.
+BENCH_REPO_SMOKE_OUT ?= artifacts/bench_repo_smoke.json
+bench-repo-smoke:
+	$(PY) bench/run.py --seed 0 --smoke --out $(BENCH_REPO_SMOKE_OUT)
+	$(PY) -c "import json, sys; \
+	runs = json.load(open('$(BENCH_REPO_SMOKE_OUT)'))['workloads']; \
+	bad = sorted(n for n, w in runs.items() if not w['result']['correct']); \
+	sys.exit('bench: failed checks in %s' % bad if bad else 0)"
+
 # Everything CI runs, in the same order: lint, the tier-1 suite, and
-# the eight smoke gates.  `make ci` green locally = workflow green.
+# the nine smoke gates.  `make ci` green locally = workflow green.
 ci: lint
 	$(PY) -m pytest tests/ -x -q
 	$(MAKE) bench-smoke
@@ -90,6 +102,7 @@ ci: lint
 	$(MAKE) serve-load-smoke
 	$(MAKE) bench-dse-smoke
 	$(MAKE) bench-cross-device-smoke
+	$(MAKE) bench-repo-smoke
 
 # Smoke-scale benchmark run (~minutes): tiny database + training budgets.
 bench-fast:

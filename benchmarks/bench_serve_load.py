@@ -91,7 +91,13 @@ def make_predictor(seed=0):
 
 def make_factory(registry_root, batch_size=8, max_delay=0.004, max_pending=64,
                  overhead=0.0):
-    """Service factory run inside each forked worker (registry-backed)."""
+    """Service factory run inside each forked worker (registry-backed).
+
+    The load serves one fixed point, so with the prediction cache on
+    every request after the first would be answered from the cache and
+    skip the batcher and its modeled dispatch cost.  ``cache=False``
+    keeps each request dispatching, so the run measures scheduling.
+    """
 
     def factory():
         registry = ModelRegistry(registry_root)
@@ -102,6 +108,7 @@ def make_factory(registry_root, batch_size=8, max_delay=0.004, max_pending=64,
             batch_size=batch_size,
             max_delay_seconds=max_delay,
             max_pending=max_pending,
+            cache=False,
             model_info=current.payload(),
             registry=registry,
             dispatch_overhead_seconds=overhead,

@@ -13,8 +13,9 @@ are batch-boundary invariant — see
 :class:`ParallelDSE` adds the operational layer any scatter/gather
 stack needs:
 
-- a per-worker task queue + shared result channel (fork-started
-  processes, so untrained/loaded predictors transfer without pickling);
+- a per-worker task queue + per-worker result pipe (fork-started
+  processes, so untrained/loaded predictors transfer without pickling;
+  a worker that dies mid-message cannot wedge its siblings' results);
 - per-worker heartbeats (emitted at shard start and after every
   evaluation batch) with an optional stall timeout;
 - automatic retry of shards whose worker dies mid-shard — exactly once
@@ -39,7 +40,6 @@ import json
 import logging
 import math
 import os
-import queue as queue_mod
 import time
 import traceback
 from collections import deque
@@ -52,7 +52,7 @@ from ..explorer.database import deserialize_point, serialize_point
 from ..frontend.pragmas import PipelineOption
 from ..model.predictor import Prediction
 from ..obs import TRACER, counter, histogram, span
-from ..workers import ForkSupervisor, SupervisedWorker, drain_queue
+from ..workers import ForkSupervisor, SupervisedWorker
 from .pareto import pareto_merge
 from .pipeline import EvaluationPipeline, PipelineStats
 from .search import PARETO_KEYS, DSECandidate, DSEResult, ModelDSE, _candidate_objectives
@@ -336,7 +336,7 @@ class _WorkerConfig:
     cache: bool
 
 
-def _worker_main(worker_id, predictor, spec, space, config, task_q, result_q, hooks):
+def _worker_main(worker_id, result_q, predictor, spec, space, config, task_q, hooks):
     """Worker loop: one shard per task, heartbeat per batch.
 
     Runs in a fork-started child, so ``predictor``/``space``/``hooks``
@@ -714,7 +714,6 @@ class ParallelDSE:
             name_prefix="repro-dse-worker",
             worker_class=_WorkerHandle,
         )
-        result_queue = supervisor.context.Queue()
         config = _WorkerConfig(
             top_m=self.top_m,
             fit_threshold=self.fit_threshold,
@@ -731,19 +730,13 @@ class ParallelDSE:
             task_queue = supervisor.context.Queue()
             supervisor.spawn(
                 self.predictor, self.spec, self.space,
-                config, task_queue, result_queue, self.hooks,
+                config, task_queue, self.hooks,
                 channel=task_queue,
             )
 
-        def drain(block_seconds: float = 0.0) -> bool:
-            """Process every queued message; returns True if any arrived."""
-            got_any = False
-            while True:
-                try:
-                    message = result_queue.get(timeout=block_seconds if not got_any else 0.0)
-                except queue_mod.Empty:
-                    return got_any
-                got_any = True
+        def drain(block_seconds: float = 0.0) -> None:
+            """Process every message that has arrived from the workers."""
+            for message in supervisor.receive(block_seconds):
                 kind = message[0]
                 if kind == "hb":
                     _, worker_id, _index, stamp = message
@@ -876,6 +869,4 @@ class ParallelDSE:
                 notify=lambda handle: handle.task_queue.put_nowait(None),
                 on_notify_error=_count_notify_error,
             )
-            drain_queue(result_queue)
-            result_queue.close()
         return retries

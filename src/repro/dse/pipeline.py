@@ -816,6 +816,41 @@ class EvaluationPipeline:
             _OBS_CACHE_MISSES.inc(self.stats.cache_misses - misses0)
             return out
 
+    def predict_cached(
+        self,
+        kernel: str,
+        points: Sequence[DesignPoint],
+        valid_threshold: float = DEFAULT_VALID_THRESHOLD,
+        objectives_for: str = "all",
+    ) -> Optional[List[Prediction]]:
+        """:meth:`predict_batch` when no point needs a forward, else None.
+
+        Answers only when every point already has a complete cache
+        record (classifier logits and regression outputs), so the call
+        never runs the model.  It never waits either: when another
+        thread holds the pipeline it returns None at once, and the
+        caller takes its usual (batched) path.
+        """
+        if not self.cache_enabled or not points:
+            return None
+        if not self._lock.acquire(blocking=False):
+            return None
+        try:
+            cache = self._point_cache.get(kernel)
+            if cache is None:
+                return None
+            for point in points:
+                key = point_key(point)
+                record = cache.get(key)
+                complete = (
+                    record is not None and "logits" in record and "reg" in record
+                ) or (key, valid_threshold) in cache  # reference-engine entry
+                if not complete:
+                    return None
+            return self.predict_batch(kernel, points, valid_threshold, objectives_for)
+        finally:
+            self._lock.release()
+
     # -- reference path ---------------------------------------------------------
 
     def _reference_batch(self, kernel, points, valid_threshold) -> List[Prediction]:

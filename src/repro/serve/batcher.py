@@ -10,6 +10,12 @@ when it reaches ``batch_size`` **or** its oldest request has waited
 up front with :class:`~repro.errors.BacklogFullError` instead of
 letting the queue (and every client's latency) grow without bound.
 
+Only requests that need a forward pass come here:
+:meth:`~repro.serve.service.PredictorService.predict_versioned` answers
+a request whose points are all in the pipeline's prediction cache
+directly, so ``max_delay_seconds`` bounds the added wait of uncached
+requests only.
+
 Admission control is deadline-aware.  A request may carry an absolute
 deadline (monotonic-clock seconds): one that arrives already expired is
 rejected at :meth:`submit`; one that expires while queued is rejected

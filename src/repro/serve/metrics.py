@@ -46,6 +46,8 @@ class ServeMetrics:
         self._latencies: Dict[str, Histogram] = {}
         self._batch_fill: Counter = Counter()  # fill size -> batches
         self._points = 0
+        self._cache_served_requests = 0
+        self._cache_served_points = 0
         self._rejected = 0
         self._expired = 0
 
@@ -66,6 +68,12 @@ class ServeMetrics:
         with self._lock:
             self._batch_fill[int(fill)] += 1
             self._points += int(fill)
+
+    def record_cache_served(self, points: int) -> None:
+        """Count a request answered from the prediction cache, not a batch."""
+        with self._lock:
+            self._cache_served_requests += 1
+            self._cache_served_points += int(points)
 
     def record_rejection(self) -> None:
         with self._lock:
@@ -112,6 +120,8 @@ class ServeMetrics:
                     str(size): count
                     for size, count in sorted(self._batch_fill.items())
                 },
+                "cache_served_requests": self._cache_served_requests,
+                "cache_served_points": self._cache_served_points,
             }
         if pipeline_stats is not None:
             out["pipeline"] = pipeline_stats.to_dict()

@@ -19,13 +19,13 @@ processes the way classic pre-fork servers do:
     and never pickled).  Workers loading from the same content-addressed
     :class:`~repro.serve.registry.ModelRegistry` therefore serve
     bit-identical predictions — the load harness asserts this.
-3.  The parent runs a monitor thread: heartbeats arrive on a shared
-    events queue, silent workers are killed, dead workers respawned,
-    and a ``/v1/model/reload`` accepted by *any* worker is broadcast to
-    the rest (each worker re-follows the registry's ``current``
-    pointer, so the fleet converges on the new artifact while PR 7's
-    per-worker generation refcounting keeps every in-flight request on
-    the version that admitted it).
+3.  The parent runs a monitor thread: heartbeats arrive on each
+    worker's own message pipe, silent workers are killed, dead workers
+    respawned, and a ``/v1/model/reload`` accepted by *any* worker is
+    broadcast to the rest (each worker re-follows the registry's
+    ``current`` pointer, so the fleet converges on the new artifact
+    while the per-worker generation refcounting keeps every
+    in-flight request on the version that admitted it).
 4.  :meth:`rolling_restart` replaces workers one at a time —
     spawn-then-drain, never drain-then-spawn — so capacity never dips
     and in-flight requests always finish (``server_close`` joins the
@@ -43,13 +43,12 @@ import os
 import socket
 import threading
 import time
-import queue as queue_mod
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..errors import ServeError
 from ..obs import counter
-from ..workers import ForkSupervisor, SupervisedWorker, drain_queue
+from ..workers import ForkSupervisor, SupervisedWorker
 from .http import ServeHTTPServer
 
 __all__ = ["PoolHooks", "WorkerPool"]
@@ -82,7 +81,7 @@ class _PoolWorker(SupervisedWorker):
         return self.channel
 
 
-def _worker_main(worker_id, service_factory, listener, commands, events,
+def _worker_main(worker_id, events, service_factory, listener, commands,
                  heartbeat_interval, hooks):
     """Child entry point: serve on the inherited listener until told to stop."""
     service = service_factory()
@@ -186,7 +185,6 @@ class WorkerPool:
             _worker_main, mp_context="fork",
             name_prefix="repro-serve-worker", worker_class=_PoolWorker,
         )
-        self._events = self._supervisor.context.Queue()
         self._listener: Optional[socket.socket] = None
         self._lock = threading.Lock()
         self._ready: Dict[int, threading.Event] = {}
@@ -257,8 +255,6 @@ class WorkerPool:
                 "failed to send drain to serve worker %d: %s", handle.worker_id, exc
             ),
         )
-        drain_queue(self._events)
-        self._events.close()
         if self._listener is not None:
             self._listener.close()
 
@@ -301,7 +297,7 @@ class WorkerPool:
         parent_conn, child_conn = self._supervisor.context.Pipe()
         with self._lock:
             handle = self._supervisor.spawn(
-                self.service_factory, self._listener, child_conn, self._events,
+                self.service_factory, self._listener, child_conn,
                 self.heartbeat_interval_seconds, self.hooks,
                 channel=parent_conn,
             )
@@ -364,11 +360,7 @@ class WorkerPool:
 
     def _monitor_loop(self) -> None:
         while not self._stop.is_set():
-            try:
-                event = self._events.get(timeout=0.1)
-            except (queue_mod.Empty, OSError, ValueError):
-                event = None
-            if event is not None:
+            for event in self._supervisor.receive(timeout=0.1):
                 try:
                     self._handle_event(event)
                 except Exception:  # pragma: no cover - monitor must survive

@@ -59,7 +59,6 @@ from ..model.config import ModelConfig
 from ..model.dataset import GraphDatasetBuilder
 from ..model.models import build_model
 from ..model.normalizer import TargetNormalizer
-from ..nn.tensor import get_default_dtype, set_default_dtype
 
 __all__ = [
     "ARTIFACT_SCHEMA_VERSION",
@@ -334,16 +333,15 @@ def load_artifact(path, database: Optional[Database] = None):
             raise ArtifactError(
                 f"bad dtype {entry.get('dtype')!r} for {role}"
             ) from None
-        # Build the model at the artifact's dtype so loaded parameters
+        # Give the parameters the artifact's dtype before loading, so they
         # keep the exact precision they were saved with — predictions
         # must be bit-identical to the saved stack no matter what the
-        # process's default dtype currently is.
-        previous = get_default_dtype()
-        set_default_dtype(dtype)
-        try:
-            model = build_model(config, NODE_DIM, EDGE_DIM, seed=0)
-        finally:
-            set_default_dtype(previous)
+        # process's default dtype is.  The default itself is never
+        # switched here: it is process-wide, and a serving thread that
+        # compiled a template during a reload would compute at it.
+        model = build_model(config, NODE_DIM, EDGE_DIM, seed=0)
+        for param in model.parameters():
+            param.data = param.data.astype(dtype)
         model.load_state_dict(state)
         model.eval()
         models[role] = model

@@ -122,7 +122,9 @@ class PredictorService:
         forward pass).  Load tests use it to stand in for accelerator
         inference latency, so worker-scaling measurements are about
         scheduling — not this container's core count.  0 (default)
-        disables it.
+        disables it.  Requests answered from the prediction cache skip
+        the batcher and so never pay it; pass ``cache=False`` to make
+        every request dispatch.
     """
 
     def __init__(
@@ -353,7 +355,9 @@ class PredictorService:
         The generation is pinned before the first point is enqueued and
         held until the last future resolves, so the whole batch — and
         the identity reported with it — belongs to one model version
-        even when a hot swap lands mid-request.
+        even when a hot swap lands mid-request.  A request whose points
+        are all in that generation's prediction cache is answered from
+        it directly, without the micro-batcher.
 
         ``deadline_seconds`` is the client's latency budget: one
         absolute deadline is stamped for the whole request at admission,
@@ -384,6 +388,15 @@ class PredictorService:
         completed = [self.complete_point(kernel, p) for p in points]
         gen = self._acquired_generation()
         try:
+            # Fully cached requests need no forward, so they have nothing
+            # to share with a batch: answer them now.  A miss, or a
+            # pipeline busy with another batch, takes the batcher.
+            cached = gen.pipeline_for(device).predict_cached(
+                kernel, completed, valid_threshold, objectives_for
+            )
+            if cached is not None:
+                self.metrics.record_cache_served(len(cached))
+                return cached, dict(gen.info)
             futures = [
                 gen.batcher.submit(
                     kernel, p, valid_threshold, objectives_for,
@@ -411,11 +424,12 @@ class PredictorService:
         objectives_for: str = "all",
         device: str = "",
     ) -> List[Prediction]:
-        """Validate, enqueue, and await predictions for ``points``.
+        """Validate and predict ``points``.
 
-        Points from one call still ride the shared micro-batcher, so
-        concurrent callers' singles and small batches coalesce into
-        engine-sized forwards.
+        A call whose points are all cached is answered at once from the
+        pipeline's cache.  Otherwise its points ride the shared
+        micro-batcher, so concurrent callers' singles and small batches
+        coalesce into engine-sized forwards.
         """
         return self.predict_versioned(
             kernel, points, valid_threshold, objectives_for, device=device

@@ -20,6 +20,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
+from repro.designspace.space import point_key
 from repro.dse import EvaluationPipeline
 from repro.errors import (
     BacklogFullError,
@@ -288,6 +289,135 @@ class TestPredictorService:
 
 
 # ---------------------------------------------------------------------------
+# cached requests: answered from the pipeline cache, not the batcher
+
+
+class TestCachedServing:
+    @pytest.mark.parametrize("engine", ["compiled", "reference"])
+    def test_predict_cached_matches_batched_path(self, predictor, engine):
+        points = sample_points("fir", 5, seed=21)
+        pipeline = EvaluationPipeline(predictor, batch_size=4, engine=engine)
+        assert pipeline.predict_cached("fir", points) is None  # cold: no answer
+        for kwargs in ({}, {"valid_threshold": 0.99, "objectives_for": "valid"}):
+            batched = pipeline.predict_batch("fir", points, **kwargs)
+            calls = pipeline.stats.batches
+            cached = pipeline.predict_cached("fir", points, **kwargs)
+            assert cached == batched
+            assert pipeline.stats.batches == calls  # no forward ran
+        # One uncached point anywhere in the request sends it to the batcher.
+        extra = sample_points("fir", 40, seed=22)
+        fresh = next(p for p in extra if point_key(p) not in set(map(point_key, points)))
+        assert pipeline.predict_cached("fir", points + [fresh]) is None
+        assert pipeline.predict_cached("gemm-ncubed", points[:1]) is None
+
+    def test_predict_cached_off_without_cache(self, predictor):
+        points = sample_points("fir", 2, seed=21)
+        pipeline = EvaluationPipeline(predictor, batch_size=4, cache=False)
+        pipeline.predict_batch("fir", points)
+        assert pipeline.predict_cached("fir", points) is None
+
+    def test_predict_cached_never_blocks_on_a_busy_pipeline(self, predictor):
+        points = sample_points("fir", 3, seed=23)
+        pipeline = EvaluationPipeline(predictor, batch_size=4)
+        pipeline.predict_batch("fir", points)
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with pipeline._lock:
+                held.set()
+                release.wait(10.0)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(10.0)
+            start = time.perf_counter()
+            assert pipeline.predict_cached("fir", points) is None
+            assert time.perf_counter() - start < 0.5
+        finally:
+            release.set()
+            holder.join()
+        assert pipeline.predict_cached("fir", points) is not None
+
+    def test_metrics_count_cache_served_requests_apart_from_batches(self, predictor):
+        points = sample_points("fir", 2, seed=24)
+        with PredictorService(
+            predictor, batch_size=2, max_delay_seconds=1.0
+        ) as service:
+            first = service.predict("fir", points)  # miss: one full batch
+            second = service.predict("fir", points)  # hit: no batch
+            snapshot = service.metrics_snapshot()
+        assert second == first
+        assert snapshot["batches"] == 1
+        assert snapshot["batched_points"] == 2
+        assert snapshot["mean_batch_fill"] == 2.0
+        assert snapshot["cache_served_requests"] == 1
+        assert snapshot["cache_served_points"] == 2
+
+    def test_cache_path_follows_a_hot_swap(self, predictor):
+        """A point cached on v1 is recomputed by v2 and stamped with v2."""
+        points = sample_points("fir", 2, seed=25)
+        v1 = {"version": "v1", "sha256": "a" * 64}
+        v2 = {"version": "v2", "sha256": "b" * 64}
+        successor = make_predictor(seed=1)
+        expected_v1 = EvaluationPipeline(predictor, batch_size=2).predict_batch(
+            "fir", points
+        )
+        expected_v2 = EvaluationPipeline(successor, batch_size=2).predict_batch(
+            "fir", points
+        )
+        assert expected_v1 != expected_v2
+        with PredictorService(predictor, batch_size=2, model_info=v1) as service:
+            service.predict("fir", points)
+            got, info = service.predict_versioned("fir", points)  # v1 cache hit
+            assert (got, info["sha256"]) == (expected_v1, v1["sha256"])
+            assert service.metrics.snapshot()["cache_served_requests"] == 1
+            service.swap(successor, v2)
+            assert service.pipeline.predict_cached("fir", points) is None
+            got, info = service.predict_versioned("fir", points)  # v2 computes
+            assert (got, info["sha256"]) == (expected_v2, v2["sha256"])
+            assert service.metrics.snapshot()["cache_served_requests"] == 1
+            got, info = service.predict_versioned("fir", points)  # v2 cache hit
+            assert (got, info["sha256"]) == (expected_v2, v2["sha256"])
+            assert service.metrics.snapshot()["cache_served_requests"] == 2
+
+    def test_persistent_connection_round_trips_skip_the_nagle_stall(self, predictor):
+        """Cached requests on one keep-alive connection answer in ~1 ms.
+
+        Headers and body written separately with Nagle on made every
+        round trip wait for the client's delayed ACK (~40 ms).
+        """
+        import http.client
+
+        from repro.serve.schemas import point_payload
+
+        points = [point_payload(p) for p in sample_points("fir", 4, seed=26)]
+        body = json.dumps({"kernel": "fir", "points": points}).encode()
+        service = PredictorService(predictor, batch_size=4)
+        server = start_server(service)
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            round_trips = []
+            for _ in range(20):
+                start = time.perf_counter()
+                connection.request(
+                    "POST", "/v1/predict", body=body,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                payload = json.loads(response.read())
+                round_trips.append(time.perf_counter() - start)
+                assert response.status == 200, payload
+            assert service.metrics.snapshot()["cache_served_requests"] == 19
+        finally:
+            connection.close()
+            server.stop()
+        median_ms = 1000.0 * sorted(round_trips[1:])[len(round_trips[1:]) // 2]
+        assert median_ms < 20.0, f"median cached round trip {median_ms:.1f} ms"
+
+
+# ---------------------------------------------------------------------------
 # HTTP API
 
 
@@ -366,6 +496,24 @@ class TestHTTPServer:
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(request, timeout=10)
         assert info.value.code == 400
+
+    def test_expect_100_continue_is_sent_before_the_body(self, server):
+        """The buffered response writer must not hold back the interim
+        100 Continue a client waits for before sending its body."""
+        host, port = server.server_address[:2]
+        body = json.dumps({"kernel": "fir", "point": {}}).encode()
+        head = (
+            "POST /v1/predict HTTP/1.1\r\nHost: test\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\nExpect: 100-continue\r\n\r\n"
+        ).encode()
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(head)
+            reply = sock.makefile("rb")
+            assert reply.readline().startswith(b"HTTP/1.1 100")
+            assert reply.readline() == b"\r\n"
+            sock.sendall(body)
+            assert reply.readline().startswith(b"HTTP/1.1 200")
 
     def test_unknown_route_is_404(self, client):
         with pytest.raises(ServeClientError) as info:
@@ -457,6 +605,24 @@ class TestMicroBatchingThroughput:
     DISPATCH_SECONDS = 0.2
     CLIENTS = 8
     REQUESTS_PER_CLIENT = 8
+    WARM_SEED = 99
+
+    def _distinct_points(self, count, seed):
+        """``count`` distinct fir points, none of them a warm-up point.
+
+        A repeated point is answered from the prediction cache without
+        a dispatch, so every measured request must be a cache miss for
+        the dispatch counts to measure amortization.
+        """
+        warm = {point_key(p) for p in sample_points("fir", 8, seed=self.WARM_SEED)}
+        chosen = {}
+        for point in sample_points("fir", 2000, seed=seed):
+            key = point_key(point)
+            if key not in warm:
+                chosen.setdefault(key, point)
+            if len(chosen) == count:
+                return list(chosen.values())
+        raise AssertionError(f"fir has fewer than {count} distinct cold points")
 
     def _serve_throughput(self, predictor, batch_size, max_delay_seconds, points):
         service = PredictorService(
@@ -484,7 +650,7 @@ class TestMicroBatchingThroughput:
         # Warm up outside the timed window: compile the batch template
         # for every chunk size a flush can produce (cache stays cold —
         # the warm-up points are disjoint from the measured ones).
-        warm = sample_points("fir", batch_size, seed=99)
+        warm = sample_points("fir", batch_size, seed=self.WARM_SEED)
         for size in range(1, batch_size + 1):
             pipeline.predict_batch("fir", warm[:size])
         client.predict("fir", points[-2:])
@@ -522,8 +688,8 @@ class TestMicroBatchingThroughput:
         set_default_dtype(np.float32)  # the serving-default dtype
         try:
             predictor = make_predictor()
-            points = sample_points(
-                "fir", self.CLIENTS * self.REQUESTS_PER_CLIENT + 2, seed=13
+            points = self._distinct_points(
+                self.CLIENTS * self.REQUESTS_PER_CLIENT + 2, seed=13
             )
             reference = EvaluationPipeline(predictor, batch_size=8, engine="compiled")
             expected = reference.predict_batch("fir", points[:-2])

@@ -110,6 +110,37 @@ class TestSaveLoadRoundTrip:
         finally:
             set_default_dtype(previous)
 
+    def test_load_never_switches_the_process_default_dtype(
+        self, tmp_path, monkeypatch
+    ):
+        """Serving threads read the process-wide default dtype while a
+        hot reload loads the next artifact: switching it, even for the
+        length of a model build, let a template compiled meanwhile run
+        at the artifact's dtype instead."""
+        import repro.serve.registry as registry_module
+
+        previous = get_default_dtype()
+        set_default_dtype(np.float32)
+        try:
+            path = tmp_path / "f32"
+            save_artifact(make_predictor(seed=7), path)
+        finally:
+            set_default_dtype(previous)
+        seen = []
+        build = registry_module.build_model
+
+        def recording_build(*args, **kwargs):
+            seen.append(get_default_dtype())
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(registry_module, "build_model", recording_build)
+        loaded = load_artifact(path)
+        assert previous is np.float64  # the suite's autouse default
+        assert seen == [previous] * 3
+        assert get_default_dtype() is previous
+        for param in loaded.regressor.parameters():
+            assert param.data.dtype == np.float32
+
     def test_resave_is_idempotent_and_dedupes_blobs(self, predictor, artifact):
         path, first = artifact
         blobs_before = sorted(p.name for p in (path / "blobs").iterdir())
