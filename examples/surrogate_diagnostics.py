@@ -8,15 +8,16 @@ would want before trusting the model-driven DSE:
 1. classifier probability calibration (expected calibration error);
 2. per-kernel latency rank correlation (what top-M selection relies on);
 3. database coverage per pragma knob;
-4. ModelDSE vs simulated annealing (model-guided) on the same kernel —
-   and the rendered C source of the winning design.
+4. ModelDSE vs the budgeted simulated-annealing strategy (the race's
+   ``sa`` arm, model-guided) on the same kernel — and the rendered C
+   source of the winning design.
 
 Takes a few minutes (trains a small model).
 Run:  python examples/surrogate_diagnostics.py
 """
 
 from repro.designspace import build_design_space, render_point, render_source
-from repro.dse import ModelDSE, SimulatedAnnealingDSE
+from repro.dse import EvaluationPipeline, ModelDSE, run_race
 from repro.explorer import generate_database, measure_coverage
 from repro.hls import MerlinHLSTool
 from repro.kernels import get_kernel
@@ -62,13 +63,11 @@ def main() -> None:
     dse = ModelDSE(predictor, spec, space, top_m=5)
     beam = dse.run(time_limit_seconds=60)
 
-    def model_scorer(point):
-        prediction = predictor.predict(spec.name, point)
-        usable = prediction.valid and prediction.fits(0.8)
-        return usable, prediction.latency
-
-    sa = SimulatedAnnealingDSE(space, model_scorer, seed=0)
-    annealed = sa.run(max_evals=400)
+    annealed = run_race(
+        EvaluationPipeline(predictor), spec, space, budget=400, seed=0,
+        strategies=("sa",),
+    )
+    annealed_best = annealed.top[0].point if annealed.top else None
 
     def truth(point):
         result = tool.synthesize(spec, point)
@@ -78,13 +77,13 @@ def main() -> None:
         (t for t in (truth(c.point) for c in beam.top) if t is not None),
         default=None,
     )
-    sa_best = truth(annealed.best_point) if annealed.best_point else None
+    sa_best = truth(annealed_best) if annealed_best else None
     print(f"ordered-beam ModelDSE: explored {beam.explored:,}, "
           f"best true latency {beam_best}")
-    print(f"simulated annealing  : explored {annealed.evaluations:,}, "
+    print(f"simulated annealing  : explored {annealed.queries:,}, "
           f"best true latency {sa_best}")
 
-    winner = beam.top[0].point if beam.top else annealed.best_point
+    winner = beam.top[0].point if beam.top else annealed_best
     if winner:
         print("\n--- winning design ---")
         print(render_point(spec, winner))

@@ -2,7 +2,10 @@
 
 - :func:`order_pragmas` — the innermost-first pragma-ordering heuristic;
 - :class:`ModelDSE` — exhaustive / ordered-beam search over a design
-  space with the trained predictor in the loop;
+  space with the trained predictor in the loop; its result carries the
+  exact Pareto front of every usable point it scored;
+- :class:`Frontier` — the top-M + Pareto merge policy every searcher
+  (serial, sharded, budgeted) keeps its results with;
 - :func:`run_dse_rounds` — Fig. 7's multi-round database augmentation;
 - :func:`pareto_front` — non-dominated filtering of designs;
 - :class:`EvaluationPipeline` — the batched + cached surrogate hot
@@ -10,14 +13,14 @@
 - :class:`ParallelDSE` — sharded multiprocessing orchestrator with
   checkpoint/resume, bit-identical to the serial exhaustive sweep;
 - :mod:`~repro.dse.strategies` / :mod:`~repro.dse.rl` /
-  :mod:`~repro.dse.race` — budgeted search strategies (annealing,
-  greedy, REINFORCE policy explorer, random) raced under one shared
-  query budget by a UCB bandit;
+  :mod:`~repro.dse.race` — budgeted search strategies (simulated
+  annealing, greedy, REINFORCE policy explorer, random) raced under one
+  shared query budget by a UCB bandit; the ``sa`` arm is the repo's
+  annealer;
 - :mod:`~repro.dse.hypervolume` — exact WFG hypervolume, the search
   quality metric the benchmarks gate on.
 """
 
-from .annealing import AnnealingResult, SimulatedAnnealingDSE
 from .augment import AugmentationResult, RoundOutcome, run_dse_rounds
 from .crossdevice import (
     CROSS_DEVICE_KEYS,
@@ -27,7 +30,6 @@ from .crossdevice import (
     cross_device_objectives,
     run_cross_device_dse,
 )
-from .multiobjective import ParetoArchive, ParetoDSE
 from .ordering import order_pragmas
 from .parallel import (
     DSECheckpoint,
@@ -48,11 +50,10 @@ from .pipeline import (
     EvaluationPipeline,
     PipelineStats,
     UnsupportedModelError,
-    surrogate_scorers,
 )
 from .hypervolume import hypervolume, normalized_hypervolume, reference_point
 from .race import DEFAULT_ARMS, RaceResult, StrategyRacer, run_race
-from .search import PARETO_KEYS, DSECandidate, DSEResult, ModelDSE
+from .search import PARETO_KEYS, DSECandidate, DSEResult, Frontier, ModelDSE
 from .strategies import (
     AnnealingStrategy,
     BudgetedEvaluator,
@@ -79,24 +80,20 @@ __all__ = [
     "ShardResult",
     "WorkerHooks",
     "pareto_merge",
-    "AnnealingResult",
-    "SimulatedAnnealingDSE",
     "CompiledGNNEngine",
     "EncodingCache",
     "EvaluationPipeline",
     "PipelineStats",
     "UnsupportedModelError",
-    "surrogate_scorers",
     "AugmentationResult",
     "RoundOutcome",
     "run_dse_rounds",
-    "ParetoArchive",
-    "ParetoDSE",
     "order_pragmas",
     "dominates",
     "pareto_front",
     "DSECandidate",
     "DSEResult",
+    "Frontier",
     "ModelDSE",
     "AnnealingStrategy",
     "BudgetedEvaluator",

@@ -77,12 +77,11 @@ def hypervolume(
     ref = tuple(float(r) for r in reference)
     pts = []
     for point in front:
-        p = tuple(min(float(v), r) for v, r in zip(point, ref))
-        if len(p) != len(ref):
+        if len(point) != len(ref):
             raise ValueError(
-                f"point has {len(p)} objectives, reference has {len(ref)}"
+                f"point has {len(point)} objectives, reference has {len(ref)}"
             )
-        pts.append(p)
+        pts.append(tuple(min(float(v), r) for v, r in zip(point, ref)))
     return _hv(_nondominated(pts), ref)
 
 

@@ -53,9 +53,9 @@ from ..frontend.pragmas import PipelineOption
 from ..model.predictor import Prediction
 from ..obs import TRACER, counter, histogram, span
 from ..workers import ForkSupervisor, SupervisedWorker
-from .pareto import pareto_merge
+from .pareto import objective_keys_for
 from .pipeline import EvaluationPipeline, PipelineStats
-from .search import PARETO_KEYS, DSECandidate, DSEResult, ModelDSE, _candidate_objectives
+from .search import DSECandidate, DSEResult, Frontier, ModelDSE
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
@@ -379,7 +379,7 @@ def _worker_main(worker_id, result_q, predictor, spec, space, config, task_q, ho
                 result_q.put(("hb", worker_id, index, time.monotonic()))
 
             before = pipeline.stats.copy()
-            top, pareto, explored, _ = dse.evaluate_stream(points, on_batch=on_batch)
+            top, pareto, explored = dse.evaluate_stream(points, on_batch=on_batch)
             result = ShardResult(
                 index=index,
                 top=top,
@@ -493,19 +493,12 @@ class ParallelDSE:
         self.heartbeat_timeout_seconds = heartbeat_timeout_seconds
         self.max_attempts = max_attempts
         self.mp_context = mp_context
+        # The shard searchers target the predictor's bound device (they
+        # are built without an explicit one), so the shard fronts and
+        # their merge compare on that device's objective keys.
+        self.pareto_keys = objective_keys_for(getattr(predictor, "device", None))
 
     # -- planning ---------------------------------------------------------------
-
-    def _make_dse(self, pipeline: Optional[EvaluationPipeline]) -> ModelDSE:
-        return ModelDSE(
-            self.predictor, self.spec, self.space,
-            fit_threshold=self.fit_threshold,
-            top_m=self.top_m,
-            batch_size=self.batch_size,
-            exhaustive_limit=self.exhaustive_limit,
-            pipeline=pipeline,
-            use_pipeline=pipeline is not None,
-        )
 
     def _plan(self):
         """Enumerate the space and cut it into contiguous shards."""
@@ -571,17 +564,24 @@ class ParallelDSE:
         prior_retries = int(raw.get("retries", 0))
         return shards, shard_size, completed, prior_retries
 
+    def _merge_shards(self, completed: Dict[int, "ShardResult"]) -> Frontier:
+        """Fold shard results in shard order.
+
+        Shard order is enumeration order, so ties keep the serial
+        sweep's ordering exactly.
+        """
+        frontier = Frontier(self.top_m, self.pareto_keys)
+        for index in sorted(completed):
+            frontier.merge(completed[index].top, completed[index].pareto)
+        return frontier
+
     # -- checkpoint write --------------------------------------------------------
 
     def _checkpoint_write(self, fingerprint, shard_size, num_shards, total,
                           completed, retries):
         if self.checkpoint is None:
             return
-        pareto: List[DSECandidate] = []
-        for index in sorted(completed):
-            pareto = pareto_merge(
-                pareto, completed[index].pareto, _candidate_objectives, PARETO_KEYS
-            )
+        pareto = self._merge_shards(completed).pareto
         self.checkpoint.write(
             kernel=self.spec.name,
             fingerprint=fingerprint,
@@ -627,26 +627,18 @@ class ParallelDSE:
                 deadline=start + time_limit_seconds,
             )
 
-        # -- merge (shard order == enumeration order, so ties keep the
-        # serial explorer's ordering exactly) --
-        merger = self._make_dse(pipeline=None)
-        top: List[DSECandidate] = []
-        pareto: List[DSECandidate] = []
         explored = 0
         evaluated_now = 0
         stats: Optional[PipelineStats] = None
         with span("dse.pareto_merge", shards=len(completed)):
-            for index in sorted(completed):
-                shard = completed[index]
-                top = merger._merge_top(top, shard.top)
-                pareto = pareto_merge(
-                    pareto, shard.pareto, _candidate_objectives, PARETO_KEYS
-                )
-                explored += shard.explored
-                if index not in resumed:
-                    evaluated_now += shard.explored
-                if shard.stats is not None:
-                    stats = shard.stats if stats is None else stats + shard.stats
+            frontier = self._merge_shards(completed)
+        for index in sorted(completed):
+            shard = completed[index]
+            explored += shard.explored
+            if index not in resumed:
+                evaluated_now += shard.explored
+            if shard.stats is not None:
+                stats = shard.stats if stats is None else stats + shard.stats
         seconds = time.monotonic() - start
         root.set(
             shards=num_shards, shards_resumed=len(resumed),
@@ -654,13 +646,13 @@ class ParallelDSE:
         )
         return DSEResult(
             kernel=self.spec.name,
-            top=top,
+            top=frontier.top,
             explored=explored,
             seconds=seconds,
             exhaustive=True,
             predictions_per_second=evaluated_now / seconds if seconds > 0 else 0.0,
             stats=stats,
-            pareto=pareto,
+            pareto=frontier.pareto,
             workers=self.workers,
             shards=num_shards,
             shards_resumed=len(resumed),
@@ -677,7 +669,14 @@ class ParallelDSE:
             engine=self.engine,
             cache=self.cache,
         )
-        dse = self._make_dse(pipeline)
+        dse = ModelDSE(
+            self.predictor, self.spec, self.space,
+            fit_threshold=self.fit_threshold,
+            top_m=self.top_m,
+            batch_size=self.batch_size,
+            exhaustive_limit=self.exhaustive_limit,
+            pipeline=pipeline,
+        )
         hooks = self.hooks
         for index in pending:
             if time.monotonic() > deadline:
@@ -691,7 +690,7 @@ class ParallelDSE:
 
             before = pipeline.stats.copy()
             with span("dse.shard", shard=index, points=len(shards[index]), worker=0):
-                top, pareto, explored, _ = dse.evaluate_stream(
+                top, pareto, explored = dse.evaluate_stream(
                     shards[index], on_batch=on_batch
                 )
             completed[index] = ShardResult(

@@ -20,9 +20,8 @@ __all__ = [
 ]
 
 #: Objective keys (all minimised) of the reference FPGA device — the
-#: single source of truth the DSE searchers, the Pareto archive, and
-#: this module's defaults share.  Device-specific axes come from
-#: :func:`objective_keys_for`.
+#: single source of truth the DSE searchers and this module's defaults
+#: share.  Device-specific axes come from :func:`objective_keys_for`.
 DEFAULT_OBJECTIVE_KEYS: Tuple[str, ...] = ("latency", "DSP", "BRAM", "LUT", "FF")
 
 

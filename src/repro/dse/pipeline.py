@@ -67,36 +67,7 @@ __all__ = [
     "EvaluationPipeline",
     "PipelineStats",
     "UnsupportedModelError",
-    "surrogate_scorers",
 ]
-
-
-def surrogate_scorers(
-    pipeline: "EvaluationPipeline", kernel: str, fit_threshold: float = 0.8
-):
-    """Point and batch scorers for the annealer, backed by one pipeline.
-
-    Both go through the cascade (regression only for valid points) and
-    share the pipeline's point cache; unusable points score ``inf``,
-    which the annealer never reads — it applies its own penalty.
-    """
-
-    def to_pair(prediction: Prediction) -> Tuple[bool, float]:
-        usable = prediction.valid and prediction.fits(fit_threshold)
-        return usable, prediction.latency
-
-    def scorer(point: DesignPoint) -> Tuple[bool, float]:
-        return to_pair(
-            pipeline.predict_batch(kernel, [point], objectives_for="valid")[0]
-        )
-
-    def batch_scorer(points: List[DesignPoint]) -> List[Tuple[bool, float]]:
-        return [
-            to_pair(p)
-            for p in pipeline.predict_batch(kernel, points, objectives_for="valid")
-        ]
-
-    return scorer, batch_scorer
 
 
 class UnsupportedModelError(RuntimeError):

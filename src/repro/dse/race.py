@@ -239,8 +239,8 @@ class StrategyRacer:
             seconds=time.monotonic() - start,
             rounds=rounds,
             totals={arm.name: arm.total for arm in self.arms},
-            top=list(self.evaluator.top),
-            pareto=list(self.evaluator.pareto),
+            top=list(self.evaluator.frontier.top),
+            pareto=list(self.evaluator.frontier.pareto),
         )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..designspace.space import DesignPoint, DesignSpace, point_key
 from ..model.predictor import GNNDSEPredictor, Prediction
@@ -20,7 +20,7 @@ from .ordering import order_pragmas
 from .pareto import DEFAULT_OBJECTIVE_KEYS, objective_keys_for, pareto_front, pareto_merge
 from .pipeline import EvaluationPipeline, PipelineStats
 
-__all__ = ["PARETO_KEYS", "DSECandidate", "DSEResult", "ModelDSE"]
+__all__ = ["PARETO_KEYS", "DSECandidate", "DSEResult", "Frontier", "ModelDSE"]
 
 #: Objectives (all minimised) the DSE's running Pareto front is kept
 #: over on the reference device; device-bound searches use the target's
@@ -86,6 +86,61 @@ class DSEResult:
 
     def pareto_points(self) -> List[DesignPoint]:
         return [c.point for c in self.pareto]
+
+
+class Frontier:
+    """The running top-M list and Pareto front of one search.
+
+    This is the one place the merge policy lives; the exhaustive sweep,
+    every parallel shard and the shard merge, and the budgeted
+    strategies' shared evaluator all go through it.  ``top`` holds the
+    ``top_m`` usable candidates of lowest predicted latency, deduped by
+    :func:`point_key` in first-seen order; ``pareto`` is the
+    first-seen-order :func:`pareto_merge` over ``keys``.  Both merges
+    are batch-boundary invariant, which is what makes sharded and
+    resumed sweeps bit-identical to the serial one.
+
+    ``usable`` is the predicate :meth:`add` filters fresh candidates
+    with; :meth:`merge` and :meth:`merge_top` take candidates that
+    already passed it (e.g. another frontier's lists).
+    """
+
+    def __init__(
+        self,
+        top_m: int,
+        keys: Sequence[str],
+        usable: Optional[Callable[[DSECandidate], bool]] = None,
+    ):
+        self.top_m = top_m
+        self.keys = keys
+        self.usable = usable
+        self.top: List[DSECandidate] = []
+        self.pareto: List[DSECandidate] = []
+
+    def add(self, scored: List[DSECandidate]) -> None:
+        """Merge freshly scored candidates, dropping the unusable ones."""
+        usable = [c for c in scored if self.usable(c)]
+        self.merge(usable, usable)
+
+    def merge(self, top: List[DSECandidate], pareto: List[DSECandidate]) -> None:
+        """Merge usable candidates into the top-M list and the front."""
+        self.merge_top(top)
+        self.pareto = pareto_merge(self.pareto, pareto, _candidate_objectives, self.keys)
+
+    def merge_top(self, candidates: List[DSECandidate]) -> None:
+        """Merge usable candidates into the top-M list only."""
+        merged = self.top + candidates
+        merged.sort(key=lambda c: c.predicted_latency)
+        seen = set()
+        unique: List[DSECandidate] = []
+        for candidate in merged:
+            key = point_key(candidate.point)
+            if key not in seen:
+                seen.add(key)
+                unique.append(candidate)
+            if len(unique) >= self.top_m:
+                break
+        self.top = unique
 
 
 class ModelDSE:
@@ -154,24 +209,12 @@ class ModelDSE:
 
     # -- scoring ------------------------------------------------------------------
 
-    def _usable(self, prediction: Prediction) -> bool:
-        return prediction.valid and prediction.fits(self.fit_threshold, axes=self.fit_axes)
+    def _usable(self, candidate: DSECandidate) -> bool:
+        p = candidate.prediction
+        return p.valid and p.fits(self.fit_threshold, axes=self.fit_axes)
 
-    def _merge_top(
-        self, top: List[DSECandidate], batch: List[DSECandidate]
-    ) -> List[DSECandidate]:
-        merged = top + [c for c in batch if self._usable(c.prediction)]
-        merged.sort(key=lambda c: c.predicted_latency)
-        seen = set()
-        unique: List[DSECandidate] = []
-        for candidate in merged:
-            key = point_key(candidate.point)
-            if key not in seen:
-                seen.add(key)
-                unique.append(candidate)
-            if len(unique) >= self.top_m:
-                break
-        return unique
+    def _frontier(self) -> Frontier:
+        return Frontier(self.top_m, self.pareto_keys, self._usable)
 
     def _predict_batch(self, points: List[DesignPoint]) -> List[DSECandidate]:
         if self.pipeline is not None:
@@ -222,37 +265,29 @@ class ModelDSE:
         points: Iterable[DesignPoint],
         deadline: Optional[float] = None,
         on_batch: Optional[Callable[[int], None]] = None,
-        top: Optional[List[DSECandidate]] = None,
-        pareto: Optional[List[DSECandidate]] = None,
-    ) -> Tuple[List[DSECandidate], List[DSECandidate], int, bool]:
+    ) -> Tuple[List[DSECandidate], List[DSECandidate], int]:
         """Score a point stream in batches; the shared exhaustive scan.
 
         Both the serial exhaustive sweep and every parallel-DSE shard
         (:mod:`repro.dse.parallel`) run THIS loop, so their per-batch
         merge behaviour — and therefore their results — cannot drift
-        apart.  The iterated top-M merge and the incremental Pareto
-        merge are both batch-boundary invariant, which is what makes
-        sharded evaluation bit-identical to the single-process sweep.
+        apart (see :class:`Frontier`).
 
-        Returns ``(top, pareto, explored, out_of_time)``.  ``deadline``
-        is an absolute ``time.monotonic()`` bound checked after each
-        full batch (monotonic, so a stepped wall clock can neither cut
-        a sweep short nor extend it); ``on_batch`` (called with the
+        Returns ``(top, pareto, explored)``.  ``deadline`` is an
+        absolute ``time.monotonic()`` bound checked after each full
+        batch (monotonic, so a stepped wall clock can neither cut a
+        sweep short nor extend it); ``on_batch`` (called with the
         running explored count) is the hook parallel workers use for
         heartbeats and tests/benchmarks use for fault and latency
         injection.
         """
-        top = list(top) if top else []
-        pareto = list(pareto) if pareto else []
+        frontier = self._frontier()
         explored = 0
         out_of_time = False
 
         def consume(batch: List[DesignPoint]) -> None:
-            nonlocal top, pareto, explored
-            scored = self._predict_batch(batch)
-            top = self._merge_top(top, scored)
-            usable = [c for c in scored if self._usable(c.prediction)]
-            pareto = pareto_merge(pareto, usable, _candidate_objectives, self.pareto_keys)
+            nonlocal explored
+            frontier.add(self._predict_batch(batch))
             explored += len(batch)
             if on_batch is not None:
                 on_batch(explored)
@@ -268,12 +303,12 @@ class ModelDSE:
                     break
         if pending and not out_of_time and (deadline is None or time.monotonic() <= deadline):
             consume(pending)
-        return top, pareto, explored, out_of_time
+        return frontier.top, frontier.pareto, explored
 
     def _run_exhaustive(self, time_limit_seconds: float) -> DSEResult:
         start = time.monotonic()
         stats_before = self.pipeline.stats.copy() if self.pipeline else None
-        top, pareto, explored, _ = self.evaluate_stream(
+        top, pareto, explored = self.evaluate_stream(
             self.space.enumerate(), deadline=start + time_limit_seconds
         )
         seconds = time.monotonic() - start
@@ -296,7 +331,7 @@ class ModelDSE:
         stats_before = self.pipeline.stats.copy() if self.pipeline else None
         ordered = order_pragmas(self.space)
         seen = set()
-        top: List[DSECandidate] = []
+        frontier = self._frontier()
         explored = 0
 
         base = self.space.default_point()
@@ -322,13 +357,13 @@ class ModelDSE:
                 for i in range(0, len(candidates), self.batch_size):
                     scored.extend(self._predict_batch(candidates[i : i + self.batch_size]))
                 explored += len(candidates)
-                top_before = top[0].predicted_latency if top else float("inf")
-                top = self._merge_top(top, scored)
-                if top and top[0].predicted_latency < top_before:
+                best = frontier.top[0].predicted_latency if frontier.top else float("inf")
+                usable = [c for c in scored if self._usable(c)]
+                frontier.merge_top(usable)
+                if frontier.top and frontier.top[0].predicted_latency < best:
                     improved = True
                 # Next beam: best usable candidates (fall back to lowest
                 # predicted latency when nothing usable has appeared yet).
-                usable = [c for c in scored if self._usable(c.prediction)]
                 if not usable:
                     scored = self._ensure_objectives(scored)
                 pool = usable or scored
@@ -340,6 +375,7 @@ class ModelDSE:
             if not improved:
                 break
         seconds = time.monotonic() - start
+        top = frontier.top
         return DSEResult(
             kernel=self.spec.name,
             top=top,

@@ -35,8 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..designspace.space import DesignPoint, DesignSpace, point_key
 from ..errors import ReproError
-from .pareto import pareto_merge
-from .search import PARETO_KEYS, DSECandidate
+from .search import PARETO_KEYS, DSECandidate, Frontier
 
 __all__ = [
     "AnnealingStrategy",
@@ -80,10 +79,6 @@ class QueryBudget:
         self.spent += queries
 
 
-def _candidate_objectives(candidate: DSECandidate) -> Dict[str, float]:
-    return candidate.prediction.objectives
-
-
 class BudgetedEvaluator:
     """Shared, memoised, budget-charging surrogate evaluator.
 
@@ -106,11 +101,9 @@ class BudgetedEvaluator:
         self.spec = spec
         self.space = space
         self.budget = budget
-        self.top_m = top_m
         self.fit_threshold = fit_threshold
         self.memo: Dict[str, DSECandidate] = {}
-        self.top: List[DSECandidate] = []
-        self.pareto: List[DSECandidate] = []
+        self.frontier = Frontier(top_m, PARETO_KEYS, self.usable)
         self._front_keys: set = set()
 
     # -- frontier bookkeeping ---------------------------------------------------
@@ -119,34 +112,16 @@ class BudgetedEvaluator:
         p = candidate.prediction
         return p.valid and p.fits(self.fit_threshold)
 
-    def _merge_top(self, batch: List[DSECandidate]) -> None:
-        merged = self.top + [c for c in batch if self.usable(c)]
-        merged.sort(key=lambda c: c.predicted_latency)
-        seen: set = set()
-        unique: List[DSECandidate] = []
-        for candidate in merged:
-            key = point_key(candidate.point)
-            if key not in seen:
-                seen.add(key)
-                unique.append(candidate)
-            if len(unique) >= self.top_m:
-                break
-        self.top = unique
-
     def _admit(self, fresh: List[DSECandidate]) -> List[bool]:
         """Merge newly evaluated candidates; flag the new front members."""
-        usable = [c for c in fresh if self.usable(c)]
-        self.pareto = pareto_merge(
-            self.pareto, usable, _candidate_objectives, PARETO_KEYS
-        )
-        front_keys = {point_key(c.point) for c in self.pareto}
+        self.frontier.add(fresh)
+        front_keys = {point_key(c.point) for c in self.frontier.pareto}
         flags = [
             point_key(c.point) in front_keys
             and point_key(c.point) not in self._front_keys
             for c in fresh
         ]
         self._front_keys = front_keys
-        self._merge_top(fresh)
         return flags
 
     # -- evaluation -------------------------------------------------------------
@@ -338,9 +313,10 @@ class GreedyStrategy(SearchStrategy):
 class AnnealingStrategy(SearchStrategy):
     """Lockstep multi-chain simulated annealing (the SA baseline arm).
 
-    Semantics follow :class:`~repro.dse.annealing.SimulatedAnnealingDSE`
-    — Metropolis acceptance on a scale-relative temperature with an
-    unusable-point penalty — but each step proposes one candidate per
+    Each chain makes Metropolis moves to a random one-knob neighbour on
+    a scale-relative temperature that cools geometrically, with
+    unusable points scored at ``penalty`` times the worst usable
+    latency the chain has seen.  Each step proposes one candidate per
     chain and scores them in a single surrogate batch, and the budget
     ledger charges distinct points only.
     """

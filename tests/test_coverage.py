@@ -1,9 +1,8 @@
-"""Tests for the simulated-annealing DSE and database coverage metrics."""
+"""Tests for the per-knob database coverage metrics."""
 
 import pytest
 
 from repro.designspace import build_design_space
-from repro.dse import SimulatedAnnealingDSE
 from repro.explorer import Database, Evaluator, RandomExplorer, measure_coverage
 from repro.hls import MerlinHLSTool
 from repro.kernels import get_kernel
@@ -22,47 +21,6 @@ def atax():
 @pytest.fixture(scope="module")
 def atax_space(atax):
     return build_design_space(atax)
-
-
-def hls_scorer(tool, spec, fit=0.8):
-    def scorer(point):
-        result = tool.synthesize(spec, point)
-        return (result.valid and result.fits(fit), float(result.latency))
-
-    return scorer
-
-
-class TestSimulatedAnnealing:
-    def test_finds_improvement(self, tool, atax, atax_space):
-        sa = SimulatedAnnealingDSE(atax_space, hls_scorer(tool, atax), seed=0)
-        result = sa.run(max_evals=120)
-        baseline = tool.synthesize(atax, atax_space.default_point()).latency
-        assert result.best_point is not None
-        assert result.best_score < baseline
-
-    def test_budget_respected(self, tool, atax, atax_space):
-        sa = SimulatedAnnealingDSE(atax_space, hls_scorer(tool, atax), seed=1)
-        result = sa.run(max_evals=50)
-        assert result.evaluations <= 50
-
-    def test_trajectory_monotone_best(self, tool, atax, atax_space):
-        sa = SimulatedAnnealingDSE(atax_space, hls_scorer(tool, atax), seed=2)
-        result = sa.run(max_evals=80)
-        finite = [t for t in result.trajectory if t != float("inf")]
-        assert all(b <= a for a, b in zip(finite, finite[1:]))
-
-    def test_deterministic_per_seed(self, tool, atax, atax_space):
-        runs = [
-            SimulatedAnnealingDSE(atax_space, hls_scorer(tool, atax), seed=7).run(60)
-            for _ in range(2)
-        ]
-        assert runs[0].best_score == runs[1].best_score
-        assert runs[0].evaluations == runs[1].evaluations
-
-    def test_accepts_some_moves(self, tool, atax, atax_space):
-        sa = SimulatedAnnealingDSE(atax_space, hls_scorer(tool, atax), seed=3)
-        result = sa.run(max_evals=80)
-        assert result.accepted_moves > 0
 
 
 class TestCoverage:

@@ -9,8 +9,6 @@ Contracts under test:
   used to read as silent 0.0 utilization);
 * ``MerlinHLSTool`` keys its memo cache by device, so the same point
   synthesized against two pools cannot alias (regression);
-* ``ParetoArchive.offer`` tombstones evicted keys and reports
-  immediately-evicted candidates truthfully (regression);
 * the reference device keeps every path **bit-identical** to the old
   device-less code: encoding, prediction scaling, Pareto keys;
 * ``run_cross_device_dse`` yields non-empty, genuinely distinct fronts
@@ -34,8 +32,6 @@ from repro.dse import (
     cross_device_objectives,
     run_cross_device_dse,
 )
-from repro.dse.multiobjective import ParetoArchive
-from repro.dse.search import DSECandidate
 from repro.errors import ArtifactError, HLSError
 from repro.explorer.database import Database, DesignRecord
 from repro.graph import GraphEncoder, kernel_graph
@@ -255,57 +251,6 @@ class TestDeviceEncoding:
         mask = np.ones(plain.x_base.shape[1], dtype=bool)
         mask[DEVICE_FEATURE_SLICE] = False
         assert np.array_equal(conditioned.x_base[:, mask], plain.x_base[:, mask])
-
-
-# ---------------------------------------------------------------------------
-# satellite bugfix: ParetoArchive truthfulness
-
-
-def _candidate(latency: float, dsp: float) -> DSECandidate:
-    point = {"P": latency}  # distinct latency => distinct point key
-    return DSECandidate(
-        point=point,
-        prediction=Prediction(
-            valid=True, valid_prob=0.9,
-            objectives={"latency": latency, "DSP": dsp},
-        ),
-    )
-
-
-class TestParetoArchive:
-    KEYS = ("latency", "DSP")
-
-    def test_immediately_evicted_candidate_reports_false(self):
-        # Regression: a candidate that capacity eviction removes in the
-        # same offer() used to report True ("admitted") while never
-        # appearing in the archive.
-        archive = ParetoArchive(capacity=3, keys=self.KEYS)
-        for latency, dsp in [(10, 8), (30, 6), (40, 1)]:
-            assert archive.offer(_candidate(latency, dsp))
-        # 31 is non-dominated but the most crowded member (nearest to
-        # 30); eviction removes it immediately.
-        assert archive.offer(_candidate(31, 5)) is False
-        assert sorted(c.predicted_latency for c in archive.members) == [10, 30, 40]
-
-    def test_evicted_key_is_tombstoned(self):
-        # Regression: an evicted key could be re-offered and re-admitted,
-        # making the frontier depend on arrival order.
-        archive = ParetoArchive(capacity=3, keys=self.KEYS)
-        for latency, dsp in [(10, 9), (20, 8), (21, 7)]:
-            assert archive.offer(_candidate(latency, dsp))
-        # 40 widens the frontier; the crowded 20/21 pair loses 20.
-        assert archive.offer(_candidate(40, 1)) is True
-        survivors = sorted(c.predicted_latency for c in archive.members)
-        assert survivors == [10, 21, 40]
-        before = list(archive.members)
-        assert archive.offer(_candidate(20, 8)) is False
-        assert archive.members == before
-
-    def test_duplicate_point_rejected(self):
-        archive = ParetoArchive(capacity=8, keys=self.KEYS)
-        assert archive.offer(_candidate(10, 8))
-        assert archive.offer(_candidate(10, 8)) is False
-        assert len(archive.members) == 1
 
 
 # ---------------------------------------------------------------------------

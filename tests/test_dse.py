@@ -161,69 +161,20 @@ class TestModelDSE:
         assert best.latency < default.latency
 
 
-class TestParetoDSE:
-    def test_archive_keeps_non_dominated(self):
-        from repro.dse import ParetoArchive
-        from repro.dse.search import DSECandidate
-
-        def cand(lat, dsp):
-            objectives = {"latency": lat, "DSP": dsp, "BRAM": 0.1, "LUT": 0.1, "FF": 0.1}
-            return DSECandidate({"K": lat}, Prediction(True, 0.9, objectives))
-
-        archive = ParetoArchive(capacity=10)
-        assert archive.offer(cand(100, 0.5))
-        assert archive.offer(cand(50, 0.9))      # trades DSP for latency
-        assert not archive.offer(cand(200, 0.9))  # dominated by both
-        assert len(archive.members) == 2
-
-    def test_archive_prunes_dominated_incumbents(self):
-        from repro.dse import ParetoArchive
-        from repro.dse.search import DSECandidate
-
-        def cand(lat, dsp):
-            objectives = {"latency": lat, "DSP": dsp, "BRAM": 0.1, "LUT": 0.1, "FF": 0.1}
-            return DSECandidate({"K": lat}, Prediction(True, 0.9, objectives))
-
-        archive = ParetoArchive()
-        archive.offer(cand(100, 0.5))
-        archive.offer(cand(50, 0.4))  # dominates the first
-        assert len(archive.members) == 1
-        assert archive.members[0].predicted_latency == 50
-
-    def test_capacity_evicts_crowded(self):
-        from repro.dse import ParetoArchive
-        from repro.dse.search import DSECandidate
-
-        archive = ParetoArchive(capacity=4)
-        for i in range(10):
-            objectives = {
-                "latency": 100.0 - i, "DSP": 0.1 + i * 0.05,
-                "BRAM": 0.1, "LUT": 0.1, "FF": 0.1,
-            }
-            archive.offer(DSECandidate({"K": i}, Prediction(True, 0.9, objectives)))
-        assert len(archive.members) <= 4
-        # Extremes survive eviction.
-        latencies = [c.predicted_latency for c in archive.frontier()]
-        assert min(latencies) == 91.0
-        assert max(latencies) == 100.0
-
-    def test_pareto_dse_runs(self, oracle_dse):
-        from repro.dse import ParetoDSE
-
+class TestModelDSEFront:
+    def test_front_is_non_dominated_and_led_by_top(self, oracle_dse):
         spec, tool, space, predictor = oracle_dse
-        dse = ParetoDSE(predictor, spec, space, top_m=5)
-        result = dse.run(time_limit_seconds=60)
-        frontier = result.pareto
-        assert frontier
-        # Frontier members are mutually non-dominated on the objectives.
-        from repro.dse import dominates
-
+        result = ModelDSE(predictor, spec, space, top_m=5).run(time_limit_seconds=60)
+        front = result.pareto
+        assert front
+        # Front members are mutually non-dominated on the objectives.
         keys = ("latency", "DSP", "BRAM", "LUT", "FF")
-        for a in frontier:
-            for b in frontier:
+        for a in front:
+            for b in front:
                 if a is not b:
                     assert not dominates(
                         a.prediction.objectives, b.prediction.objectives, keys
                     )
-        # The latency champion of the frontier matches the top-1.
-        assert frontier[0].predicted_latency == result.top[0].predicted_latency
+        # The front's latency champion is the top-1 design.
+        champion = min(front, key=lambda c: c.predicted_latency)
+        assert champion.predicted_latency == result.top[0].predicted_latency

@@ -5,8 +5,9 @@ The contracts under test:
 - **Budget accounting**: a query is one *distinct* design point through
   the surrogate; memo revisits are free; no strategy — and no race —
   can ever spend past the shared :class:`QueryBudget`.
-- **Seed determinism**: the same seed replays the RL explorer's edit
-  trajectory and the racer's budget ledger bit-for-bit.
+- **Seed determinism**: the same seed replays every strategy's query
+  sequence, the RL explorer's edit trajectory, and the racer's budget
+  ledger bit-for-bit.
 - **Hypervolume**: the exact WFG recursion against hand-computable
   fronts, plus the scale-free normalised comparison.
 - **Wiring**: ``--strategy``/``budget`` through the service layer and
@@ -140,6 +141,22 @@ class TestStrategies:
             if outcome.stalled:
                 break
         assert evaluator.budget.spent <= space.size()
+
+    @pytest.mark.parametrize("name", STRATEGIES)
+    def test_same_seed_replays_same_search(self, harness, name):
+        def run(seed):
+            evaluator = harness(40)
+            build_strategy(name, evaluator, seed=seed).step(40)
+            return (
+                list(evaluator.memo),  # every point scored, in query order
+                evaluator.budget.spent,
+                [point_key(c.point) for c in evaluator.frontier.top],
+                [point_key(c.point) for c in evaluator.frontier.pareto],
+            )
+
+        first = run(7)
+        assert first[1] > 0
+        assert run(7) == first
 
     def test_unknown_strategy(self, harness):
         with pytest.raises(ReproError, match="unknown search strategy"):
@@ -330,6 +347,14 @@ class TestHypervolume:
 
     def test_three_objectives(self):
         assert hypervolume([[0.5, 0.5, 0.5]], [1.0, 1.0, 1.0]) == pytest.approx(0.125)
+
+    def test_objective_count_mismatch_rejected(self):
+        # Regression: a point with more objectives than the reference
+        # was truncated to the reference's length instead of rejected.
+        with pytest.raises(ValueError, match="3 objectives, reference has 2"):
+            hypervolume([(1.0, 2.0, 3.0)], (4.0, 4.0))
+        with pytest.raises(ValueError, match="1 objectives, reference has 2"):
+            hypervolume([(1.0,)], (4.0, 4.0))
 
     def test_normalised_comparison_prefers_superset_front(self):
         front_a = [{"latency": 10.0, "DSP": 0.5}, {"latency": 30.0, "DSP": 0.1}]

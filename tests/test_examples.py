@@ -1,8 +1,15 @@
-"""Smoke tests for the runnable examples (the cheap, training-free ones)."""
+"""Smoke tests for the runnable examples.
 
+Every example is imported (not run), so a public API an example uses
+cannot disappear unnoticed; the cheap, training-free ones also run.
+"""
+
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 
 _EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
@@ -32,6 +39,15 @@ class TestExamples:
         assert "Pareto frontier" in out
         # The directed explorer should report a best design.
         assert "best latency" in out
+
+    @pytest.mark.parametrize(
+        "path", sorted(_EXAMPLES.glob("*.py")), ids=lambda path: path.stem
+    )
+    def test_example_imports(self, path):
+        spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)  # main() stays behind its __main__ guard
+        assert callable(module.main)
 
     def test_all_examples_compile(self):
         """Every example must at least be valid Python."""

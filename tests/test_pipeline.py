@@ -21,9 +21,7 @@ from repro.dse import (
     EvaluationPipeline,
     ModelDSE,
     PipelineStats,
-    SimulatedAnnealingDSE,
     UnsupportedModelError,
-    surrogate_scorers,
 )
 from repro.explorer.database import Database
 from repro.graph.encoding import EDGE_DIM, NODE_DIM
@@ -320,22 +318,6 @@ class TestSearchIntegration:
         assert piped.stats is not None
         assert piped.stats.points > 0
         assert plain.stats is None
-
-    def test_annealer_run_many_matches_run(self, predictor):
-        space = build_design_space(get_kernel("fir"))
-        pipeline = EvaluationPipeline(predictor, batch_size=16)
-        scorer, batch_scorer = surrogate_scorers(pipeline, "fir")
-        seeds = [3, 7]
-        many = SimulatedAnnealingDSE(
-            space, scorer, seed=0, batch_scorer=batch_scorer
-        ).run_many(seeds, max_evals=30)
-        for seed, batched in zip(seeds, many):
-            solo = SimulatedAnnealingDSE(space, scorer, seed=seed).run(max_evals=30)
-            assert batched.best_point == solo.best_point
-            assert batched.best_score == solo.best_score
-            assert batched.evaluations == solo.evaluations
-            assert batched.accepted_moves == solo.accepted_moves
-            assert batched.trajectory == solo.trajectory
 
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "dse_top_points.json")
