@@ -15,7 +15,12 @@ module turns the point-by-point reference path into a pipeline:
    batch template (fused projections, CSR segment reductions, a
    self-loop split that keeps the reference summation order), replacing
    thousands of small autograd ``Tensor`` ops per point with a handful
-   of large array operations per batch.
+   of large array operations per batch.  Only pragma rows differ
+   between candidates, and each conv layer spreads a change one hop, so
+   the template's receptive-field plan lists, per layer, the rows (and
+   their in-edges) a candidate can change; every other row reuses base
+   activations computed once per engine.  On gesummv the plan keeps
+   6/15/25/49/89/117 of 131 rows across the six layers.
 3. **Classifier-first cascade** — searches only consume regression
    objectives of *valid* candidates, so ``objectives_for="valid"``
    skips the two regression forwards for points the classifier rejects.
@@ -28,10 +33,12 @@ Results are bit-identical to the reference path: both materialize
 predictions through
 :func:`~repro.model.predictor.predictions_from_outputs`, which
 canonicalizes every scalar through float32, and the compiled engine
-mirrors the reference operation order exactly (see
-``tests/test_pipeline.py``).  Predictors without the compiled-engine
-contract (duck-typed stubs, non-transformer configs) transparently fall
-back to their own ``predict_batch``.
+mirrors the reference operation order exactly, with every BLAS product
+shaped so its rows match the reference (the three rules in
+:class:`CompiledGNNEngine`; see ``tests/test_pipeline.py``).
+Predictors without the compiled-engine contract (duck-typed stubs,
+non-transformer configs) transparently fall back to their own
+``predict_batch``.
 """
 
 from __future__ import annotations
@@ -152,18 +159,104 @@ class PipelineStats:
 
 
 # ---------------------------------------------------------------------------
-# batch template: one kernel's graph tiled ``capacity`` times
+# batch template and receptive-field plan
+
+
+class _LayerPlan:
+    """One conv layer's share of a :class:`_Plan`, tiled over the copies.
+
+    The layer reads ``n_in`` changed input rows per copy and writes
+    ``n_out`` changed output rows (``rows``: a prefix of the plan order).
+    Its projection tables hold the ``capacity * n_in`` recomputed rows,
+    copy by copy, followed by the ``num_nodes`` base rows shared by every
+    copy; ``q_idx``/``kv_idx``/``self_idx`` index those tables for each
+    planned edge's destination, each planned edge's source, and each
+    planned row.  ``csr`` sums planned edges into planned rows.
+    """
+
+    def __init__(self, plan: "_Plan", n_in: int, n_out: int):
+        B = plan.capacity
+        self.n_in, self.n_out = n_in, n_out
+        self.rows = plan.order[:n_out]
+        # In-edges of the planned rows, grouped by row in plan order and
+        # kept in the dst-sorted (reference) order within each row.
+        starts = plan.indptr[self.rows]
+        degree = plan.indptr[self.rows + 1] - starts
+        first = np.concatenate([[0], np.cumsum(degree)[:-1]])
+        self.edges = np.repeat(starts - first, degree) + np.arange(degree.sum())
+        src, dst = plan.src[self.edges], plan.dst[self.edges]
+        copies = np.arange(B, dtype=np.int64)[:, None]
+
+        def table(nodes):
+            pos = plan.pos[nodes]
+            return np.where(pos < n_in, copies * n_in + pos, B * n_in + nodes).ravel()
+
+        self.q_idx = table(dst)
+        self.kv_idx = table(src)
+        self.self_idx = table(self.rows)
+        self.dst_loc = (copies * n_out + plan.pos[dst]).ravel()
+        counts = np.tile(degree, B)
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        self.seg_nonempty = counts > 0
+        self.seg_starts = indptr[:-1][self.seg_nonempty]
+        self.csr = sp.csr_matrix(
+            (np.ones(indptr[-1], dtype=np.float32), np.arange(indptr[-1]), indptr),
+            shape=(B * n_out, indptr[-1]),
+        )
+
+
+class _Plan:
+    """The rows each conv layer can change when only ``seeds`` change.
+
+    Output row ``i`` of a conv layer reads input row ``i`` (root and
+    self-loop) and its in-neighbours, so the changed set grows by one
+    out-hop per layer; every other row keeps its base activation.  Rows
+    are ordered seeds first, then the rows each later layer adds, so each
+    layer's changed set is a prefix of :attr:`order`.  Layers are planned
+    on first use (:meth:`layer`).
+    """
+
+    def __init__(self, src, dst, num_nodes: int, seeds, capacity: int):
+        self.src, self.dst = src, dst  # one copy's edges, stably dst-sorted
+        self.num_nodes, self.capacity = num_nodes, capacity
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(dst, minlength=num_nodes))]
+        )
+        seeds = np.unique(np.asarray(seeds, dtype=np.int64))
+        if seeds.size < 2 <= num_nodes:
+            # Rule 1: a one-row product takes BLAS's gemv path and differs
+            # from the reference's N-row gemm; widen to two rows.
+            spare = np.setdiff1d(np.arange(num_nodes), seeds)[: 2 - seeds.size]
+            seeds = np.union1d(seeds, spare)
+        self.seeds = self.order = seeds
+        self.pos = np.full(num_nodes, num_nodes, dtype=np.int64)
+        self.pos[seeds] = np.arange(seeds.size)
+        self._layers: List[_LayerPlan] = []
+
+    def layer(self, li: int) -> _LayerPlan:
+        while len(self._layers) <= li:
+            n_in = self.order.size
+            changed = self.pos < n_in
+            reached = np.unique(self.dst[changed[self.src]])
+            new = reached[~changed[reached]]
+            self.pos[new] = n_in + np.arange(new.size)
+            self.order = np.concatenate([self.order, new])
+            self._layers.append(_LayerPlan(self, n_in, self.order.size))
+        return self._layers[li]
 
 
 class _BatchTemplate:
-    """Fixed-capacity batched graph structure for one kernel.
+    """Fixed-capacity batch of one kernel's graph, with its pruning plan.
 
-    Real edges are sorted (stably) by destination and tiled per graph
-    copy; self-loops are *split out* and handled on node-aligned arrays.
-    Because the reference batch appends each node's self-loop after its
-    real in-edges (with exactly-zero edge features), reducing the real
-    edges first and folding the self contribution in afterwards
-    reproduces the reference segment sums association-for-association.
+    ``x`` holds every copy's node features; a candidate rewrites only its
+    copy's pragma rows (:meth:`set_point`).  Real edges are sorted
+    (stably) by destination; self-loops are *split out* and handled on
+    row-aligned arrays.  Because the reference batch appends each node's
+    self-loop after its real in-edges (with exactly-zero edge features),
+    reducing the real edges first and folding the self contribution in
+    afterwards reproduces the reference segment sums
+    association-for-association.  ``plan`` seeds the receptive-field
+    :class:`_Plan` with the pragma rows.
     """
 
     def __init__(self, enc: EncodedGraph, capacity: int, dtype):
@@ -173,24 +266,10 @@ class _BatchTemplate:
         N = enc.num_nodes
         src, dst = enc.edge_index
         order = np.argsort(dst, kind="stable")
-        self.eattr_sorted = enc.edge_attr[order]
-        src_sorted = src[order].astype(np.int64)
-        dst_sorted = dst[order].astype(np.int64)
-        offsets = (np.arange(capacity, dtype=np.int64) * N)[:, None]
-        self.src = (src_sorted[None, :] + offsets).ravel()
-        self.dst = (dst_sorted[None, :] + offsets).ravel()
+        self.src = src[order].astype(np.int64)
+        self.dst = dst[order].astype(np.int64)
         self.num_nodes = N
         self.total_nodes = N * capacity
-        self.total_edges = src_sorted.shape[0] * capacity
-        counts = np.tile(np.bincount(dst_sorted, minlength=N), capacity)
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        self.seg_starts = indptr[:-1]
-        self.seg_nonempty = counts > 0
-        ones = np.ones(self.total_edges, dtype=np.float32)
-        self.edge_csr = sp.csr_matrix(
-            (ones, np.arange(self.total_edges), indptr),
-            shape=(self.total_nodes, self.total_edges),
-        )
         node_indptr = np.arange(capacity + 1, dtype=np.int64) * N
         self.node_csr = sp.csr_matrix(
             (np.ones(self.total_nodes, dtype=np.float32),
@@ -200,8 +279,8 @@ class _BatchTemplate:
         self.node_starts = node_indptr[:-1]
         self.graph_ids = np.repeat(np.arange(capacity, dtype=np.int64), N)
         self.x = np.tile(enc.x_base.astype(self.dtype), (capacity, 1))
-        self.pragma_rows = enc.pragma_row_order
-        self.all_pragma_rows = (self.pragma_rows[None, :] + offsets).ravel()
+        self.plan = _Plan(self.src, self.dst, N, enc.pragma_row_order, capacity)
+        self.seed_rows = (self.plan.seeds[None, :] + node_indptr[:-1, None]).ravel()
 
     def set_point(self, slot: int, point: DesignPoint) -> None:
         """Write one candidate's pragma features into a template slot."""
@@ -241,7 +320,7 @@ def _run_mlp(weights, x: np.ndarray) -> np.ndarray:
 
 
 class _Workspace:
-    """Reusable scratch buffers keyed by (tag, layer)."""
+    """Reusable zero-initialised scratch buffers keyed by (tag, layer)."""
 
     def __init__(self):
         self._bufs: Dict[tuple, np.ndarray] = {}
@@ -249,7 +328,7 @@ class _Workspace:
     def get(self, key, shape, dtype) -> np.ndarray:
         buf = self._bufs.get(key)
         if buf is None or buf.shape != shape or buf.dtype != dtype:
-            buf = np.empty(shape, dtype=dtype)
+            buf = np.zeros(shape, dtype=dtype)
             self._bufs[key] = buf
         return buf
 
@@ -262,14 +341,37 @@ class CompiledGNNEngine:
     jumping knowledge (``max``/``last``), attention or sum pooling, and
     MLP heads.  Anything else raises :class:`UnsupportedModelError` so
     the pipeline can fall back to the reference path.
+
+    A design point changes only its pragma rows, and each conv layer
+    spreads a change by one hop, so the forward recomputes at layer
+    ``l`` only the rows of the template's :class:`_Plan` (the ``l``-hop
+    out-neighbourhood of the pragma rows) and their in-edges.  Every
+    other row keeps its *base* activation, which is the same in every
+    copy and for every point.  The base arrays come from one run of the
+    same conv code at capacity 1 with every row planned, on the neutral
+    features: its projections become the shared base rows of the
+    projection tables, and its layer outputs the unplanned rows of the
+    jumping-knowledge and pooling input.
+
+    Bit-identity with the eager per-point path rests on three rules
+    about BLAS (OpenBLAS, measured):
+
+    1. A gemm output row does not depend on the row count when the
+       per-copy product has at least 2 rows; a 1-row product takes the
+       gemv path and differs, so the plan widens a 1-row seed set to 2.
+    2. Products with a single output column (the beta gate, the last
+       layer of the pooling and head MLPs) do depend on the row count and
+       on the row's position, so they run at the full per-copy shape.
+    3. The segment max and the CSR sums reduce the same segments in the
+       same order, whatever other segments are present.
     """
 
     def __init__(self, model, template: _BatchTemplate):
         self.template = template
         self.dtype = template.dtype
         self._ws = _Workspace()
-        self.trace = None  # set to a list to record per-layer node embeddings
         self._compile(model)
+        self._fill_base()
 
     @staticmethod
     def supports(model) -> bool:
@@ -294,14 +396,13 @@ class CompiledGNNEngine:
                 f"compiled engine cannot lower {type(model).__name__}"
             )
         dtype = self.dtype
-        tpl = self.template
         # Edge features in the exact shape the reference Batch lowers them:
         # real edges plus zero-feature self-loops, stably sorted by dst.
         # Projecting THIS matrix (and then selecting the real-edge rows,
         # which stay in the engine's sorted order) keeps every row
         # bit-identical to the per-point path — BLAS results can depend on
         # the row count of the gemm, so the input shape must match too.
-        enc = tpl.enc
+        enc = self.template.enc
         N = enc.num_nodes
         E_real = enc.edge_index.shape[1]
         ref_dst = np.concatenate([enc.edge_index[1], np.arange(N, dtype=np.int64)])
@@ -332,10 +433,7 @@ class CompiledGNNEngine:
                 # matrix re-associates the dot products and drifts by ulps).
                 Wb=np.ascontiguousarray(Wb),
                 bb=conv.lin_beta.bias.data.astype(dtype),
-                edge_kv=np.tile(
-                    np.ascontiguousarray(np.hstack([edge_proj, edge_proj])),
-                    (tpl.capacity, 1),
-                ),
+                edge_kv=np.hstack([edge_proj, edge_proj]),
                 heads=conv.heads, head_dim=conv.head_dim, out=od,
             ))
         self._layers = layers
@@ -355,58 +453,86 @@ class CompiledGNNEngine:
         else:
             self._heads = [_mlp_weights(h, dtype) for h in heads.heads]
         self._task = heads.task
-        # Layer-1 projections of the tiled base features: only pragma rows
-        # change between candidates, so everything else is precomputed.
-        L = layers[0]
-        xb = tpl.enc.x_base.astype(dtype)
-        self._l1_base = [
-            np.tile(xb @ L["Wq"] + L["bq"], (tpl.capacity, 1)),
-            np.tile(xb @ L["Wkv"] + L["bkv"], (tpl.capacity, 1)),
-            np.tile(xb @ L["Wr"] + L["br"], (tpl.capacity, 1)),
-        ]
+
+    def _tables(self, plan: _Plan, base=None) -> List[Dict[str, np.ndarray]]:
+        """Per-layer projection tables (recomputed rows, then base rows)
+        and the planned edges' edge-feature projections."""
+        tables = []
+        for li, L in enumerate(self._layers):
+            lp = plan.layer(li)
+            head = plan.capacity * lp.n_in
+            tab = {"ekv": L["edge_kv"][lp.edges]}
+            for name, width in (("pq", L["out"]), ("pkv", 2 * L["out"]), ("pr", L["out"])):
+                tab[name] = np.zeros((head + plan.num_nodes, width), self.dtype)
+                if base is not None:
+                    tab[name][head:] = base[li][name]
+            tables.append(tab)
+        return tables
+
+    def _fill_base(self) -> None:
+        """Base arrays from one all-rows forward of one copy (see class doc)."""
+        tpl, plan, dt = self.template, self.template.plan, self.dtype
+        N = tpl.num_nodes
+        full = _Plan(tpl.src, tpl.dst, N, np.arange(N), capacity=1)
+        tables = self._tables(full)
+        outs = self._convs(full, tpl.enc.x_base.astype(dt)[None], tables, _Workspace())
+        # An all-rows plan keeps node order, so its recomputed rows are
+        # the base rows themselves.
+        base = [{k: tab[k][:N] for k in ("pq", "pkv", "pr")} for tab in tables]
+        self._tabs = self._tables(plan, base)
+        rows = plan.layer(len(self._layers) - 1).rows
+        if self._jkn_mode == "max":
+            base_jk = np.maximum.reduce(outs)
+            # Per planned row, the max over the layers that leave it unchanged.
+            fixed = np.full((rows.size, base_jk.shape[1]), -np.inf, dtype=dt)
+            for li, o in enumerate(outs):
+                n = plan.layer(li).n_out
+                np.maximum(fixed[n:], o[rows[n:]], out=fixed[n:])
+            self._jk_fixed = fixed
+        else:
+            base_jk = outs[-1]
+        self._jk = np.tile(base_jk, (tpl.capacity, 1))
 
     # -- forward ----------------------------------------------------------------
 
-    def _proj(self, h: np.ndarray, W: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _proj(h: np.ndarray, W: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``h @ W + b`` computed one graph copy at a time.
 
-        BLAS gemm results can differ by ulps depending on the row count,
-        so a single tall gemm over all tiled copies would not be
-        bit-identical to the per-point reference.  A batched 3-D matmul
-        runs one gemm per graph copy with exactly the per-point shape.
+        ``h`` is ``(copies, rows, features)``; the batched 3-D matmul runs
+        one product per copy, so each has the per-copy shape the rules in
+        the class docstring are stated for: at least 2 planned rows for
+        the projections (rule 1), all of a copy's rows for the gate
+        (rule 2).
         """
-        B = self.template.capacity
-        np.matmul(h.reshape(B, -1, h.shape[1]), W, out=out.reshape(B, -1, W.shape[1]))
+        np.matmul(h, W, out=out.reshape(h.shape[0], h.shape[1], W.shape[1]))
         out += b
         return out
 
-    def forward(self) -> np.ndarray:
-        """Run the compiled forward over the template's current features."""
-        tpl, ws, dt = self.template, self._ws, self.dtype
-        src, dst = tpl.src, tpl.dst
-        NT, E = tpl.total_nodes, tpl.total_edges
-        B = tpl.capacity
-        rows = tpl.all_pragma_rows
-        P = tpl.pragma_rows.shape[0]
-        L1 = self._layers[0]
-        xr = tpl.x[rows]
-        pq1, pkv1, pr1 = self._l1_base
-        pq1[rows] = self._proj(xr, L1["Wq"], L1["bq"], np.empty((B * P, L1["out"]), dt))
-        pkv1[rows] = self._proj(xr, L1["Wkv"], L1["bkv"], np.empty((B * P, 2 * L1["out"]), dt))
-        pr1[rows] = self._proj(xr, L1["Wr"], L1["br"], np.empty((B * P, L1["out"]), dt))
+    def _convs(self, plan: _Plan, h: np.ndarray, tables, ws: _Workspace) -> List[np.ndarray]:
+        """The conv stack on the plan's rows.
+
+        ``h`` holds each copy's seed-row features, ``(copies, seeds,
+        features)``.  Returns each layer's output on its planned rows,
+        ``(copies * n_out, out_dim)`` in plan order.
+        """
+        dt = self.dtype
+        B, N = plan.capacity, plan.num_nodes
         outs = []
-        h = tpl.x
-        for li, L in enumerate(self._layers):
+        for li, (L, tab) in enumerate(zip(self._layers, tables)):
+            lp = plan.layer(li)
             H, D, od = L["heads"], L["head_dim"], L["out"]
-            if li == 0:
-                pq, pkv, root = pq1, pkv1, pr1
-            else:
-                pq = self._proj(h, L["Wq"], L["bq"], ws.get(("pq", li), (NT, od), dt))
-                pkv = self._proj(h, L["Wkv"], L["bkv"], ws.get(("pkv", li), (NT, 2 * od), dt))
-                root = self._proj(h, L["Wr"], L["br"], ws.get(("pr", li), (NT, od), dt))
-            q = np.take(pq, dst, axis=0, out=ws.get(("q", li), (E, od), dt), mode="clip")
-            kv = np.take(pkv, src, axis=0, out=ws.get(("kv", li), (E, 2 * od), dt), mode="clip")
-            kv += L["edge_kv"]
+            S, E = B * lp.n_out, B * lp.edges.size
+            head = B * lp.n_in
+            pq, pkv, pr = tab["pq"], tab["pkv"], tab["pr"]
+            self._proj(h, L["Wq"], L["bq"], pq[:head])
+            self._proj(h, L["Wkv"], L["bkv"], pkv[:head])
+            self._proj(h, L["Wr"], L["br"], pr[:head])
+            q = np.take(pq, lp.q_idx, axis=0, out=ws.get(("q", li), (E, od), dt), mode="clip")
+            kv = np.take(
+                pkv, lp.kv_idx, axis=0, out=ws.get(("kv", li), (E, 2 * od), dt), mode="clip"
+            )
+            kv.reshape(B, -1, 2 * od).__iadd__(tab["ekv"])
             k = kv[:, :od]
             v = kv[:, od:]
             # (q · k) per head via multiply + pairwise sum, matching the
@@ -418,71 +544,88 @@ class CompiledGNNEngine:
             )
             scores = prod.sum(axis=2, out=ws.get(("scores", li), (E, H), dt))
             scores *= 1.0 / np.sqrt(D)
-            # Self-loop contributions on node-aligned arrays (self-loop edge
+            # Self-loop contributions on row-aligned arrays (self-loop edge
             # features are exactly zero, so k/v are the projections themselves).
-            k_self = pkv[:, :od]
-            v_self = pkv[:, od:]
+            q_s, kv_s, root = (
+                np.take(proj, lp.self_idx, axis=0, out=ws.get((name, li), (S, proj.shape[1]), dt),
+                        mode="clip")
+                for name, proj in (("q_s", pq), ("kv_s", pkv), ("root", pr))
+            )
             prod_s = np.multiply(
-                pq.reshape(NT, H, D), k_self.reshape(NT, H, D),
-                out=ws.get(("prod_s", li), (NT, H, D), dt),
+                q_s.reshape(S, H, D), kv_s[:, :od].reshape(S, H, D),
+                out=ws.get(("prod_s", li), (S, H, D), dt),
             )
-            s_self = prod_s.sum(axis=2, out=ws.get(("s_self", li), (NT, H), dt))
+            s_self = prod_s.sum(axis=2, out=ws.get(("s_self", li), (S, H), dt))
             s_self *= 1.0 / np.sqrt(D)
-            m = ws.get(("m", li), (NT, H), dt)
+            m = ws.get(("m", li), (S, H), dt)
             m[:] = -np.inf
-            m[tpl.seg_nonempty] = np.maximum.reduceat(
-                scores, tpl.seg_starts[tpl.seg_nonempty], axis=0
-            )
+            m[lp.seg_nonempty] = np.maximum.reduceat(scores, lp.seg_starts, axis=0)
             np.maximum(m, s_self, out=m)
-            scores -= m[dst]
+            scores -= m[lp.dst_loc]
             np.clip(scores, -60.0, 60.0, out=scores)
             np.exp(scores, out=scores)
             s_self -= m
             np.clip(s_self, -60.0, 60.0, out=s_self)
             np.exp(s_self, out=s_self)
-            denom = tpl.edge_csr @ scores
+            denom = lp.csr @ scores
             denom += s_self
             denom += 1e-16
             np.power(denom, -1.0, out=denom)
-            scores *= denom[dst]
+            scores *= denom[lp.dst_loc]
             s_self *= denom
             v.reshape(E, H, D).__imul__(scores.reshape(E, H, 1))
-            agg = tpl.edge_csr @ v
-            agg.reshape(NT, H, D).__iadd__(
-                s_self.reshape(NT, H, 1) * v_self.reshape(NT, H, D)
+            agg = lp.csr @ v
+            agg.reshape(S, H, D).__iadd__(
+                s_self.reshape(S, H, 1) * kv_s[:, od:].reshape(S, H, D)
             )
-            gi = ws.get(("gi", li), (NT, 3 * od), dt)
-            gi[:, :od] = agg
-            gi[:, od:2 * od] = root
-            np.subtract(agg, root, out=gi[:, 2 * od:])
-            gate = self._proj(gi, L["Wb"], L["bb"], ws.get(("gate", li), (NT, 1), dt))
+            # Rule 2: the gate's single-column product runs over every row
+            # of each copy; only the planned rows' inputs and outputs are
+            # used (a gemv row reads no other row).
+            gi_s = ws.get(("gi_s", li), (B, lp.n_out, 3 * od), dt)
+            gi_s[..., :od] = agg.reshape(B, -1, od)
+            gi_s[..., od:2 * od] = root.reshape(B, -1, od)
+            np.subtract(gi_s[..., :od], gi_s[..., od:2 * od], out=gi_s[..., 2 * od:])
+            gi = ws.get(("gi",), (B, N, 3 * od), dt)
+            gi[:, lp.rows] = gi_s
+            gate_all = self._proj(gi, L["Wb"], L["bb"], ws.get(("gate",), (B, N, 1), dt))
+            gate = gate_all[:, lp.rows].reshape(S, 1)
             np.clip(gate, -60.0, 60.0, out=gate)
             np.negative(gate, out=gate)
             np.exp(gate, out=gate)
             gate += 1.0
             np.divide(1.0, gate, out=gate)
-            out = ws.get(("out", li), (NT, od), dt)
+            out = ws.get(("out", li), (S, od), dt)
             np.multiply(root, gate, out=out)
             np.subtract(1.0, gate, out=gate)
             agg *= gate
             out += agg
-            neg = ws.get(("neg", li), (NT, od), dt)
+            neg = ws.get(("neg", li), (S, od), dt)
             np.clip(out, -60.0, 0.0, out=neg)
             np.exp(neg, out=neg)
             neg -= 1.0
             np.copyto(neg, out, where=out > 0)
-            h = neg
-            outs.append(h)
-            if self.trace is not None:
-                self.trace.append(h.copy())
+            h = neg.reshape(B, lp.n_out, od)
+            outs.append(neg)
+        return outs
+
+    def forward(self) -> np.ndarray:
+        """Run the compiled forward over the template's current features."""
+        tpl, ws, dt = self.template, self._ws, self.dtype
+        plan = tpl.plan
+        B, N, NT = tpl.capacity, tpl.num_nodes, tpl.total_nodes
+        x = tpl.x[tpl.seed_rows].reshape(B, plan.seeds.size, tpl.x.shape[1])
+        outs = self._convs(plan, x, self._tabs, ws)
+        last = plan.layer(len(self._layers) - 1)
         if self._jkn_mode == "max":
-            jk = ws.get(("jk",), outs[0].shape, dt)
-            np.copyto(jk, outs[0])
-            for o in outs[1:]:
-                np.maximum(jk, o, out=jk)
+            rows = ws.get(("jk_rows",), (B,) + self._jk_fixed.shape, dt)
+            rows[:] = self._jk_fixed
+            for li, o in enumerate(outs):
+                n = plan.layer(li).n_out
+                np.maximum(rows[:, :n], o.reshape(B, n, -1), out=rows[:, :n])
         else:
-            jk = outs[-1]
-        jk3 = jk.reshape(B, -1, jk.shape[1])
+            rows = outs[-1].reshape(B, last.n_out, -1)
+        jk3 = self._jk.reshape(B, N, -1)
+        jk3[:, last.rows] = rows
         if self._pool["kind"] == "attention":
             s = _run_mlp(self._pool["score"], jk3).reshape(NT, -1)
             m = np.maximum.reduceat(s, tpl.node_starts, axis=0)
@@ -497,7 +640,7 @@ class CompiledGNNEngine:
             vals *= s
             pooled = tpl.node_csr @ vals
         else:
-            pooled = tpl.node_csr @ jk
+            pooled = tpl.node_csr @ self._jk
         pooled3 = pooled.reshape(B, 1, pooled.shape[1])
         cols = [_run_mlp(w, pooled3).reshape(B, -1) for w in self._heads]
         return cols[0] if self._task == "classification" else np.concatenate(cols, axis=1)
@@ -538,10 +681,6 @@ class EncodingCache:
                     enc = encode_kernel(get_kernel(kernel), device=device)
                 self._encoded[key] = enc
             return enc
-
-    def __contains__(self, kernel: str) -> bool:
-        with self._lock:
-            return (kernel, None) in self._encoded
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,9 @@ class Trainer:
                 optimizer.step()
             total += loss.item() * batch.num_graphs
             count += batch.num_graphs
+            # Free this batch's autograd graph (every intermediate array and
+            # its gradient) before the next forward builds another one.
+            del loss
         return total / max(count, 1)
 
     # -- public API --------------------------------------------------------------

@@ -281,7 +281,13 @@ class Tensor:
             self._grad_owned = True
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Reverse-mode AD from this tensor (default seed: ones)."""
+        """Reverse-mode AD from this tensor (default seed: ones).
+
+        Gradients are kept on leaves only (tensors without parents, e.g.
+        parameters); an intermediate tensor's gradient is released as
+        soon as it has been propagated, so a training step never holds
+        a gradient for every activation at once.
+        """
         if grad is None:
             grad = np.ones_like(self.data)
         topo: List[Tensor] = []
@@ -300,6 +306,8 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node._parents:
+                node.grad = None
 
     @staticmethod
     def _make(data, parents, backward, requires: bool) -> "Tensor":

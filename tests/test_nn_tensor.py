@@ -202,6 +202,14 @@ class TestAutogradMechanics:
         (a * b).backward()  # d/dt (8 t^2) = 16 t = 48
         np.testing.assert_allclose(t.grad, [48.0])
 
+    def test_backward_keeps_leaf_grads_only(self):
+        t = Tensor([1.0, 2.0], requires_grad=True)
+        h = t * 3.0
+        out = (h * h).sum()
+        out.backward()  # d/dt (9 t^2) = 18 t
+        np.testing.assert_allclose(t.grad, [18.0, 36.0])
+        assert h.grad is None and out.grad is None
+
 
 class TestNoGradThreadIsolation:
     """``no_grad`` is per-thread: a serving thread running inference must

@@ -15,6 +15,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.designspace import build_design_space, point_key
 from repro.dse import (
@@ -25,7 +27,7 @@ from repro.dse import (
 )
 from repro.explorer.database import Database
 from repro.graph.encoding import EDGE_DIM, NODE_DIM
-from repro.kernels import get_kernel, list_kernels
+from repro.kernels import KERNELS, KernelSpec, get_kernel, list_kernels
 from repro.model.config import BRAM_OBJECTIVE, MODEL_CONFIGS, REGRESSION_OBJECTIVES
 from repro.model.dataset import GraphDatasetBuilder
 from repro.model.models import build_model
@@ -35,13 +37,13 @@ from repro.model.predictor import (
     Prediction,
     predictions_from_outputs,
 )
-from repro.nn.tensor import set_default_dtype
+from repro.nn.tensor import get_default_dtype, set_default_dtype
 
 
-def make_predictor(seed: int = 0) -> GNNDSEPredictor:
+def make_predictor(seed: int = 0, config_name: str = "M7") -> GNNDSEPredictor:
     """Untrained-but-deterministic predictor stack (cheap to build)."""
     builder = GraphDatasetBuilder(Database())
-    config = MODEL_CONFIGS["M7"]
+    config = MODEL_CONFIGS[config_name]
     classifier = build_model(
         config.for_task("classification"), NODE_DIM, EDGE_DIM, seed=seed
     )
@@ -67,6 +69,42 @@ def predictor():
     return make_predictor()
 
 
+@pytest.fixture(scope="module")
+def f32_predictor():
+    """The float32 production stack (tests using it switch the default
+    dtype to float32 too, so the pipeline compiles at float32)."""
+    previous = get_default_dtype()
+    set_default_dtype(np.float32)
+    try:
+        return make_predictor(seed=7)
+    finally:
+        set_default_dtype(previous)
+
+
+# One loop, one pragma: the pipeline recomputes a single pragma row.
+ONE_PRAGMA = KernelSpec(
+    name="one-pragma",
+    suite="toy",
+    source="""
+#define N 64
+void one(int a[64]) {
+#pragma ACCEL parallel factor=auto{_PARA_L1}
+  for (int i = 0; i < N; i++) {
+    a[i] += 1;
+  }
+}
+""",
+    description="one loop with a single parallel pragma",
+)
+
+
+@pytest.fixture(scope="module")
+def one_pragma():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(KERNELS, ONE_PRAGMA.name, ONE_PRAGMA)
+        yield ONE_PRAGMA.name
+
+
 class TestEquivalence:
     """Satellite (a): batched+cached == point-by-point, bit-identical."""
 
@@ -85,6 +123,16 @@ class TestEquivalence:
         # Each unique point runs the classifier pass and the regression
         # pass exactly once (duplicates are deduped into cache hits).
         assert pipeline.stats.model_points == 2 * pipeline.stats.cache_misses
+
+    @pytest.mark.parametrize("config_name", ["M5", "M6"])
+    def test_compiled_matches_per_point_without_attention_pool(self, config_name):
+        """Sum pooling, with (M6) and without (M5) max jumping knowledge:
+        the pruned rows must be merged into the pooled input either way."""
+        predictor = make_predictor(seed=3, config_name=config_name)
+        points = sample_points("mvt", 5, seed=11)
+        expected = [predictor.predict("mvt", p) for p in points]
+        pipeline = EvaluationPipeline(predictor, batch_size=3, engine="compiled")
+        assert pipeline.predict_batch("mvt", points) == expected
 
     @pytest.mark.parametrize("kernel", ["spmv-ellpack", "gemm-ncubed"])
     def test_reference_engine_matches_per_point(self, predictor, kernel):
@@ -130,15 +178,51 @@ class TestEquivalence:
         assert pipeline.predict("fir", point) == predictor.predict("fir", point)
 
     @pytest.mark.slow
-    def test_float32_production_path(self):
+    def test_float32_production_path(self, f32_predictor):
         """The float32 default path is the BLAS-order-sensitive one."""
         set_default_dtype(np.float32)  # module fixture restores float64
-        predictor = make_predictor(seed=7)
-        for kernel in ("spmv-ellpack", "gemm-ncubed"):
+        for kernel in list_kernels():
             points = sample_points(kernel, 6, seed=13)
-            expected = [predictor.predict(kernel, p) for p in points]
-            pipeline = EvaluationPipeline(predictor, batch_size=4, engine="compiled")
-            assert pipeline.predict_batch(kernel, points) == expected
+            expected = [f32_predictor.predict(kernel, p) for p in points]
+            pipeline = EvaluationPipeline(f32_predictor, batch_size=4, engine="compiled")
+            assert pipeline.predict_batch(kernel, points) == expected, kernel
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 4])
+    def test_single_pragma_kernel_float32(self, f32_predictor, one_pragma, batch_size):
+        """One pragma row per copy: the planned rows are widened to two,
+        because a one-row product takes BLAS's gemv path and drifts from
+        the reference's full-graph gemm by ulps at float32."""
+        set_default_dtype(np.float32)
+        points = list(build_design_space(get_kernel(one_pragma)).enumerate())
+        expected = [f32_predictor.predict(one_pragma, p) for p in points]
+        pipeline = EvaluationPipeline(f32_predictor, batch_size=batch_size, engine="compiled")
+        assert pipeline.predict_batch(one_pragma, points) == expected
+
+
+class TestBatchCompositionInvariance:
+    """A point's prediction is bit-identical whether it is evaluated
+    alone (in the pipeline or eagerly) or in any batch, at any slot, at
+    any ``batch_size`` (float32).  Parallel DSE == serial and serving ==
+    offline both rest on this."""
+
+    SAMPLED_KERNELS = ("fir", "gesummv", "spmv-ellpack", ONE_PRAGMA.name)
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_prediction_independent_of_batch(self, f32_predictor, one_pragma, data):
+        set_default_dtype(np.float32)
+        kernel = data.draw(st.sampled_from(self.SAMPLED_KERNELS))
+        pool = sample_points(kernel, 8, seed=17)
+        index = st.integers(0, len(pool) - 1)
+        target = pool[data.draw(index)]
+        batch = [pool[i] for i in data.draw(st.lists(index, max_size=7))]
+        slot = data.draw(st.integers(0, len(batch)))
+        batch.insert(slot, target)
+        batch_size = data.draw(st.integers(1, 8))
+        alone = EvaluationPipeline(f32_predictor, batch_size=1, cache=False)
+        pipeline = EvaluationPipeline(f32_predictor, batch_size=batch_size, cache=False)
+        got = pipeline.predict_batch(kernel, batch)
+        assert got[slot] == alone.predict(kernel, target) == f32_predictor.predict(kernel, target)
 
 
 class TestCache:
