@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install lint test test-fast test-fused bench bench-fast bench-smoke serve-smoke bench-parallel-smoke trace-smoke loop-smoke serve-load-smoke bench-dse-smoke bench-cross-device-smoke bench-repo-smoke ci examples clean
+.PHONY: install lint test test-fast bench bench-fast bench-smoke serve-smoke bench-parallel-smoke trace-smoke loop-smoke serve-load-smoke bench-dse-smoke bench-cross-device-smoke bench-repo-smoke ci examples clean
 
 install:
 	$(PY) setup.py develop
@@ -23,21 +23,14 @@ test:
 test-fast:
 	$(PY) -m pytest tests/ -m "not slow"
 
-# The engine-parametrized forward tests on the fused lazy engine
-# (differential fuzzer and golden tests run in both modes regardless).
-test-fused:
-	$(PY) -m pytest tests/test_nn_tensor.py tests/test_nn_layers.py \
-		tests/test_model.py tests/test_engine_diff.py --engine fused -q
-
 bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only
 
 # Evaluation-pipeline throughput on untrained weights: finishes in
-# seconds, no database or training required.  Runs the compiled and
-# fused engines side by side (both legs assert equivalence against the
-# eager per-point baseline in-row).
+# seconds, no database or training required.  Every row asserts
+# bit-identity against the eager per-point baseline in-row.
 bench-smoke:
-	$(PY) benchmarks/bench_pipeline.py --smoke --engine both
+	$(PY) benchmarks/bench_pipeline.py --smoke
 
 # Boot the HTTP model server on an ephemeral port and round-trip
 # predict + dse + metrics through it; exits non-zero on any mismatch.

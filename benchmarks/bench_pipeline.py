@@ -11,17 +11,14 @@ Four modes per kernel, all returning bit-identical predictions:
 - ``pipeline``: compiled + cascade + cache on a DSE-shaped workload
   that revisits points, the way annealer chains and beam sweeps do.
 
-``--engine`` swaps the batched engine: ``compiled`` (bit-identical
-reference lowering), ``fused`` (lazy tensor engine — tolerance-level
-equivalence, verified in-row), or ``both`` to print eager-vs-fused
-rows side by side.  Every row's ``baseline_pps`` is the *eager*
-per-point path, so a fused row's ``pipeline_speedup`` is exactly the
-ISSUE acceptance ratio: fused pipeline points/sec over the eager
-baseline (bar: >=3x).  The compiled acceptance bar stays >=5x.
+Every row asserts in-row that the pipeline's predictions are
+bit-identical to the eager per-point baseline, and its
+``pipeline_speedup`` is pipeline points/sec over that baseline (bar:
+>=5x).
 
 Run standalone for a quick look (no training, untrained weights)::
 
-    python benchmarks/bench_pipeline.py --smoke --engine both
+    python benchmarks/bench_pipeline.py --smoke
 
 or through pytest-benchmark with the cached trained predictor::
 
@@ -59,16 +56,14 @@ def _timed(fn):
     return result, time.perf_counter() - start
 
 
-def measure_kernel(
-    predictor, kernel, unique=48, total=256, batch_size=32, seed=0, engine="compiled"
-):
+def measure_kernel(predictor, kernel, unique=48, total=256, batch_size=32, seed=0):
     """Measure all four modes on one kernel; returns a result row."""
     space = build_design_space(get_kernel(kernel))
     pool, workload = _dse_workload(space, unique, total, seed)
 
     def make_pipeline(cache):
         return EvaluationPipeline(
-            predictor, batch_size=batch_size, cache=cache, engine=engine
+            predictor, batch_size=batch_size, cache=cache, engine="compiled"
         )
 
     def warm(pipeline):
@@ -111,28 +106,15 @@ def measure_kernel(
     piped, pipeline_s = _timed(run_pipeline)
 
     # Equivalence spot-check: throughput numbers only count if the
-    # pipeline returns what the baseline did — bit-identical for the
-    # compiled engine, tolerance-equivalent (repro.nn.lazy.equiv, with
-    # the engine's own first-batch verification gate also armed) for
-    # the fused engine.
-    if engine == "fused":
-        from repro.nn.lazy import predictions_equivalent
-        from repro.nn.tensor import get_default_dtype
-
-        problem = predictions_equivalent(
-            piped, expected, dtype=get_default_dtype()
-        )
-        assert problem is None, f"{kernel} fused-vs-eager: {problem}"
-    else:
-        for got, want in zip(piped, expected):
-            assert got.valid == want.valid and got.valid_prob == want.valid_prob
-            assert got.objectives is None or got == want
+    # pipeline returns bit-identically what the baseline did.
+    for got, want in zip(piped, expected):
+        assert got.valid == want.valid and got.valid_prob == want.valid_prob
+        assert got.objectives is None or got == want
     valid_count = sum(1 for p in casc_out if p.valid)
 
     base_rate = len(workload) / base_s
     row = {
         "kernel": kernel,
-        "engine": engine,
         "workload": len(workload),
         "unique": len(pool),
         "valid_fraction": valid_count / len(pool),
@@ -150,14 +132,13 @@ def measure_kernel(
 
 def format_rows(rows):
     lines = [
-        f"{'kernel':14s} {'engine':>8s} {'base pts/s':>10s} {'batched':>9s} "
+        f"{'kernel':14s} {'base pts/s':>10s} {'batched':>9s} "
         f"{'cascade':>9s} {'pipeline':>9s} {'speedup':>8s} {'hit rate':>8s} "
         f"{'valid':>6s}"
     ]
     for row in rows:
         lines.append(
-            f"{row['kernel']:14s} {row.get('engine', 'compiled'):>8s} "
-            f"{row['baseline_pps']:10.1f} "
+            f"{row['kernel']:14s} {row['baseline_pps']:10.1f} "
             f"{row['batched_pps']:9.1f} {row['cascade_pps']:9.1f} "
             f"{row['pipeline_pps']:9.1f} {row['pipeline_speedup']:7.1f}x "
             f"{row['cache_hit_rate']:8.2f} {row['valid_fraction']:6.2f}"
@@ -182,28 +163,6 @@ def test_pipeline_throughput(benchmark, predictor):
         assert row["pipeline_speedup"] >= 5.0, (
             f"{row['kernel']}: end-to-end pipeline only "
             f"{row['pipeline_speedup']:.1f}x over per-point baseline"
-        )
-
-
-def test_fused_pipeline_throughput(benchmark, predictor):
-    """ISSUE acceptance: fused pipeline >=3x the eager per-point baseline."""
-    rows = benchmark.pedantic(
-        lambda: [
-            measure_kernel(predictor, kernel, batch_size=24, engine="fused")
-            for kernel in KERNELS
-        ],
-        rounds=1,
-        iterations=1,
-    )
-    print()
-    print(format_rows(rows))
-    for row in rows:
-        benchmark.extra_info[row["kernel"]] = {
-            key: value for key, value in row.items() if key != "stats"
-        }
-        assert row["pipeline_speedup"] >= 3.0, (
-            f"{row['kernel']}: fused pipeline only "
-            f"{row['pipeline_speedup']:.1f}x over the eager baseline"
         )
 
 
@@ -243,10 +202,6 @@ def main(argv=None):
     )
     parser.add_argument("--unique", type=int, default=None)
     parser.add_argument("--total", type=int, default=None)
-    parser.add_argument(
-        "--engine", choices=("compiled", "fused", "both"), default="compiled",
-        help="batched engine to measure; 'both' prints side-by-side rows",
-    )
     args = parser.parse_args(argv)
 
     if args.smoke:
@@ -258,14 +213,11 @@ def main(argv=None):
         predictor = default_context().predictor("M7")
         unique, total, batch_size = args.unique or 48, args.total or 256, 24
 
-    engines = ("compiled", "fused") if args.engine == "both" else (args.engine,)
     rows = [
         measure_kernel(
-            predictor, kernel, unique=unique, total=total,
-            batch_size=batch_size, engine=engine,
+            predictor, kernel, unique=unique, total=total, batch_size=batch_size
         )
         for kernel in KERNELS
-        for engine in engines
     ]
     print(format_rows(rows))
     for row in rows:

@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="RNG seed for budgeted strategies (bit-reproducible)")
     p.add_argument("--batch-size", type=int, default=24,
                    help="evaluation pipeline batch size")
-    p.add_argument("--engine", choices=["auto", "compiled", "reference", "fused"],
+    p.add_argument("--engine", choices=["auto", "compiled", "reference"],
                    default="auto", help="surrogate inference engine")
     p.add_argument("--no-cache", action="store_true",
                    help="disable the pipeline's per-point prediction cache")
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="partial-batch flush deadline")
     p.add_argument("--max-queue", type=int, default=1024,
                    help="pending-request bound before 429 load shedding")
-    p.add_argument("--engine", choices=["auto", "compiled", "reference", "fused"],
+    p.add_argument("--engine", choices=["auto", "compiled", "reference"],
                    default="auto")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes behind one shared listener; "
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=6,
                    help="warm-start fine-tune epochs per round")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--engine", choices=["auto", "compiled", "reference", "fused"],
+    p.add_argument("--engine", choices=["auto", "compiled", "reference"],
                    default="auto", help="surrogate engine for the DSE scan")
     p.add_argument("--serve-url", default=None,
                    help="live `repro serve` endpoint to hot-swap after each "

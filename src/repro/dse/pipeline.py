@@ -62,11 +62,9 @@ from ..model.predictor import (
     scale_objectives_for_device,
 )
 from ..nn.conv import TransformerConv
-from ..nn.lazy.equiv import EngineEquivalenceError, predictions_equivalent
 from ..nn.pooling import NodeAttentionPool, SumPool
 from ..nn.tensor import get_default_dtype, no_grad
 from ..obs import counter, histogram, span
-from .fused import FusedGNNEngine, _FusedTemplate, forward_all as fused_forward_all
 
 __all__ = [
     "CompiledGNNEngine",
@@ -702,11 +700,9 @@ class EvaluationPipeline:
     batch_size:
         Template capacity: candidates evaluated per compiled forward.
     engine:
-        ``"auto"`` (default), ``"compiled"`` (raise if unsupported),
-        ``"reference"`` (never compile), or ``"fused"`` (run the
-        models' own forwards on the lazy fused engine — tolerance-level
-        agreement, verified against the eager reference on the first
-        batch per kernel unless ``verify_fused=False``).
+        ``"auto"`` (default: compiled if the models can be lowered,
+        else reference), ``"compiled"`` (raise if unsupported), or
+        ``"reference"`` (never compile).
     cache:
         Memoise per-point raw model outputs keyed by
         :func:`~repro.designspace.space.point_key`, so re-probed points
@@ -719,16 +715,13 @@ class EvaluationPipeline:
         batch_size: int = 24,
         engine: str = "auto",
         cache: bool = True,
-        verify_fused: bool = True,
     ):
-        if engine not in ("auto", "compiled", "reference", "fused"):
+        if engine not in ("auto", "compiled", "reference"):
             raise ValueError(f"unknown engine mode {engine!r}")
         self.predictor = predictor
         self.batch_size = max(int(batch_size), 1)
         self.engine_mode = engine
         self.cache_enabled = cache
-        self.verify_fused = verify_fused
-        self._fused_verified: set = set()
         self.stats = PipelineStats()
         self.encodings = EncodingCache(getattr(predictor, "builder", None))
         # Device the predictor is bound to (None = reference device):
@@ -776,40 +769,6 @@ class EvaluationPipeline:
             self._compile_failed = True
             return False
         return True
-
-    def _supports_fused(self) -> bool:
-        """Can (and may) this predictor run on the fused lazy engine?"""
-        if self.engine_mode != "fused":
-            return False
-        models = self._predictor_models()
-        if models is None or not all(
-            FusedGNNEngine.supports(m) for m in models.values()
-        ):
-            raise UnsupportedModelError(
-                "engine='fused' but the predictor's models are not GNNs "
-                "the fused engine can run"
-            )
-        return True
-
-    def _fused_engines(self, kernel: str, capacity: int) -> Dict[str, object]:
-        """Fused engines + template for one kernel at one capacity."""
-        key = ("fused", kernel, self._device_name, np.dtype(get_default_dtype()).str, capacity)
-        entry = self._compiled.get(key)
-        if entry is not None:
-            return entry
-        models = self._predictor_models()
-        for model in models.values():
-            model.eval()
-        template = _FusedTemplate(self.encodings.get(kernel, self._device), capacity)
-        entry = {
-            "template": template,
-            "engines": {
-                name: FusedGNNEngine(model, template)
-                for name, model in models.items()
-            },
-        }
-        self._compiled[key] = entry
-        return entry
 
     def _engines(self, kernel: str, capacity: int) -> Dict[str, object]:
         """Compiled engines + template for one kernel at one capacity.
@@ -906,12 +865,7 @@ class EvaluationPipeline:
             with span(
                 "pipeline.predict_batch", kernel=kernel, points=len(points)
             ) as sp:
-                if self._supports_fused():
-                    out = self._compiled_batch(
-                        kernel, points, valid_threshold, objectives_for,
-                        fused=True,
-                    )
-                elif self._supports_compiled():
+                if self._supports_compiled():
                     out = self._compiled_batch(
                         kernel, points, valid_threshold, objectives_for
                     )
@@ -1004,7 +958,6 @@ class EvaluationPipeline:
         kernel: str,
         points: Sequence[DesignPoint],
         engine_names: Sequence[str],
-        fused: bool = False,
     ) -> Dict[str, np.ndarray]:
         """Run selected engines over ``points`` in right-sized chunks.
 
@@ -1017,10 +970,7 @@ class EvaluationPipeline:
         with no_grad():
             for start in range(0, len(points), self.batch_size):
                 chunk = points[start:start + self.batch_size]
-                if fused:
-                    entry = self._fused_engines(kernel, len(chunk))
-                else:
-                    entry = self._engines(kernel, len(chunk))
+                entry = self._engines(kernel, len(chunk))
                 template = entry["template"]
                 engines = entry["engines"]
                 with span(
@@ -1032,14 +982,9 @@ class EvaluationPipeline:
                         template.set_point(slot, point)
                     self.stats.encode_seconds += time.perf_counter() - t0
                     t0 = time.perf_counter()
-                    if fused:
-                        results = fused_forward_all(engines, engine_names)
-                        for name in engine_names:
-                            outputs[name].append(results[name][: len(chunk)].copy())
-                    else:
-                        for name in engine_names:
-                            result = engines[name].forward()
-                            outputs[name].append(result[: len(chunk)].copy())
+                    for name in engine_names:
+                        result = engines[name].forward()
+                        outputs[name].append(result[: len(chunk)].copy())
                     self.stats.inference_seconds += time.perf_counter() - t0
                 self.stats.batches += 1
                 self.stats.model_points += len(chunk)
@@ -1047,9 +992,9 @@ class EvaluationPipeline:
         return {name: np.concatenate(chunks, axis=0) for name, chunks in outputs.items()}
 
     def _compiled_batch(
-        self, kernel, points, valid_threshold, objectives_for, fused: bool = False
+        self, kernel, points, valid_threshold, objectives_for
     ) -> List[Prediction]:
-        self.stats.engine = "fused" if fused else "compiled"
+        self.stats.engine = "compiled"
         cache = self._kernel_cache(kernel) if self.cache_enabled else {}
         keys = [point_key(p) for p in points]
         records: List[Dict] = []
@@ -1080,7 +1025,7 @@ class EvaluationPipeline:
                 self.stats.cache_misses += 1
         if need_cls:
             cls_out = self._forward_chunks(
-                kernel, [points[i] for i in need_cls], ["classifier"], fused=fused
+                kernel, [points[i] for i in need_cls], ["classifier"]
             )["classifier"]
             for row, i in enumerate(need_cls):
                 records[i]["logits"] = cls_out[row]
@@ -1106,7 +1051,6 @@ class EvaluationPipeline:
                 kernel,
                 [points[i] for i in need_reg],
                 ["regressor", "bram_regressor"],
-                fused=fused,
             )
             for row, i in enumerate(need_reg):
                 records[i]["reg"] = reg_out["regressor"][row]
@@ -1139,34 +1083,4 @@ class EvaluationPipeline:
         )
         out = scale_objectives_for_device(out, self._device)
         self.stats.materialize_seconds += time.perf_counter() - t0
-        if fused and self.verify_fused and kernel not in self._fused_verified:
-            self._verify_fused_batch(kernel, points, out, valid_threshold)
         return out
-
-    def _verify_fused_batch(
-        self, kernel, points, fused_preds, valid_threshold, sample: int = 4
-    ) -> None:
-        """Equivalence gate: check the first fused batch per kernel.
-
-        A few points are re-evaluated on the eager reference predictor
-        and compared under the per-dtype tolerance policy
-        (:mod:`repro.nn.lazy.equiv`); any divergence raises
-        :class:`~repro.nn.lazy.equiv.EngineEquivalenceError` before a
-        single fused prediction is acted on.  One-time per kernel —
-        steady-state throughput is unaffected.
-        """
-        n = min(int(sample), len(points))
-        reference = self.predictor.predict_batch(
-            kernel, list(points[:n]), valid_threshold
-        )
-        mismatch = predictions_equivalent(
-            list(fused_preds[:n]),
-            reference,
-            valid_threshold=valid_threshold,
-            dtype=get_default_dtype(),
-        )
-        if mismatch is not None:
-            raise EngineEquivalenceError(
-                f"fused engine failed verification on kernel {kernel!r}: {mismatch}"
-            )
-        self._fused_verified.add(kernel)

@@ -107,9 +107,7 @@ class GNNDSEModel(Module):
 
     def node_embeddings(self, batch: Batch) -> Tensor:
         """Final per-node embeddings (after JKN when enabled)."""
-        # A Batch carrying a Tensor (e.g. a LazyTensor from the fused
-        # engine) passes through so the whole forward stays lazy.
-        x = batch.x if isinstance(batch.x, Tensor) else Tensor(batch.x)
+        x = Tensor(batch.x)
         layer_outputs: List[Tensor] = []
         for conv in self.convs:
             x = conv(x, batch).elu()
@@ -167,7 +165,7 @@ class ContextMLPModel(Module):
         self.heads = _Heads(config, hidden, rng)
 
     def embed(self, batch: Batch) -> Tensor:
-        x = batch.x if isinstance(batch.x, Tensor) else Tensor(batch.x)
+        x = Tensor(batch.x)
         nodes = self.node_mlp(x).elu()
         context = nodes.segment_sum(batch.node_segments)
         pragmas = self.pragma_mlp(Tensor(batch.extra_matrix("pragma_vec"))).elu()

@@ -250,26 +250,12 @@ class GNNDSEPredictor:
         kernel: str,
         points: Sequence[DesignPoint],
         valid_threshold: float = DEFAULT_VALID_THRESHOLD,
-        engine: str = "eager",
     ) -> List[Prediction]:
-        """Predict validity and objectives for many points at once.
-
-        ``engine="eager"`` (default) is the bit-exact reference path.
-        ``engine="fused"`` records the same three forwards on the lazy
-        fused engine (:mod:`repro.nn.lazy`) — tolerance-level agreement
-        (see :data:`repro.nn.lazy.equiv.TOLERANCES`), fewer
-        allocations, stacked projection GEMMs.
-        """
-        if engine not in ("eager", "fused"):
-            raise ValueError(f"unknown predictor engine {engine!r}")
+        """Predict validity and objectives for many points at once."""
         if not points:
             return []
         samples = [self._sample(kernel, p) for p in points]
         batch = Batch.from_graphs(samples)
-        if engine == "fused":
-            from ..nn.lazy import LazyTensor
-
-            batch.x = LazyTensor(batch.x)
         self.classifier.eval()
         self.regressor.eval()
         self.bram_regressor.eval()
@@ -282,11 +268,9 @@ class GNNDSEPredictor:
             self.device,
         )
 
-    def predict(
-        self, kernel: str, point: DesignPoint, engine: str = "eager"
-    ) -> Prediction:
+    def predict(self, kernel: str, point: DesignPoint) -> Prediction:
         """Predict one design point (see :meth:`predict_batch`)."""
-        return self.predict_batch(kernel, [point], engine=engine)[0]
+        return self.predict_batch(kernel, [point])[0]
 
     # -- persistence -------------------------------------------------------------
 

@@ -133,15 +133,7 @@ class TransformerConv(Module):
         k = self.lin_key(x).gather_rows(batch.src_plan).reshape(-1, H, D)
         v = self.lin_value(x).gather_rows(batch.src_plan).reshape(-1, H, D)
         if self.lin_edge is not None:
-            # Edge attributes are constant across design points for one
-            # kernel, so a batch may carry a memoizing ``edge_projection``
-            # hook (the fused DSE template does) that computes
-            # ``lin_edge(edge_attr)`` once and reuses it every forward.
-            project = getattr(batch, "edge_projection", None)
-            if project is not None:
-                e = project(self.lin_edge).reshape(-1, H, D)
-            else:
-                e = self.lin_edge(Tensor(batch.edge_attr)).reshape(-1, H, D)
+            e = self.lin_edge(Tensor(batch.edge_attr)).reshape(-1, H, D)
             k = k + e
             v = v + e
         scale = 1.0 / math.sqrt(D)

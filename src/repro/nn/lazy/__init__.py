@@ -1,50 +1,3 @@
-"""``repro.nn.lazy`` — fused lazy-evaluation engine for inference.
-
-Record (:mod:`graph`) → schedule/fuse/execute (:mod:`engine`), with a
-``DEBUG=1`` op profiler (:mod:`profile`) and the eager-vs-fused
-tolerance policy (:mod:`equiv`).  See the module docstrings and the
-README "Engines" section for selection and guarantees.
+"""``repro.nn.lazy`` — holds :mod:`equiv`, the per-dtype tolerance policy
+the benchmark uses to compare predictions against the eager reference.
 """
-
-from .engine import clear_pool, pool_stats, realize
-from .equiv import (
-    EngineEquivalenceError,
-    TOLERANCES,
-    assert_allclose,
-    max_errors,
-    predictions_equivalent,
-    tolerance_for,
-)
-from .graph import LazyNode, LazyTensor, lazy_concat, lazy_stack_max
-from .profile import (
-    PROFILE_SCHEMA_VERSION,
-    op_profile,
-    profiled,
-    profiling_enabled,
-    reset_profile,
-    set_profiling,
-    validate_profile,
-)
-
-__all__ = [
-    "EngineEquivalenceError",
-    "LazyNode",
-    "LazyTensor",
-    "PROFILE_SCHEMA_VERSION",
-    "TOLERANCES",
-    "assert_allclose",
-    "clear_pool",
-    "lazy_concat",
-    "lazy_stack_max",
-    "max_errors",
-    "op_profile",
-    "pool_stats",
-    "predictions_equivalent",
-    "profiled",
-    "profiling_enabled",
-    "realize",
-    "reset_profile",
-    "set_profiling",
-    "tolerance_for",
-    "validate_profile",
-]

@@ -1,17 +1,12 @@
-"""Tolerance policy and equivalence checks for eager-vs-fused.
+"""Per-dtype tolerance policy for comparing predictions.
 
-The fused engine reproduces the eager engine's numerics op for op, so
-*unfused* execution is bit-identical.  The one documented divergence is
-GEMM stacking: fusing ``x @ W1, x @ W2, ...`` into ``x @ [W1|W2|...]``
-lets BLAS pick different blocking/accumulation orders per column block,
-which perturbs results at the level of rounding.  Tolerances below
-bound that: tight enough to catch any real kernel bug (wrong clip,
-missing epsilon, aliasing corruption — all of which produce errors many
-orders of magnitude larger), loose enough to absorb re-association
-noise accumulated across a 6-layer GNN.
-
-Used by the differential fuzzer (``tests/test_engine_diff.py``) and by
-the pipeline's first-batch verification gate when ``--engine fused``.
+The benchmark checks served and searched predictions against the eager
+reference with :func:`predictions_equivalent`, under the per-dtype
+``(rtol, atol)`` bounds in :data:`TOLERANCES`.  The bounds are tight
+enough to catch a real numerics bug (a wrong clip, a missing epsilon,
+corrupted buffers — all errors many orders of magnitude larger) and
+loose enough to absorb BLAS re-association noise accumulated across a
+6-layer GNN.
 """
 
 from __future__ import annotations
@@ -20,20 +15,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ...errors import NNError
-
-__all__ = [
-    "EngineEquivalenceError",
-    "TOLERANCES",
-    "assert_allclose",
-    "max_errors",
-    "predictions_equivalent",
-    "tolerance_for",
-]
-
-
-class EngineEquivalenceError(NNError):
-    """Fused-engine output diverged from the eager reference."""
+__all__ = ["TOLERANCES", "predictions_equivalent", "tolerance_for"]
 
 
 #: Per-dtype (rtol, atol).  float32 accumulates re-association noise
@@ -49,50 +31,13 @@ def tolerance_for(dtype) -> Tuple[float, float]:
     return TOLERANCES.get(np.dtype(dtype).name, TOLERANCES["float32"])
 
 
-def max_errors(actual: np.ndarray, expected: np.ndarray) -> Tuple[float, float]:
-    """(max absolute error, max relative error) between two arrays."""
-    actual = np.asarray(actual, dtype=np.float64)
-    expected = np.asarray(expected, dtype=np.float64)
-    diff = np.abs(actual - expected)
-    if diff.size == 0:
-        return 0.0, 0.0
-    abs_err = float(diff.max())
-    denom = np.maximum(np.abs(expected), 1e-30)
-    rel_err = float((diff / denom).max())
-    return abs_err, rel_err
-
-
-def assert_allclose(actual, expected, dtype=None, context: str = "") -> None:
-    """Raise :class:`EngineEquivalenceError` unless within tolerance.
-
-    Agreement criterion is numpy's: ``|a - e| <= atol + rtol * |e|``
-    elementwise, with NaN positions required to match.
-    """
-    actual = np.asarray(actual)
-    expected = np.asarray(expected)
-    if actual.shape != expected.shape:
-        raise EngineEquivalenceError(
-            f"shape mismatch{' in ' + context if context else ''}: "
-            f"fused {actual.shape} vs eager {expected.shape}"
-        )
-    rtol, atol = tolerance_for(dtype if dtype is not None else expected.dtype)
-    if np.allclose(actual, expected, rtol=rtol, atol=atol, equal_nan=True):
-        return
-    abs_err, rel_err = max_errors(actual, expected)
-    raise EngineEquivalenceError(
-        f"engines diverged{' in ' + context if context else ''}: "
-        f"max_abs={abs_err:.3e} max_rel={rel_err:.3e} "
-        f"(rtol={rtol:g}, atol={atol:g}, dtype={np.dtype(dtype or expected.dtype).name})"
-    )
-
-
 def predictions_equivalent(
-    fused,
+    candidate,
     eager,
     valid_threshold: float = 0.5,
     dtype=np.float32,
 ) -> Optional[str]:
-    """Compare two :class:`~repro.model.predictor.Prediction` lists.
+    """Compare ``candidate`` against the ``eager`` reference predictions.
 
     Returns ``None`` when equivalent, else a description of the first
     divergence.  The valid flag may legitimately flip when the eager
@@ -100,10 +45,10 @@ def predictions_equivalent(
     compared only when both sides produced them (an invalid-flagged
     point skips regression in the cascade).
     """
-    if len(fused) != len(eager):
-        return f"prediction count mismatch: {len(fused)} vs {len(eager)}"
+    if len(candidate) != len(eager):
+        return f"prediction count mismatch: {len(candidate)} vs {len(eager)}"
     rtol, atol = tolerance_for(dtype)
-    for i, (f, e) in enumerate(zip(fused, eager)):
+    for i, (f, e) in enumerate(zip(candidate, eager)):
         if not np.isclose(f.valid_prob, e.valid_prob, rtol=rtol, atol=atol):
             return (
                 f"point {i}: valid_prob {f.valid_prob:.6f} vs {e.valid_prob:.6f}"
@@ -119,7 +64,7 @@ def predictions_equivalent(
         if f.objectives and e.objectives:
             for key in e.objectives:
                 if key not in f.objectives:
-                    return f"point {i}: objective {key!r} missing from fused"
+                    return f"point {i}: objective {key!r} missing from candidate"
                 if not np.isclose(
                     f.objectives[key], e.objectives[key], rtol=rtol, atol=atol
                 ):
@@ -128,8 +73,8 @@ def predictions_equivalent(
                         f"{f.objectives[key]:.6f} vs {e.objectives[key]:.6f}"
                     )
         elif f.objectives and not e.objectives:
-            return f"point {i}: fused produced objectives the reference skipped"
-        # Fused missing objectives the reference has is legal: the
+            return f"point {i}: candidate produced objectives the reference skipped"
+        # A candidate missing objectives the reference has is legal: the
         # cascade (objectives_for="valid") skips regression for points
         # the classifier rejects, while a direct reference call always
         # regresses.

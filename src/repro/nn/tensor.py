@@ -220,11 +220,6 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_grad_owned")
 
-    #: Overridden by :class:`repro.nn.lazy.graph.LazyTensor`; lets
-    #: engine-agnostic code (``concat``/``stack_max``, the model stack)
-    #: branch without importing the lazy package.
-    is_lazy = False
-
     def __init__(
         self,
         data: ArrayLike,
@@ -574,10 +569,6 @@ class Tensor:
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     """Concatenate tensors along ``axis`` with autograd support."""
     tensors = list(tensors)
-    if any(getattr(t, "is_lazy", False) for t in tensors):
-        from .lazy.graph import lazy_concat
-
-        return lazy_concat(tensors, axis=axis)
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
@@ -600,10 +591,6 @@ def stack_max(tensors: Sequence[Tensor]) -> Tensor:
     earliest layer, matching PyTorch's max backward convention).
     """
     tensors = list(tensors)
-    if any(getattr(t, "is_lazy", False) for t in tensors):
-        from .lazy.graph import lazy_stack_max
-
-        return lazy_stack_max(tensors)
     stacked = np.stack([t.data for t in tensors], axis=0)
     winner = np.argmax(stacked, axis=0)
     out_data = np.take_along_axis(stacked, winner[None], axis=0)[0]

@@ -105,27 +105,27 @@ class TestDataset:
 
 class TestModelVariants:
     @pytest.mark.parametrize("name", list(MODEL_CONFIGS))
-    def test_forward_shapes(self, name, tiny_samples, engine_batch):
+    def test_forward_shapes(self, name, tiny_samples):
         config = MODEL_CONFIGS[name].for_task("regression", REGRESSION_OBJECTIVES)
         model = build_model(config, NODE_DIM, EDGE_DIM, seed=0)
-        batch = engine_batch(Batch.from_graphs(tiny_samples[:6]))
+        batch = Batch.from_graphs(tiny_samples[:6])
         out = model(batch)
         assert out.shape == (6, len(REGRESSION_OBJECTIVES))
 
-    def test_classification_head_shape(self, tiny_samples, engine_batch):
+    def test_classification_head_shape(self, tiny_samples):
         config = MODEL_CONFIGS["M7"].for_task("classification")
         model = build_model(config, NODE_DIM, EDGE_DIM, seed=0)
-        batch = engine_batch(Batch.from_graphs(tiny_samples[:4]))
+        batch = Batch.from_graphs(tiny_samples[:4])
         assert model(batch).shape == (4, 2)
 
-    def test_pragma_settings_change_output(self, tiny_builder, tiny_db, engine_batch):
+    def test_pragma_settings_change_output(self, tiny_builder, tiny_db):
         """The model must see pragma differences (same kernel graph)."""
         records = [r for r in tiny_db.for_kernel("atax")][:2]
         assert records[0].point_key != records[1].point_key
         samples = [tiny_builder.sample(r) for r in records]
         config = MODEL_CONFIGS["M7"].for_task("regression", REGRESSION_OBJECTIVES)
         model = build_model(config, NODE_DIM, EDGE_DIM, seed=0)
-        out = model(engine_batch(Batch.from_graphs(samples))).data
+        out = model(Batch.from_graphs(samples)).data
         assert np.abs(out[0] - out[1]).max() > 1e-7
 
     def test_unknown_config_kind_raises(self):
@@ -260,7 +260,7 @@ class TestPredictor:
         assert prediction.latency > 0
         assert 0.0 <= prediction.valid_prob <= 1.0
 
-    def test_predict_batch_matches_single(self, predictor, engine):
+    def test_predict_batch_matches_single(self, predictor):
         from repro.designspace import build_design_space
         from repro.kernels import get_kernel
 
@@ -268,7 +268,7 @@ class TestPredictor:
         import random
 
         points = space.sample(random.Random(0), 3)
-        batch = predictor.predict_batch("atax", points, engine=engine)
+        batch = predictor.predict_batch("atax", points)
         single = [predictor.predict("atax", p) for p in points]
         for b, s in zip(batch, single):
             assert b.latency == pytest.approx(s.latency, rel=1e-5)

@@ -45,9 +45,9 @@ def make_batch(n_graphs=3, **kw):
 
 
 class TestModules:
-    def test_linear_shapes(self, T):
+    def test_linear_shapes(self):
         layer = Linear(8, 3)
-        out = layer(T(np.zeros((5, 8))))
+        out = layer(Tensor(np.zeros((5, 8))))
         assert out.shape == (5, 3)
 
     def test_parameters_registered(self):
@@ -55,17 +55,17 @@ class TestModules:
         params = list(mlp.parameters())
         assert len(params) == 4  # two Linear layers, weight+bias each
 
-    def test_sequential_forward(self, T):
+    def test_sequential_forward(self):
         net = Sequential(Linear(4, 4), Linear(4, 2))
-        assert net(T(np.ones((3, 4)))).shape == (3, 2)
+        assert net(Tensor(np.ones((3, 4)))).shape == (3, 2)
 
-    def test_state_dict_roundtrip(self, T):
+    def test_state_dict_roundtrip(self):
         mlp = MLP([4, 8, 2])
         state = mlp.state_dict()
         mlp2 = MLP([4, 8, 2], rng=np.random.default_rng(99))
         mlp2.load_state_dict(state)
         x = np.random.default_rng(0).normal(size=(3, 4))
-        np.testing.assert_allclose(mlp(T(x)).data, mlp2(T(x)).data)
+        np.testing.assert_allclose(mlp(Tensor(x)).data, mlp2(Tensor(x)).data)
 
     def test_state_dict_shape_mismatch(self):
         mlp = MLP([4, 8, 2])
@@ -197,19 +197,19 @@ def layer_out_dim(layer):
 
 
 class TestConvLayers:
-    def test_gcn_shapes(self, T):
+    def test_gcn_shapes(self):
         batch = make_batch(2)
-        out = GCNConv(8, 16)(T(batch.x), batch)
+        out = GCNConv(8, 16)(Tensor(batch.x), batch)
         assert out.shape == (batch.num_nodes, 16)
 
-    def test_gat_shapes(self, T):
+    def test_gat_shapes(self):
         batch = make_batch(2)
-        out = GATConv(8, 16, heads=4)(T(batch.x), batch)
+        out = GATConv(8, 16, heads=4)(Tensor(batch.x), batch)
         assert out.shape == (batch.num_nodes, 16)
 
-    def test_transformer_shapes(self, T):
+    def test_transformer_shapes(self):
         batch = make_batch(2)
-        out = TransformerConv(8, 16, heads=4, edge_dim=4)(T(batch.x), batch)
+        out = TransformerConv(8, 16, heads=4, edge_dim=4)(Tensor(batch.x), batch)
         assert out.shape == (batch.num_nodes, 16)
 
     def test_gcn_gradcheck(self):
@@ -224,41 +224,41 @@ class TestConvLayers:
         batch = make_batch(1, num_nodes=4, feat=8)
         layer_gradcheck(TransformerConv(8, 6, heads=2, edge_dim=4), batch)
 
-    def test_transformer_edge_features_matter(self, T):
+    def test_transformer_edge_features_matter(self):
         batch = make_batch(1)
         layer = TransformerConv(8, 16, heads=4, edge_dim=4)
-        out1 = layer(T(batch.x), batch).data
+        out1 = layer(Tensor(batch.x), batch).data
         batch.edge_attr = batch.edge_attr + 1.0
-        out2 = layer(T(batch.x), batch).data
+        out2 = layer(Tensor(batch.x), batch).data
         assert np.abs(out1 - out2).max() > 1e-9
 
     def test_heads_must_divide(self):
         with pytest.raises(NNError):
             GATConv(8, 10, heads=4)
 
-    def test_isolated_graphs_do_not_mix(self, T):
+    def test_isolated_graphs_do_not_mix(self):
         """Message passing must not leak across graphs in a batch."""
         g1 = tiny_graph(seed=1)
         g2 = tiny_graph(seed=2)
         layer = TransformerConv(8, 16, heads=4, edge_dim=4)
-        single = layer(T(g1.x), Batch.from_graphs([g1])).data
+        single = layer(Tensor(g1.x), Batch.from_graphs([g1])).data
         batched = layer(
-            T(Batch.from_graphs([g1, g2]).x), Batch.from_graphs([g1, g2])
+            Tensor(Batch.from_graphs([g1, g2]).x), Batch.from_graphs([g1, g2])
         ).data
         np.testing.assert_allclose(single, batched[: g1.num_nodes], atol=1e-10)
 
 
 class TestPoolingAndJKN:
-    def test_sum_pool(self, T):
+    def test_sum_pool(self):
         batch = make_batch(3)
-        out = SumPool()(T(batch.x), batch)
+        out = SumPool()(Tensor(batch.x), batch)
         assert out.shape == (3, 8)
         np.testing.assert_allclose(out.data[0], batch.graphs[0].x.sum(axis=0))
 
-    def test_attention_pool_shapes(self, T):
+    def test_attention_pool_shapes(self):
         batch = make_batch(3)
         pool = NodeAttentionPool(8)
-        out = pool(T(batch.x), batch)
+        out = pool(Tensor(batch.x), batch)
         assert out.shape == (3, 8)
 
     def test_attention_scores_normalised(self):
@@ -268,9 +268,9 @@ class TestPoolingAndJKN:
         first = scores[: batch.graphs[0].num_nodes].sum()
         assert first == pytest.approx(1.0)
 
-    def test_jkn_max(self, T):
-        a = T(np.array([[1.0, 4.0]]))
-        b = T(np.array([[3.0, 2.0]]))
+    def test_jkn_max(self):
+        a = Tensor(np.array([[1.0, 4.0]]))
+        b = Tensor(np.array([[3.0, 2.0]]))
         out = JumpingKnowledge("max")([a, b])
         np.testing.assert_allclose(out.data, [[3.0, 4.0]])
 
@@ -278,8 +278,8 @@ class TestPoolingAndJKN:
         a, b = Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 2)))
         np.testing.assert_allclose(JumpingKnowledge("last")([a, b]).data, b.data)
 
-    def test_jkn_cat(self, T):
-        a, b = T(np.ones((1, 2))), T(np.zeros((1, 2)))
+    def test_jkn_cat(self):
+        a, b = Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 2)))
         assert JumpingKnowledge("cat")([a, b]).shape == (1, 4)
 
     def test_jkn_unknown_mode(self):

@@ -119,15 +119,15 @@ class TestGatherSegment:
             lambda t: (t.segment_sum(seg) * Tensor(weights)).sum(), (6, 2)
         )
 
-    def test_segment_sum_values(self, T):
+    def test_segment_sum_values(self):
         seg = Segments(np.array([0, 0, 2]), num_segments=3)
         data = np.array([[1.0], [2.0], [5.0]])
-        out = T(data).segment_sum(seg)
+        out = Tensor(data).segment_sum(seg)
         np.testing.assert_allclose(out.data, [[3.0], [0.0], [5.0]])
 
-    def test_segment_softmax_sums_to_one(self, T):
+    def test_segment_softmax_sums_to_one(self):
         seg = Segments(np.array([0, 0, 0, 1, 1]), num_segments=2)
-        t = T(np.random.default_rng(0).normal(size=(5, 1)))
+        t = Tensor(np.random.default_rng(0).normal(size=(5, 1)))
         att = t.segment_softmax(seg)
         sums = att.segment_sum(seg)
         np.testing.assert_allclose(sums.data, np.ones((2, 1)), atol=1e-9)
@@ -159,9 +159,9 @@ class TestGatherSegment:
 
 
 class TestStackMax:
-    def test_values(self, T):
-        a = T([[1.0, 5.0]])
-        b = T([[3.0, 2.0]])
+    def test_values(self):
+        a = Tensor([[1.0, 5.0]])
+        b = Tensor([[3.0, 2.0]])
         out = stack_max([a, b])
         np.testing.assert_allclose(out.data, [[3.0, 5.0]])
 

@@ -432,128 +432,3 @@ class TestPipelineIntegration:
         assert fill["count"] == pipeline.stats.batches
         # Validate the whole trace while we have a real one.
         validate_trace(trace_payload())
-
-
-# ---------------------------------------------------------------------------
-# fused-engine op profiler (DEBUG=1)
-
-
-class TestFusedOpProfiler:
-    """The lazy engine's op profiler feeds the same process registry.
-
-    Contracts mirror the tracer's: exported payloads validate against a
-    pinned schema, enabled runs surface per-op counters in
-    ``metrics_text``, and the disabled path costs one predicate per
-    realize — nothing per op.
-    """
-
-    @staticmethod
-    def _realize_small_graph():
-        import numpy as np
-
-        from repro.nn import Tensor
-        from repro.nn.lazy import LazyTensor
-
-        rng = np.random.default_rng(0)
-        x = LazyTensor(rng.normal(size=(16, 8)))
-        w = Tensor(rng.normal(size=(8, 4)))
-        return ((x.relu() @ w).exp() + 1.0).sum(axis=1, keepdims=True).data
-
-    def test_profile_export_schema_validates(self):
-        from repro.nn.lazy import (
-            PROFILE_SCHEMA_VERSION,
-            op_profile,
-            profiled,
-            validate_profile,
-        )
-
-        with profiled():
-            self._realize_small_graph()
-            payload = op_profile()
-        validate_profile(payload)
-        assert payload["schema_version"] == PROFILE_SCHEMA_VERSION == 1
-        assert payload["engine"] == "fused"
-        assert payload["realizes"] >= 1
-        assert payload["nodes_executed"] >= 4
-        assert "matmul" in payload["ops"] or "matmul_stacked" in payload["ops"]
-        for stats in payload["ops"].values():
-            assert stats["count"] >= 1
-            assert stats["ms"] >= 0.0
-
-    def test_validate_profile_rejects_bad_payloads(self):
-        from repro.errors import NNError
-        from repro.nn.lazy import op_profile, profiled, validate_profile
-
-        with profiled():
-            self._realize_small_graph()
-            payload = op_profile()
-        for corrupt in [
-            lambda p: p.pop("schema_version"),
-            lambda p: p.update(schema_version=99),
-            lambda p: p.update(engine="eager"),
-            lambda p: p.update(realizes="three"),
-            lambda p: p.update(ops={"add": {"count": 1}}),  # missing ms
-        ]:
-            bad = {k: (dict(v) if isinstance(v, dict) else v) for k, v in payload.items()}
-            corrupt(bad)
-            with pytest.raises(NNError):
-                validate_profile(bad)
-
-    def test_op_counters_reach_registry_and_metrics_text(self):
-        from repro.nn.lazy import profiled
-
-        REGISTRY.reset()
-        with profiled():
-            self._realize_small_graph()
-        counters = REGISTRY.counters()
-        op_counters = {k: v for k, v in counters.items() if k.startswith("engine.fused.op.")}
-        assert op_counters, f"no engine.fused.op.* counters in {sorted(counters)}"
-        assert counters.get("engine.fused.op.relu", 0) >= 1
-        realize_hist = REGISTRY.histogram("engine.fused.realize_ms").snapshot()
-        assert realize_hist["count"] >= 1
-        text = metrics_text(REGISTRY)
-        assert "repro_engine_fused_op_relu" in text
-        assert "repro_engine_fused_realize_ms_count" in text
-
-    def test_debug_env_enables_profiling(self, monkeypatch):
-        from repro.nn.lazy import profiling_enabled
-        from repro.nn.lazy.profile import set_profiling
-
-        set_profiling(None)  # defer to the environment
-        monkeypatch.delenv("DEBUG", raising=False)
-        assert not profiling_enabled()
-        monkeypatch.setenv("DEBUG", "1")
-        assert profiling_enabled()
-        monkeypatch.setenv("DEBUG", "0")
-        assert not profiling_enabled()
-
-    def test_disabled_path_records_nothing(self, monkeypatch):
-        from repro.nn.lazy import op_profile, reset_profile
-        from repro.nn.lazy.profile import collector, set_profiling
-
-        monkeypatch.delenv("DEBUG", raising=False)
-        set_profiling(None)
-        reset_profile()
-        assert collector() is None
-        self._realize_small_graph()
-        payload = op_profile()
-        assert payload["realizes"] == 0
-        assert payload["ops"] == {}
-
-    def test_disabled_overhead_within_budget(self, monkeypatch):
-        """The disabled check is one function call per *realize* (never
-        per op), keeping it inside the <0.2% observability budget the
-        instrumentation layer promises.  As with the tracer test above,
-        the asserted bound is ~50x the observed cost so slow shared
-        runners don't flake, while still catching an accidental per-op
-        or allocating disabled path."""
-        from repro.nn.lazy.profile import collector, set_profiling
-
-        monkeypatch.delenv("DEBUG", raising=False)
-        set_profiling(None)
-        n = 100_000
-        start = time.perf_counter()
-        for _ in range(n):
-            collector()
-        elapsed = time.perf_counter() - start
-        assert elapsed < 2.0, f"{elapsed:.3f}s for {n} disabled collector() checks"

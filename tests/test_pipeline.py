@@ -313,6 +313,11 @@ class TestEngineSelection:
         with pytest.raises(UnsupportedModelError):
             pipeline.predict_batch("fir", sample_points("fir", 1))
 
+    @pytest.mark.parametrize("mode", ["fused", "bogus"])
+    def test_unknown_engine_rejected(self, predictor, mode):
+        with pytest.raises(ValueError):
+            EvaluationPipeline(predictor, engine=mode)
+
 
 class TestThresholdTieBreak:
     """Satellite (d): behaviour exactly at the classification threshold."""
@@ -449,152 +454,3 @@ class TestGoldenTopPoints:
         with open(GOLDEN_PATH) as handle:
             golden = json.load(handle)
         assert keys == golden["top"]
-
-
-class TestFusedEngine:
-    """Golden end-to-end equivalence for ``engine="fused"``.
-
-    The fused lazy engine is tolerance-equivalent (not bit-identical):
-    what must be *identical* to eager is everything downstream of the
-    floats — the top-K ordering and the Pareto front the DSE would act
-    on (ISSUE acceptance), plus cascade semantics and the verification
-    gate that guards the first batch per kernel.
-    """
-
-    @staticmethod
-    def _orders_match(order_a, order_b, predictions, rel=1e-5):
-        """Orderings may differ only by swaps of tolerance-tied latencies."""
-        if order_a == order_b:
-            return True
-        for a, b in zip(order_a, order_b):
-            if a == b:
-                continue
-            la, lb = predictions[a].latency, predictions[b].latency
-            if not np.isclose(la, lb, rtol=rel, atol=0.0):
-                return False
-        return True
-
-    @pytest.mark.parametrize("kernel", list_kernels())
-    def test_topk_and_pareto_match_eager(self, predictor, kernel):
-        from repro.dse import pareto_front
-        from repro.nn.lazy import predictions_equivalent
-
-        points = sample_points(kernel, 8, seed=21)
-        eager = [predictor.predict(kernel, p) for p in points]
-        pipeline = EvaluationPipeline(predictor, batch_size=4, engine="fused")
-        fused = pipeline.predict_batch(kernel, points)
-        assert pipeline.stats.engine == "fused"
-
-        problem = predictions_equivalent(fused, eager, dtype=np.float64)
-        assert problem is None, f"{kernel}: {problem}"
-
-        def order(predictions):
-            return sorted(
-                range(len(points)), key=lambda i: (predictions[i].latency, i)
-            )[:5]
-
-        assert self._orders_match(order(fused), order(eager), eager), (
-            f"{kernel}: fused top-K ordering diverged beyond latency ties"
-        )
-
-        def front(predictions):
-            ranked = [
-                i for i in range(len(points)) if predictions[i].objectives is not None
-            ]
-            return set(
-                pareto_front(ranked, lambda i: predictions[i].objectives)
-            )
-
-        assert front(fused) == front(eager), f"{kernel}: Pareto front diverged"
-
-    def test_fused_verification_gate_runs_once_per_kernel(self, predictor):
-        pipeline = EvaluationPipeline(predictor, batch_size=4, engine="fused")
-        points = sample_points("fir", 6, seed=2)
-        pipeline.predict_batch("fir", points)
-        assert "fir" in pipeline._fused_verified
-        # Cached results stay identical on a second call (bit-consistency
-        # within one engine version).
-        first = pipeline.predict_batch("fir", points)
-        assert pipeline.predict_batch("fir", points) == first
-
-    def test_fused_uncached_is_deterministic(self, predictor):
-        """Same batch twice with no cache: bit-identical predictions."""
-        pipeline = EvaluationPipeline(
-            predictor, batch_size=4, engine="fused", cache=False
-        )
-        points = sample_points("gemm-ncubed", 5, seed=3)
-        assert pipeline.predict_batch("gemm-ncubed", points) == pipeline.predict_batch(
-            "gemm-ncubed", points
-        )
-
-    def test_fused_cascade_consistent(self, predictor):
-        pipeline = EvaluationPipeline(predictor, batch_size=8, engine="fused", cache=False)
-        points = sample_points("fir", 10, seed=6)
-        full = pipeline.predict_batch("fir", points, objectives_for="all")
-        cascade = pipeline.predict_batch("fir", points, objectives_for="valid")
-        for f, c in zip(full, cascade):
-            assert c.valid == f.valid
-            assert c.valid_prob == f.valid_prob
-            if c.valid:
-                assert c == f
-            else:
-                assert c.objectives is None
-
-    def test_fused_on_mlp_predictor_raises(self):
-        config = MODEL_CONFIGS["M1"]
-        builder = GraphDatasetBuilder(Database())
-        classifier = build_model(
-            config.for_task("classification"), NODE_DIM, EDGE_DIM, seed=0
-        )
-        regressor = build_model(
-            config.for_task("regression", REGRESSION_OBJECTIVES),
-            NODE_DIM, EDGE_DIM, seed=1,
-        )
-        bram = build_model(
-            config.for_task("regression", BRAM_OBJECTIVE), NODE_DIM, EDGE_DIM, seed=2
-        )
-        mlp_predictor = GNNDSEPredictor(
-            classifier, regressor, bram, builder.normalizer, builder
-        )
-        pipeline = EvaluationPipeline(mlp_predictor, engine="fused")
-        with pytest.raises(UnsupportedModelError):
-            pipeline.predict_batch("fir", sample_points("fir", 2))
-
-    def test_verification_gate_catches_divergence(self, predictor):
-        """A predictor whose reference path disagrees with its own models
-        must trip the first-batch equivalence gate."""
-        from repro.nn.lazy import EngineEquivalenceError
-
-        class LyingPredictor(GNNDSEPredictor):
-            def predict_batch(self, kernel, points, valid_threshold=0.5, engine="eager"):
-                out = super().predict_batch(kernel, points, valid_threshold, engine)
-                return [
-                    Prediction(p.valid, min(1.0, p.valid_prob * 0.5 + 0.49), p.objectives)
-                    for p in out
-                ]
-
-        liar = LyingPredictor(
-            predictor.classifier,
-            predictor.regressor,
-            predictor.bram_regressor,
-            predictor.normalizer,
-            predictor.builder,
-        )
-        pipeline = EvaluationPipeline(liar, batch_size=4, engine="fused")
-        with pytest.raises(EngineEquivalenceError):
-            pipeline.predict_batch("fir", sample_points("fir", 4, seed=9))
-
-    @pytest.mark.slow
-    def test_fused_float32_production_path(self):
-        """Float32 is the production dtype and the tolerance-critical one."""
-        from repro.nn.lazy import predictions_equivalent
-
-        set_default_dtype(np.float32)  # module fixture restores float64
-        predictor = make_predictor(seed=7)
-        for kernel in ("spmv-ellpack", "gemm-ncubed"):
-            points = sample_points(kernel, 6, seed=13)
-            eager = [predictor.predict(kernel, p) for p in points]
-            pipeline = EvaluationPipeline(predictor, batch_size=4, engine="fused")
-            fused = pipeline.predict_batch(kernel, points)
-            problem = predictions_equivalent(fused, eager, dtype=np.float32)
-            assert problem is None, f"{kernel}: {problem}"

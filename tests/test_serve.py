@@ -738,46 +738,6 @@ class TestMicroBatchingThroughput:
 
 
 # ---------------------------------------------------------------------------
-# fused engine through the serving stack
-
-
-class TestFusedServing:
-    """``engine="fused"`` behind the service: responses must be
-    bit-consistent within one engine version — identical requests get
-    identical floats, over the wire and across calls."""
-
-    def test_fused_service_bit_consistent(self, predictor):
-        points = sample_points("fir", 4, seed=17)
-        with PredictorService(predictor, batch_size=4, engine="fused") as service:
-            first = service.predict("fir", points)
-            second = service.predict("fir", points)
-        assert second == first
-        assert service.pipeline.stats.engine == "fused"
-
-    def test_fused_http_responses_bit_consistent(self, predictor):
-        from repro.nn.lazy import predictions_equivalent
-
-        points = sample_points("spmv-ellpack", 4, seed=18)
-        service = PredictorService(
-            predictor, batch_size=4, max_delay_seconds=0.002, engine="fused"
-        )
-        http = start_server(service)
-        try:
-            client = ServeClient(http.url)
-            first = client.predict("spmv-ellpack", points)
-            second = client.predict("spmv-ellpack", points)
-            # Wire round-trips are float-exact and the engine is
-            # deterministic: byte-for-byte the same answer.
-            assert second == first
-            assert client.predict_one("spmv-ellpack", points[0]) == first[0]
-            # And the fused answers are tolerance-equivalent to eager.
-            eager = [predictor.predict("spmv-ellpack", p) for p in points]
-            assert predictions_equivalent(first, eager, dtype=np.float64) is None
-        finally:
-            http.stop()
-
-
-# ---------------------------------------------------------------------------
 # model identity + zero-downtime hot swap
 
 
