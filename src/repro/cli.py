@@ -5,15 +5,13 @@ Commands mirror the three operating modes of Fig. 1(a) plus utilities:
 - ``kernels``     — list registered kernels and their design spaces;
 - ``synthesize``  — run the simulated Merlin+HLS flow on one design point;
 - ``database``    — generate a training database with the explorers;
-- ``train``       — train a predictor stack on a database;
-- ``dse``         — model-driven DSE on a kernel (requires a trained
-  predictor cached by ``train`` or a saved artifact);
-- ``save-model``  — package trained weights as a versioned artifact;
-- ``load-model``  — inspect/verify a saved artifact;
+- ``train``       — train a predictor stack on a database and save it
+  as a versioned artifact directory;
+- ``dse``         — model-driven DSE on a kernel (with a trained artifact);
 - ``serve``       — serve predictions from an artifact (or registry) over HTTP;
 - ``loop``        — closed-loop active learning: DSE → HLS labels →
   fine-tune → publish to a registry (→ hot-swap a live server);
-- ``artifacts``   — list and verify a model-registry directory;
+- ``artifacts``   — verify a model registry or a single artifact;
 - ``autodse``     — run the HLS-in-the-loop bottleneck explorer;
 - ``experiment``  — regenerate one paper table/figure.
 
@@ -22,13 +20,12 @@ Examples::
     python -m repro kernels
     python -m repro synthesize -k gemm-ncubed -s __PARA__L2=8 -s __PIPE__L2=cg
     python -m repro database -o db.json --scale 0.2
-    python -m repro train -d db.json -o predictor.npz --epochs 12
-    python -m repro dse -k gesummv -d db.json -p predictor.npz
-    python -m repro save-model -d db.json -p predictor.npz -o artifact/
+    python -m repro train -d db.json -o artifact/ --epochs 12
     python -m repro dse -k gesummv --model artifact/ --output top.json
     python -m repro serve --model artifact/ --port 8080
-    python -m repro loop -d db.json -p predictor.npz --registry registry/ \
+    python -m repro loop -d db.json -p artifact/ --registry registry/ \
         --kernels bicg gesummv 2mm --rounds 3 --serve-url http://127.0.0.1:8080
+    python -m repro artifacts artifact/
     python -m repro artifacts registry/
     python -m repro experiment table1
 """
@@ -93,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a predictor stack on a database")
     p.add_argument("-d", "--database", required=True)
-    p.add_argument("-o", "--output", required=True)
+    p.add_argument("-o", "--output", required=True, help="artifact directory to write")
     p.add_argument("--model", default="M7", help="model config (M1-M7)")
     p.add_argument("--epochs", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
@@ -102,14 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dse", help="model-driven DSE on one kernel")
     p.add_argument("-k", "--kernel", required=True)
-    p.add_argument("-d", "--database", default=None,
-                   help="database the predictor was trained on (with -p)")
-    p.add_argument("-p", "--predictor", default=None, help="weights saved by `train`")
-    p.add_argument(
-        "--model", default="M7",
-        help="model config (M1-M7) with -d/-p, or the path to a saved "
-             "artifact directory (see `repro save-model`)",
-    )
+    p.add_argument("--model", default=None,
+                   help="artifact directory written by `repro train`")
     p.add_argument("--top", type=int, default=10)
     p.add_argument("--time-limit", type=float, default=300.0)
     p.add_argument("--device", default=None,
@@ -163,18 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enable tracing and write the run's spans (shards, "
                         "batches, merges) as schema-validated trace JSON")
 
-    p = sub.add_parser(
-        "save-model",
-        help="convert trained weights (+ their database) into a versioned artifact",
-    )
-    p.add_argument("-d", "--database", required=True)
-    p.add_argument("-p", "--predictor", required=True, help="weights saved by `train`")
-    p.add_argument("--model", default="M7", help="model config (M1-M7)")
-    p.add_argument("-o", "--output", required=True, help="artifact directory to write")
-
-    p = sub.add_parser("load-model", help="inspect and verify a saved artifact")
-    p.add_argument("artifact", help="artifact directory written by `save-model`")
-
     p = sub.add_parser("serve", help="serve predictions over HTTP from an artifact")
     p.add_argument("--model", required=True,
                    help="artifact directory, or a registry directory (serves "
@@ -205,9 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed training database (JSON); augmented copies are "
                         "written next to --state each round")
     p.add_argument("-p", "--predictor", default=None,
-                   help="starting weights saved by `train` (with -d); omit to "
-                        "start from the registry's current artifact")
-    p.add_argument("--model", default="M7", help="model config (M1-M7)")
+                   help="starting artifact directory written by `repro train`; "
+                        "omit to start from the registry's current artifact")
     p.add_argument("--registry", required=True,
                    help="model registry directory (created if missing); every "
                         "accepted round publishes a new version here")
@@ -239,9 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "of the deterministic logical clock (breaks bit-"
                         "identical resume)")
 
-    p = sub.add_parser("artifacts", help="list and verify a model registry")
-    p.add_argument("registry", help="registry directory written by `repro loop` "
-                                    "(or a single artifact directory)")
+    p = sub.add_parser("artifacts",
+                       help="verify a model registry or a single artifact")
+    p.add_argument("registry", help="registry directory written by `repro loop`, "
+                                    "or an artifact directory written by `repro train`")
 
     p = sub.add_parser("coverage", help="database coverage report for one kernel")
     p.add_argument("-k", "--kernel", required=True)
@@ -362,7 +341,6 @@ def _finish_trace(path, root_name: str) -> None:
 
 
 def _cmd_train(args) -> int:
-    from .experiments.context import ExperimentContext
     from .explorer import Database
     from .model import TrainConfig, train_predictor
     from .obs import span
@@ -378,22 +356,12 @@ def _cmd_train(args) -> int:
             return_metrics=True,
         )
     _finish_trace(args.trace, "train.run")
-    ExperimentContext.save_predictor(predictor, args.output)
-    print(f"wrote {args.output}")
+    manifest = predictor.save(args.output)
+    total = sum(m["parameters"] for m in manifest["models"].values())
+    print(f"wrote artifact {args.output} ({total:,} parameters)")
     for key in ("latency", "DSP", "LUT", "FF", "BRAM", "all", "accuracy", "f1"):
         print(f"  {key:9s} {metrics[key]:.4f}")
     return 0
-
-
-def _load_predictor(database_path: str, predictor_path: str, model: str):
-    from .experiments.context import ExperimentContext
-    from .explorer import Database
-
-    ctx = ExperimentContext.__new__(ExperimentContext)  # no cache dir side effects
-    ctx.seed = 0
-    ctx._database = Database.load(database_path)
-    ctx._predictors = {}
-    return ExperimentContext.load_predictor(ctx, predictor_path, model)
 
 
 def _run_device_dse(args, spec, space, device, predictor):
@@ -474,8 +442,6 @@ def _cmd_dse_all_devices(args, spec, space, predictor) -> int:
 
 
 def _cmd_dse(args) -> int:
-    import os
-
     from .dse import EvaluationPipeline, ModelDSE
     from .obs import span
 
@@ -485,21 +451,18 @@ def _cmd_dse(args) -> int:
     if args.all_devices and args.device:
         raise ReproError("--device and --all-devices are mutually exclusive")
     device = _resolve_device(args.device)
-    if os.path.isdir(args.model):
+    if args.model is not None:
         from .model.predictor import GNNDSEPredictor
 
         predictor = GNNDSEPredictor.load(args.model)
-    elif args.database is not None and args.predictor is not None:
-        predictor = _load_predictor(args.database, args.predictor, args.model)
     elif args.device or args.all_devices:
         # Device-targeted runs can fall back to the analytic evaluator,
         # so a trained model is optional.
         predictor = None
     else:
         raise ReproError(
-            "dse needs either --model <artifact-dir> or both -d/--database "
-            "and -p/--predictor (or --device/--all-devices for the "
-            "analytic evaluator)"
+            "dse needs --model <artifact-dir> (or --device/--all-devices "
+            "for the analytic evaluator)"
         )
     if args.resume and not args.checkpoint:
         raise ReproError("--resume requires --checkpoint FILE")
@@ -615,31 +578,6 @@ def _cmd_dse(args) -> int:
     return 0
 
 
-def _cmd_save_model(args) -> int:
-    predictor = _load_predictor(args.database, args.predictor, args.model)
-    manifest = predictor.save(args.output)
-    total = sum(m["parameters"] for m in manifest["models"].values())
-    print(f"wrote artifact {args.output} ({total:,} parameters)")
-    for role, entry in manifest["models"].items():
-        print(f"  {role:15s} {entry['dtype']:8s} sha256:{entry['sha256'][:12]}…")
-    return 0
-
-
-def _cmd_load_model(args) -> int:
-    from .serve.registry import verify_artifact
-
-    manifest = verify_artifact(args.artifact)
-    print(f"{args.artifact}: schema v{manifest['schema_version']}, blobs verified")
-    print(f"  normalization_factor {manifest['normalization_factor']:g}")
-    for role, entry in manifest["models"].items():
-        config = entry["config"]
-        print(
-            f"  {role:15s} {config['name']}/{config['task']:14s} "
-            f"{entry['dtype']:8s} {entry['parameters']:,} params"
-        )
-    return 0
-
-
 def _cmd_serve(args) -> int:
     from .errors import ArtifactError
     from .model.predictor import GNNDSEPredictor
@@ -730,7 +668,7 @@ def _cmd_loop(args) -> int:
     registry = ModelRegistry(args.registry)
     database = Database.load(args.database)
     if args.predictor is not None:
-        predictor = _load_predictor(args.database, args.predictor, args.model)
+        predictor = load_artifact(args.predictor)
     else:
         current = registry.current()
         if current is None:
@@ -749,7 +687,6 @@ def _cmd_loop(args) -> int:
         label_budget=args.label_budget,
         scan=args.scan,
         eval_points=args.eval_points,
-        config_name=args.model,
         epochs=args.epochs,
         seed=args.seed,
         engine=args.engine,
@@ -784,11 +721,17 @@ def _cmd_artifacts(args) -> int:
     from .serve.registry import artifact_fingerprint, verify_artifact
 
     if not ModelRegistry.is_registry(args.registry):
-        # Grace for a bare artifact directory: verify it like load-model.
         manifest = verify_artifact(args.registry)
         sha = artifact_fingerprint(manifest)
         print(f"{args.registry}: single artifact, schema "
               f"v{manifest['schema_version']}, sha256:{sha[:12]}… verified")
+        print(f"  normalization_factor {manifest['normalization_factor']:g}")
+        for role, entry in manifest["models"].items():
+            config = entry["config"]
+            print(
+                f"  {role:15s} {config['name']}/{config['task']:14s} "
+                f"{entry['dtype']:8s} {entry['parameters']:,} params"
+            )
         return 0
     registry = ModelRegistry(args.registry)
     versions = registry.versions()
@@ -873,8 +816,6 @@ _COMMANDS = {
     "database": _cmd_database,
     "train": _cmd_train,
     "dse": _cmd_dse,
-    "save-model": _cmd_save_model,
-    "load-model": _cmd_load_model,
     "serve": _cmd_serve,
     "loop": _cmd_loop,
     "artifacts": _cmd_artifacts,

@@ -6,7 +6,6 @@
   exact Pareto front of every usable point it scored;
 - :class:`Frontier` — the top-M + Pareto merge policy every searcher
   (serial, sharded, budgeted) keeps its results with;
-- :func:`run_dse_rounds` — Fig. 7's multi-round database augmentation;
 - :func:`pareto_front` — non-dominated filtering of designs;
 - :class:`EvaluationPipeline` — the batched + cached surrogate hot
   path every searcher routes its predictions through;
@@ -19,9 +18,11 @@
   annealer;
 - :mod:`~repro.dse.hypervolume` — exact WFG hypervolume, the search
   quality metric the benchmarks gate on.
+
+Fig. 7's multi-round database augmentation is not here: it is
+:func:`repro.experiments.run_fig7`, one :class:`repro.loop.ActiveLoop` run.
 """
 
-from .augment import AugmentationResult, RoundOutcome, run_dse_rounds
 from .crossdevice import (
     CROSS_DEVICE_KEYS,
     AnalyticPredictor,
@@ -85,9 +86,6 @@ __all__ = [
     "EvaluationPipeline",
     "PipelineStats",
     "UnsupportedModelError",
-    "AugmentationResult",
-    "RoundOutcome",
-    "run_dse_rounds",
     "order_pragmas",
     "dominates",
     "pareto_front",

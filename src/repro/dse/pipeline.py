@@ -782,11 +782,11 @@ class EvaluationPipeline:
         """
         models = self._predictor_models()
         # Compile at the dtype the reference forward actually computes
-        # in: float32 graph features promoted by the parameter dtype
-        # (``load_state_dict`` upcasts weights to float64, so loaded
-        # predictors run in float64 even when the engine default is
-        # float32; the promotion is exact, so matching it keeps the
-        # compiled path bit-identical).
+        # in: float32 graph features promoted by the parameter dtype.
+        # ``load_state_dict`` keeps each parameter's own dtype, so
+        # float64 weights come only from a float64 artifact or a
+        # float64 engine default; the promotion is exact, so matching
+        # it keeps the compiled path bit-identical.
         dtype = np.dtype(get_default_dtype())
         for model in models.values():
             for param in model.parameters():

@@ -3,7 +3,9 @@
 The heavyweight artifacts (the explorer-generated design database and
 the trained predictor stack) are produced once and cached on disk under
 ``.repro_cache/`` so every table/figure experiment — and repeated
-benchmark runs — reuse them.
+benchmark runs — reuse them.  Predictors are cached as artifact
+directories (:mod:`repro.serve.registry`), so a reload is bit-identical
+to the stack that was trained.
 
 Environment knobs (all optional):
 
@@ -26,18 +28,11 @@ import os
 from pathlib import Path
 from typing import Dict, Optional
 
-import numpy as np
-
 from ..explorer.database import Database
 from ..explorer.runner import generate_database
-from ..graph.encoding import EDGE_DIM, NODE_DIM
 from ..hls.tool import MerlinHLSTool
-from ..model.config import BRAM_OBJECTIVE, MODEL_CONFIGS, REGRESSION_OBJECTIVES
-from ..model.dataset import GraphDatasetBuilder
-from ..model.models import build_model
-from ..model.normalizer import TargetNormalizer
 from ..model.predictor import GNNDSEPredictor, train_predictor
-from ..model.trainer import TrainConfig, Trainer
+from ..model.trainer import TrainConfig
 
 __all__ = ["ExperimentContext", "default_context"]
 
@@ -101,7 +96,7 @@ class ExperimentContext:
 
     def _predictor_path(self, config_name: str) -> Path:
         return self.cache_dir / (
-            f"predictor_{config_name}_s{self.scale:g}_e{self.epochs}_r{self.seed}.npz"
+            f"predictor_{config_name}_s{self.scale:g}_e{self.epochs}_r{self.seed}"
         )
 
     def predictor(self, config_name: str = "M7", refresh: bool = False) -> GNNDSEPredictor:
@@ -110,7 +105,7 @@ class ExperimentContext:
             return self._predictors[config_name]
         path = self._predictor_path(config_name)
         if path.exists() and not refresh:
-            predictor = self.load_predictor(path, config_name)
+            predictor = GNNDSEPredictor.load(path, database=self.database())
         else:
             predictor = train_predictor(
                 self.database(),
@@ -118,90 +113,8 @@ class ExperimentContext:
                 train_config=TrainConfig(epochs=self.epochs, seed=self.seed),
                 seed=self.seed,
             )
-            self.save_predictor(predictor, path)
+            predictor.save(path)
         self._predictors[config_name] = predictor
-        return predictor
-
-    # -- predictor persistence ----------------------------------------------------
-
-    @staticmethod
-    def save_predictor(predictor: GNNDSEPredictor, path: Path) -> None:
-        arrays = {}
-        for prefix, model in (
-            ("cls", predictor.classifier),
-            ("reg", predictor.regressor),
-            ("bram", predictor.bram_regressor),
-        ):
-            for name, value in model.state_dict().items():
-                arrays[f"{prefix}::{name}"] = value
-        arrays["__norm__"] = np.array([predictor.normalizer.normalization_factor])
-        np.savez_compressed(path, **arrays)
-
-    def load_predictor(self, path: Path, config_name: str) -> GNNDSEPredictor:
-        data = np.load(path)
-        base = MODEL_CONFIGS[config_name]
-        normalizer = TargetNormalizer(float(data["__norm__"][0]))
-        builder = GraphDatasetBuilder(self.database(), normalizer=normalizer)
-        models = {}
-        for prefix, config in (
-            ("cls", base.for_task("classification")),
-            ("reg", base.for_task("regression", REGRESSION_OBJECTIVES)),
-            ("bram", base.for_task("regression", BRAM_OBJECTIVE)),
-        ):
-            model = build_model(config, NODE_DIM, EDGE_DIM, seed=self.seed)
-            state = {
-                key.split("::", 1)[1]: data[key]
-                for key in data.files
-                if key.startswith(f"{prefix}::")
-            }
-            model.load_state_dict(state)
-            models[prefix] = model
-        return GNNDSEPredictor(
-            models["cls"], models["reg"], models["bram"], normalizer, builder
-        )
-
-    def clone_predictor(self, predictor: GNNDSEPredictor, config_name: str = "M7") -> GNNDSEPredictor:
-        """Deep-copy a predictor stack (so fine-tuning cannot mutate the
-        context-cached instance other experiments rely on)."""
-        base = MODEL_CONFIGS[config_name]
-        clones = {}
-        for prefix, (model, config) in {
-            "cls": (predictor.classifier, base.for_task("classification")),
-            "reg": (predictor.regressor, base.for_task("regression", REGRESSION_OBJECTIVES)),
-            "bram": (predictor.bram_regressor, base.for_task("regression", BRAM_OBJECTIVE)),
-        }.items():
-            clone = build_model(config, NODE_DIM, EDGE_DIM, seed=self.seed)
-            clone.load_state_dict(model.state_dict())
-            clones[prefix] = clone
-        return GNNDSEPredictor(
-            clones["cls"],
-            clones["reg"],
-            clones["bram"],
-            predictor.normalizer,
-            predictor.builder,
-        )
-
-    # -- fine-tuning (used by the Fig. 7 rounds) -----------------------------------
-
-    def fine_tune(
-        self, predictor: GNNDSEPredictor, database: Database, epochs: int = 6
-    ) -> GNNDSEPredictor:
-        """Continue training the stack on an augmented database.
-
-        Uses a reduced learning rate: restarting Adam at the full lr on
-        already-trained weights causes a warm-restart shock that a short
-        fine-tune cannot recover from.
-        """
-        builder = GraphDatasetBuilder(database, normalizer=predictor.normalizer)
-        samples = builder.build()
-        valid = [s for s in samples if s.label == 1]
-        trainer = Trainer(
-            TrainConfig(epochs=epochs, seed=self.seed, lr=0.0004, lr_decay=0.9)
-        )
-        trainer.fit(predictor.classifier, samples)
-        trainer.fit(predictor.regressor, valid)
-        trainer.fit(predictor.bram_regressor, valid)
-        predictor.builder = builder
         return predictor
 
     # -- results persistence ---------------------------------------------------------

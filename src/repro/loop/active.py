@@ -58,7 +58,7 @@ from ..explorer.evaluator import Evaluator
 from ..graph.encoding import EDGE_DIM, NODE_DIM
 from ..hls.tool import MerlinHLSTool
 from ..kernels import get_kernel
-from ..model.config import BRAM_OBJECTIVE, MODEL_CONFIGS, REGRESSION_OBJECTIVES
+from ..model.config import BRAM_OBJECTIVE, REGRESSION_OBJECTIVES
 from ..model.dataset import GraphDatasetBuilder
 from ..model.models import build_model
 from ..model.predictor import GNNDSEPredictor
@@ -88,7 +88,6 @@ class LoopConfig:
     #: Held-out evaluation points sampled per kernel (labeled once,
     #: never used for training selection).
     eval_points: int = 60
-    config_name: str = "M7"
     #: Warm-start fine-tune epochs per round.
     epochs: int = 6
     seed: int = 0
@@ -114,7 +113,6 @@ class LoopConfig:
             "label_budget": self.label_budget,
             "scan": self.scan,
             "eval_points": self.eval_points,
-            "config_name": self.config_name,
             "epochs": self.epochs,
             "seed": self.seed,
             "engine": self.engine,
@@ -363,13 +361,13 @@ class ActiveLoop:
     ) -> GNNDSEPredictor:
         """Warm-start train a fresh clone of the stack on the augmented DB.
 
-        The serving predictor is never mutated: new models are built and
-        seeded from the old weights via ``Trainer.fit(init_model=...)``.
-        The normalizer is kept — latency scales do not change round to
-        round, and keeping it makes RMSEs comparable across rounds.
+        The serving predictor is never mutated: new models are built from
+        each head's own config, seeded from the old weights via
+        ``Trainer.fit(init_model=...)``.  The normalizer is kept — latency
+        scales do not change round to round, and keeping it makes RMSEs
+        comparable across rounds.
         """
         cfg = self.config
-        base = MODEL_CONFIGS[cfg.config_name]
         builder = GraphDatasetBuilder(self.database, normalizer=predictor.normalizer)
         samples = builder.build()
         valid = [s for s in samples if s.label == 1]
@@ -377,7 +375,8 @@ class ActiveLoop:
             raise LoopError("database has no valid records to fine-tune on")
         trainer = Trainer(
             # The reduced LR avoids the Adam warm-restart shock on
-            # already-trained weights (same recipe as the Fig. 7 rounds).
+            # already-trained weights, which a short fine-tune cannot
+            # recover from.
             TrainConfig(
                 epochs=cfg.epochs,
                 seed=cfg.seed + round_index,
@@ -386,26 +385,14 @@ class ActiveLoop:
             )
         )
         heads = {
-            "classifier": (
-                base.for_task("classification"),
-                predictor.classifier,
-                samples,
-            ),
-            "regressor": (
-                base.for_task("regression", REGRESSION_OBJECTIVES),
-                predictor.regressor,
-                valid,
-            ),
-            "bram_regressor": (
-                base.for_task("regression", BRAM_OBJECTIVE),
-                predictor.bram_regressor,
-                valid,
-            ),
+            "classifier": (predictor.classifier, samples),
+            "regressor": (predictor.regressor, valid),
+            "bram_regressor": (predictor.bram_regressor, valid),
         }
         tuned = {}
-        for name, (model_config, init_model, data) in heads.items():
+        for name, (init_model, data) in heads.items():
             model = build_model(
-                model_config, NODE_DIM, EDGE_DIM, seed=cfg.seed + round_index
+                init_model.config, NODE_DIM, EDGE_DIM, seed=cfg.seed + round_index
             )
             trainer.fit(model, data, init_model=init_model)
             tuned[name] = model

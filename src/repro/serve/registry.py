@@ -250,7 +250,7 @@ def read_manifest(path) -> Dict[str, object]:
         raise ArtifactError(
             f"artifact schema version {version!r} is not supported "
             f"(this build reads version {ARTIFACT_SCHEMA_VERSION}); "
-            f"re-save the predictor with `repro save-model`"
+            f"retrain the predictor with `repro train`"
         )
     missing = [r for r in _ROLES if r not in manifest.get("models", {})]
     if missing:

@@ -86,6 +86,20 @@ class TestParserStructure:
         with pytest.raises(SystemExit):
             parser.parse_args(["definitely-not-a-command"])
 
+    def test_npz_predictor_paths_are_gone(self):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        for argv in (
+            ["save-model", "-d", "db.json", "-p", "w.npz", "-o", "out"],
+            ["load-model", "out"],
+            ["dse", "-k", "fir", "-d", "db.json", "-p", "w.npz"],
+            ["loop", "-d", "db.json", "--registry", "r", "--kernels", "fir",
+             "--model", "M5"],
+        ):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+
     def test_experiment_choices_limited(self):
         from repro.cli import build_parser
 
@@ -95,7 +109,7 @@ class TestParserStructure:
 
 
 class TestModelArtifactCommands:
-    """`save-model`, `load-model`, `dse --model <artifact>`, `--output`."""
+    """`train -o`, `dse --model <artifact>`, `loop -p`, `artifacts`."""
 
     @pytest.fixture()
     def artifact_dir(self, tmp_path):
@@ -106,30 +120,40 @@ class TestModelArtifactCommands:
         return path
 
     def test_save_and_load_model_chain(self, tmp_path, capsys):
-        from repro.experiments.context import ExperimentContext
-        from tests.test_pipeline import make_predictor
-
         db_path = tmp_path / "db.json"
         assert main(
             ["database", "-o", str(db_path), "--scale", "0.05",
              "--kernels", "spmv-ellpack"]
         ) == 0
-        npz = tmp_path / "predictor.npz"
-        ExperimentContext.save_predictor(make_predictor(), npz)
         out_dir = tmp_path / "artifact"
         capsys.readouterr()
         assert main(
-            ["save-model", "-d", str(db_path), "-p", str(npz), "-o", str(out_dir)]
+            ["train", "-d", str(db_path), "-o", str(out_dir), "--model", "M5",
+             "--epochs", "1"]
         ) == 0
         assert "wrote artifact" in capsys.readouterr().out
         assert (out_dir / "manifest.json").is_file()
-        assert main(["load-model", str(out_dir)]) == 0
+        assert main(
+            ["dse", "-k", "spmv-ellpack", "--model", str(out_dir), "--top", "3",
+             "--time-limit", "3"]
+        ) == 0
+        assert "top-01" in capsys.readouterr().out
+        assert main(
+            ["loop", "-d", str(db_path), "-p", str(out_dir),
+             "--registry", str(tmp_path / "registry"), "--kernels", "spmv-ellpack",
+             "--rounds", "1", "--label-budget", "3", "--scan", "20",
+             "--eval-points", "20", "--epochs", "1"]
+        ) == 0
+        assert "held-out RMSE:" in capsys.readouterr().out
+        assert main(["artifacts", str(out_dir)]) == 0
         out = capsys.readouterr().out
-        assert "blobs verified" in out
-        assert "classifier" in out
+        assert "single artifact" in out
+        for role in ("classifier", "regressor", "bram_regressor"):
+            assert f"{role} " in out
+        assert "M5/classification" in out
 
-    def test_load_model_rejects_non_artifact(self, tmp_path, capsys):
-        assert main(["load-model", str(tmp_path)]) == 1
+    def test_artifacts_rejects_non_artifact(self, tmp_path, capsys):
+        assert main(["artifacts", str(tmp_path)]) == 1
         assert "error" in capsys.readouterr().err
 
     def test_dse_from_artifact_with_output(self, artifact_dir, tmp_path, capsys):

@@ -11,6 +11,7 @@ from repro.experiments import (
     format_table2,
     format_table3,
 )
+from repro.explorer import Database
 from repro.experiments.table1 import Table1Row
 from repro.experiments.table2 import Table2Row
 from repro.experiments.table3 import Table3Row
@@ -69,12 +70,12 @@ class TestFormatting:
         assert "average runtime speedup" in text
 
     def test_format_fig7(self):
-        from repro.dse.augment import AugmentationResult, RoundOutcome
+        from repro.experiments.fig7 import Fig7Result, Fig7Round
 
-        result = AugmentationResult(
+        result = Fig7Result(
             rounds=[
-                RoundOutcome(round=1, speedup={"atax": 0.7, "nw": 0.9}),
-                RoundOutcome(round=2, speedup={"atax": 1.1, "nw": 1.2}),
+                Fig7Round(round=1, speedup={"atax": 0.7, "nw": 0.9}),
+                Fig7Round(round=2, speedup={"atax": 1.1, "nw": 1.2}),
             ]
         )
         text = format_fig7(result)
@@ -114,3 +115,19 @@ class TestContextPaths:
         monkeypatch.setenv("REPRO_SCALE", "not-a-number")
         ctx = ExperimentContext(cache_dir=tmp_path)
         assert ctx.scale == 0.3
+
+
+class TestFig7:
+    def test_run_fig7_leaves_context_database_unchanged(self, tmp_path):
+        from repro.experiments import ExperimentContext, run_fig7
+
+        ctx = ExperimentContext(cache_dir=tmp_path, scale=0.05, epochs=1, seed=0)
+        before = len(ctx.database())
+        result = run_fig7(ctx, kernels=("spmv-ellpack",), rounds=1, fine_tune_epochs=1)
+        assert [r.round for r in result.rounds] == [1]
+        assert "spmv-ellpack" in result.rounds[0].speedup
+        # The loop labels into a copy: neither the context's database nor
+        # its cache file gains (or relabels) a record.
+        for database in (ctx.database(), Database.load(ctx.database_path)):
+            assert len(database) == before
+            assert all(record.round == 0 for record in database)

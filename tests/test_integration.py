@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.designspace import build_design_space
-from repro.dse import ModelDSE, run_dse_rounds
+from repro.dse import ModelDSE
 from repro.explorer import generate_database
 from repro.hls import MerlinHLSTool
 from repro.kernels import get_kernel
@@ -75,20 +75,31 @@ class TestEndToEnd:
         median = valid_latencies[len(valid_latencies) // 2]
         assert min(usable) < median
 
-    def test_dse_round_adds_records(self, database, predictor, tool):
-        before = len(database)
-        result = run_dse_rounds(
-            ["spmv-ellpack"],
-            database,
-            predictor_factory=lambda db: predictor,
+    def test_dse_round_adds_records(self, database, predictor, tool, tmp_path):
+        from repro.explorer import Database
+        from repro.loop import ActiveLoop, LoopConfig
+        from repro.serve import ModelRegistry
+
+        # The round labels into a copy: the module's database is shared.
+        path = tmp_path / "database.json"
+        database.save(path)
+        loop = ActiveLoop(
+            predictor,
+            Database.load(path),
+            ModelRegistry(tmp_path / "registry"),
+            LoopConfig(kernels=("spmv-ellpack",), rounds=1, label_budget=3,
+                       scan=40, eval_points=20, epochs=1, gate_on_holdout=False),
+            path,
+            tmp_path / "state.json",
             tool=tool,
-            rounds=1,
-            top_m=3,
-            time_limit_seconds=30,
         )
-        assert len(result.rounds) == 1
-        assert len(database) >= before  # new truths committed (or cached)
-        assert "spmv-ellpack" in result.rounds[0].speedup
+        result = loop.run()
+        report = result.rounds[0]
+        assert report["labeled"] > 0
+        # Every label is a new record: the scan skips points labelled in
+        # an earlier round, the initial database (round 0) included.
+        assert report["added"] == report["labeled"]
+        assert len(loop.database) == len(database) + report["added"]
 
     def test_unseen_kernel_prediction_runs(self, predictor):
         # gesummv is NOT in the 3-kernel database: transfer inference.
@@ -122,5 +133,5 @@ class TestExperimentContext:
         point = space.default_point()
         a = p1.predict("atax", point)
         b = p2.predict("atax", point)
-        assert a.latency == pytest.approx(b.latency, rel=1e-5)
-        assert a.valid_prob == pytest.approx(b.valid_prob, rel=1e-5)
+        # Artifacts keep dtype, so a cache reload is bit-identical.
+        assert a == b

@@ -45,12 +45,22 @@ def tiny_config(**overrides):
         label_budget=5,
         scan=40,
         eval_points=24,
-        config_name="M7",
         epochs=1,
         seed=0,
     )
     base.update(overrides)
     return LoopConfig(**base)
+
+
+def seed_database():
+    """25 labelled fir designs, valid ones among them."""
+    tool = MerlinHLSTool()
+    db = Database()
+    spec = get_kernel("fir")
+    for point in build_design_space(spec).sample(random.Random(0), 25):
+        db.add(DesignRecord.from_result(tool.synthesize(spec, point), point,
+                                        source="seed"))
+    return db
 
 
 def make_loop(tmp_path, predictor, db=None, registry=None, **config_overrides):
@@ -326,6 +336,19 @@ class TestActiveLoop:
         assert report["selected"] == {"gesummv": 5}
         assert report["labeled"] == 5
 
+    def test_non_m7_stack_fine_tunes_its_own_heads(self, tmp_path):
+        # Each head is rebuilt from its own config, so a stack that is
+        # not M7 fine-tunes instead of failing to load its weights.
+        start = make_predictor(seed=0, config_name="M5")
+        loop = make_loop(tmp_path, start, db=seed_database(), rounds=1,
+                         gate_on_holdout=False)
+        result = loop.run()
+        assert result.rounds[0]["artifact_version"] == "v0002"
+        served = load_artifact(loop.registry.current().path)
+        for role in ("classifier", "regressor", "bram_regressor"):
+            assert getattr(served, role).config == getattr(start, role).config
+            assert getattr(served, role).config.name == "M5"
+
     def test_empty_kernels_rejected(self):
         with pytest.raises(LoopError):
             LoopConfig(kernels=())
@@ -405,32 +428,21 @@ class TestResume:
 
 @pytest.fixture()
 def seed_setup(tmp_path):
-    """A tiny seed database + saved weights for the CLI commands."""
-    from repro.experiments.context import ExperimentContext
-
-    tool = MerlinHLSTool()
-    db = Database()
-    rng = random.Random(0)
-    for kernel in ("fir",):
-        spec = get_kernel(kernel)
-        space = build_design_space(spec)
-        for point in space.sample(rng, 25):
-            db.add(DesignRecord.from_result(tool.synthesize(spec, point), point,
-                                            source="seed"))
+    """A tiny seed database + a saved artifact for the CLI commands."""
     db_path = tmp_path / "seed-db.json"
-    db.save(db_path)
-    weights = tmp_path / "weights.npz"
-    ExperimentContext.save_predictor(make_predictor(seed=0), weights)
-    return db_path, weights
+    seed_database().save(db_path)
+    artifact = tmp_path / "artifact"
+    make_predictor(seed=0).save(artifact)
+    return db_path, artifact
 
 
 class TestCLI:
     def _loop_args(self, tmp_path, seed_setup, *extra):
-        db_path, weights = seed_setup
+        db_path, artifact = seed_setup
         return [
             "loop",
             "-d", str(db_path),
-            "-p", str(weights),
+            "-p", str(artifact),
             "--registry", str(tmp_path / "registry"),
             "--kernels", "gesummv",
             "--rounds", "1",

@@ -215,7 +215,7 @@ class TestArtifactRejection:
             load_artifact(path)
         message = str(info.value)
         assert str(ARTIFACT_SCHEMA_VERSION + 1) in message
-        assert "repro save-model" in message
+        assert "repro train" in message
         # ArtifactError is a ReproError: one except clause catches both.
         assert isinstance(info.value, ReproError)
 
