@@ -4,18 +4,24 @@ These quantify the claim structure of the paper: graph construction and
 pragma-fill are cheap (done once per kernel / per design point), model
 inference is milliseconds, and even our *simulated* HLS evaluator —
 standing in for the minutes-to-hours real tool — runs fast enough to
-generate thousands-of-designs databases.
+generate thousands-of-designs databases.  The Pareto-merge benchmarks
+time the DSE's running front on the two traffic shapes of the repo
+benchmark: many small merges into a standing front (strategy race) and
+one whole-sweep merge into an empty front (exhaustive sweep).
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.designspace import build_design_space
+from repro.dse import PARETO_KEYS, DSECandidate, Frontier
 from repro.frontend.pragmas import PipelineOption
 from repro.graph import encode_kernel
 from repro.hls import MerlinHLSTool
 from repro.kernels import get_kernel
+from repro.model.predictor import Prediction
 
 
 @pytest.fixture(scope="module")
@@ -66,3 +72,60 @@ def test_design_space_enumeration(benchmark):
 
     count = benchmark(lambda: sum(1 for _ in space.enumerate()))
     assert count > 1000
+
+
+def _candidates(rows):
+    """5-objective candidates with the given objective rows."""
+    return [
+        DSECandidate({"i": i}, Prediction(True, 1.0, dict(zip(PARETO_KEYS, map(float, row)))))
+        for i, row in enumerate(rows)
+    ]
+
+
+def _simplex(rng, count: int):
+    """Points on the 5-objective simplex, which are mutually non-dominated."""
+    return rng.dirichlet(np.ones(len(PARETO_KEYS)), size=count)
+
+
+def test_pareto_merge_race_shape(benchmark):
+    """45 merges of 8 additions into a standing front of 158 (race traffic).
+
+    Each addition is a front member scaled by a factor in [0.9, 1.3):
+    below 1 it displaces its source, otherwise it is dominated by it,
+    so the front keeps roughly its size, as a race's does.
+    """
+    rng = np.random.default_rng(0)
+    rows = _simplex(rng, 158)
+    standing = _candidates(rows)
+    batches = [
+        _candidates(rows[rng.integers(0, len(rows), 8)] * rng.uniform(0.9, 1.3, size=(8, 1)))
+        for _ in range(45)
+    ]
+
+    def setup():
+        frontier = Frontier(10, PARETO_KEYS)
+        frontier.merge(standing, standing)
+        return (frontier,), {}
+
+    def merges(frontier):
+        for batch in batches:
+            frontier.merge(batch, batch)
+        return frontier
+
+    frontier = benchmark.pedantic(merges, setup=setup, rounds=20)
+    assert 140 < len(frontier.pareto) < 180
+
+
+def test_pareto_merge_sweep_shape(benchmark):
+    """One 253-row merge into an empty front (exhaustive-sweep traffic)."""
+    rows = _simplex(np.random.default_rng(0), 236)
+    # The 17 extra rows are front rows scaled up, so each is dominated.
+    sweep = _candidates(np.vstack([rows, rows[:17] * 1.5]))
+
+    def merge():
+        frontier = Frontier(10, PARETO_KEYS)
+        frontier.merge(sweep, sweep)
+        return frontier
+
+    frontier = benchmark(merge)
+    assert len(frontier.pareto) == 236

@@ -6,7 +6,8 @@
   exact Pareto front of every usable point it scored;
 - :class:`Frontier` — the top-M + Pareto merge policy every searcher
   (serial, sharded, budgeted) keeps its results with;
-- :func:`pareto_front` — non-dominated filtering of designs;
+- :func:`pareto_front` — non-dominated filtering of designs (the one
+  vectorised dominance filter :class:`Frontier` merges with too);
 - :class:`EvaluationPipeline` — the batched + cached surrogate hot
   path every searcher routes its predictions through;
 - :class:`ParallelDSE` — sharded multiprocessing orchestrator with
@@ -38,13 +39,7 @@ from .parallel import (
     ShardResult,
     WorkerHooks,
 )
-from .pareto import (
-    DEFAULT_OBJECTIVE_KEYS,
-    dominates,
-    objective_keys_for,
-    pareto_front,
-    pareto_merge,
-)
+from .pareto import DEFAULT_OBJECTIVE_KEYS, objective_keys_for, pareto_front
 from .pipeline import (
     CompiledGNNEngine,
     EncodingCache,
@@ -80,14 +75,12 @@ __all__ = [
     "ParallelDSE",
     "ShardResult",
     "WorkerHooks",
-    "pareto_merge",
     "CompiledGNNEngine",
     "EncodingCache",
     "EvaluationPipeline",
     "PipelineStats",
     "UnsupportedModelError",
     "order_pragmas",
-    "dominates",
     "pareto_front",
     "DSECandidate",
     "DSEResult",

@@ -14,10 +14,18 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..designspace.space import DesignPoint, DesignSpace, point_key
 from ..model.predictor import GNNDSEPredictor, Prediction
 from .ordering import order_pragmas
-from .pareto import DEFAULT_OBJECTIVE_KEYS, objective_keys_for, pareto_front, pareto_merge
+from .pareto import (
+    DEFAULT_OBJECTIVE_KEYS,
+    objective_keys_for,
+    objective_matrix,
+    pareto_front,
+    pareto_merge,
+)
 from .pipeline import EvaluationPipeline, PipelineStats
 
 __all__ = ["PARETO_KEYS", "DSECandidate", "DSEResult", "Frontier", "ModelDSE"]
@@ -96,9 +104,12 @@ class Frontier:
     strategies' shared evaluator all go through it.  ``top`` holds the
     ``top_m`` usable candidates of lowest predicted latency, deduped by
     :func:`point_key` in first-seen order; ``pareto`` is the
-    first-seen-order :func:`pareto_merge` over ``keys``.  Both merges
-    are batch-boundary invariant, which is what makes sharded and
-    resumed sweeps bit-identical to the serial one.
+    first-seen-order non-dominated subset over ``keys``, kept row-aligned
+    with a float64 objective matrix so each merge is one
+    :func:`~repro.dse.pareto.pareto_merge` pass against the new
+    candidates only.  Both merges are batch-boundary invariant, which is
+    what makes sharded and resumed sweeps bit-identical to the serial
+    one.
 
     ``usable`` is the predicate :meth:`add` filters fresh candidates
     with; :meth:`merge` and :meth:`merge_top` take candidates that
@@ -116,16 +127,32 @@ class Frontier:
         self.usable = usable
         self.top: List[DSECandidate] = []
         self.pareto: List[DSECandidate] = []
+        self._objectives = np.empty((0, len(keys)), dtype=np.float64)
 
-    def add(self, scored: List[DSECandidate]) -> None:
-        """Merge freshly scored candidates, dropping the unusable ones."""
-        usable = [c for c in scored if self.usable(c)]
-        self.merge(usable, usable)
+    def add(self, scored: List[DSECandidate]) -> List[bool]:
+        """Merge freshly scored candidates, dropping the unusable ones.
 
-    def merge(self, top: List[DSECandidate], pareto: List[DSECandidate]) -> None:
-        """Merge usable candidates into the top-M list and the front."""
+        Returns, per scored candidate, whether it entered the front.
+        """
+        flags = [self.usable(c) for c in scored]
+        usable = [c for c, ok in zip(scored, flags) if ok]
+        entered = iter(self.merge(usable, usable))
+        return [ok and next(entered) for ok in flags]
+
+    def merge(self, top: List[DSECandidate], pareto: List[DSECandidate]) -> List[bool]:
+        """Merge usable candidates into the top-M list and the front.
+
+        Returns, per ``pareto`` candidate, whether it entered the front.
+        """
         self.merge_top(top)
-        self.pareto = pareto_merge(self.pareto, pareto, _candidate_objectives, self.keys)
+        if not pareto:
+            return []
+        additions = objective_matrix(pareto, _candidate_objectives, self.keys)
+        keep_front, keep_new = pareto_merge(self._objectives, additions)
+        keep = np.concatenate([keep_front, keep_new])
+        self.pareto = [c for c, kept in zip(self.pareto + pareto, keep.tolist()) if kept]
+        self._objectives = np.concatenate([self._objectives, additions])[keep]
+        return keep_new.tolist()
 
     def merge_top(self, candidates: List[DSECandidate]) -> None:
         """Merge usable candidates into the top-M list only."""

@@ -104,25 +104,10 @@ class BudgetedEvaluator:
         self.fit_threshold = fit_threshold
         self.memo: Dict[str, DSECandidate] = {}
         self.frontier = Frontier(top_m, PARETO_KEYS, self.usable)
-        self._front_keys: set = set()
-
-    # -- frontier bookkeeping ---------------------------------------------------
 
     def usable(self, candidate: DSECandidate) -> bool:
         p = candidate.prediction
         return p.valid and p.fits(self.fit_threshold)
-
-    def _admit(self, fresh: List[DSECandidate]) -> List[bool]:
-        """Merge newly evaluated candidates; flag the new front members."""
-        self.frontier.add(fresh)
-        front_keys = {point_key(c.point) for c in self.frontier.pareto}
-        flags = [
-            point_key(c.point) in front_keys
-            and point_key(c.point) not in self._front_keys
-            for c in fresh
-        ]
-        self._front_keys = front_keys
-        return flags
 
     # -- evaluation -------------------------------------------------------------
 
@@ -160,7 +145,9 @@ class BudgetedEvaluator:
             ]
             for key, candidate in zip(new_keys, fresh):
                 self.memo[key] = candidate
-            fresh_flags = dict(zip(new_keys, self._admit(fresh)))
+            # Fresh points are memo misses, so none was on the front
+            # before: entering it now is exactly what makes them novel.
+            fresh_flags = dict(zip(new_keys, self.frontier.add(fresh)))
         out: List[Optional[DSECandidate]] = []
         novel: List[bool] = []
         seen_in_call: set = set()

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.designspace import build_design_space
-from repro.dse import ModelDSE, dominates, order_pragmas, pareto_front
+from repro.dse import ModelDSE, order_pragmas, pareto_front
 from repro.frontend.pragmas import PragmaKind
 from repro.kernels import get_kernel
 from repro.model.predictor import Prediction
+from tests.pareto_oracle import dominates
 
 
 class TestOrdering:

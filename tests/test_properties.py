@@ -10,6 +10,7 @@ from repro.frontend.pragmas import PipelineOption
 from repro.model import TargetNormalizer
 from repro.nn import Segments, Tensor, concat, stack_max
 from repro.nn.tensor import IndexPlan
+from tests.pareto_oracle import dominates
 
 # -- numeric strategies ------------------------------------------------------
 
@@ -162,8 +163,6 @@ class TestParetoProperties:
         items = [{"latency": a, "DSP": b} for a, b in pairs]
         front = pareto_front(items, lambda x: x, keys=("latency", "DSP"))
         assert front  # never empty
-        from repro.dse import dominates
-
         for member in front:
             assert not any(
                 dominates(other, member, ("latency", "DSP")) for other in items
