@@ -7,7 +7,9 @@ standing in for the minutes-to-hours real tool — runs fast enough to
 generate thousands-of-designs databases.  The Pareto-merge benchmarks
 time the DSE's running front on the two traffic shapes of the repo
 benchmark: many small merges into a standing front (strategy race) and
-one whole-sweep merge into an empty front (exhaustive sweep).
+one whole-sweep merge into an empty front (exhaustive sweep).  The
+row-memo benchmark times the exhaustive gesummv forward with the
+pipeline's conv-row memo at its default budget and with none.
 """
 
 import random
@@ -15,13 +17,19 @@ import random
 import numpy as np
 import pytest
 
+import repro.dse.pipeline as pipeline_module
 from repro.designspace import build_design_space
-from repro.dse import PARETO_KEYS, DSECandidate, Frontier
+from repro.dse import PARETO_KEYS, DSECandidate, EvaluationPipeline, Frontier
+from repro.explorer.database import Database
 from repro.frontend.pragmas import PipelineOption
 from repro.graph import encode_kernel
+from repro.graph.encoding import EDGE_DIM, NODE_DIM
 from repro.hls import MerlinHLSTool
 from repro.kernels import get_kernel
-from repro.model.predictor import Prediction
+from repro.model.config import BRAM_OBJECTIVE, MODEL_CONFIGS, REGRESSION_OBJECTIVES
+from repro.model.dataset import GraphDatasetBuilder
+from repro.model.models import build_model
+from repro.model.predictor import GNNDSEPredictor, Prediction
 
 
 @pytest.fixture(scope="module")
@@ -129,3 +137,36 @@ def test_pareto_merge_sweep_shape(benchmark):
 
     frontier = benchmark(merge)
     assert len(frontier.pareto) == 236
+
+
+@pytest.fixture(scope="module")
+def untrained_m7():
+    """A deterministic untrained M7 stack: the forward's cost does not
+    depend on what the weights learned."""
+    builder = GraphDatasetBuilder(Database())
+    config = MODEL_CONFIGS["M7"]
+    return GNNDSEPredictor(
+        build_model(config.for_task("classification"), NODE_DIM, EDGE_DIM, seed=0),
+        build_model(config.for_task("regression", REGRESSION_OBJECTIVES), NODE_DIM, EDGE_DIM, seed=1),
+        build_model(config.for_task("regression", BRAM_OBJECTIVE), NODE_DIM, EDGE_DIM, seed=2),
+        builder.normalizer,
+        builder,
+    )
+
+
+@pytest.mark.parametrize("budget", ["default", "none"])
+def test_row_memo_sweep_forward(benchmark, monkeypatch, untrained_m7, budget):
+    """gesummv's 253-point exhaustive forward (classifier and regressors,
+    batches of 24) from a cleared cache, with the default conv-row memo
+    budget and with a zero budget, which keeps only in-chunk reuse."""
+    if budget == "none":
+        monkeypatch.setattr(pipeline_module, "ROW_MEMO_BYTES", 0)
+    points = list(build_design_space(get_kernel("gesummv")).enumerate())
+    pipeline = EvaluationPipeline(untrained_m7, batch_size=24)
+    expected = pipeline.predict_batch("gesummv", points)  # compile and warm
+
+    def sweep():
+        pipeline.clear_cache()
+        return pipeline.predict_batch("gesummv", points)
+
+    assert benchmark(sweep) == expected

@@ -20,7 +20,16 @@ module turns the point-by-point reference path into a pipeline:
    the template's receptive-field plan lists, per layer, the rows (and
    their in-edges) a candidate can change; every other row reuses base
    activations computed once per engine.  On gesummv the plan keeps
-   6/15/25/49/89/117 of 131 rows across the six layers.
+   6/15/25/49/89/117 of 131 rows across the six layers.  A planned
+   row's output depends only on the pragma values inside its receptive
+   field, so a pipeline-wide row memo (:class:`_RowMemo`) keyed by
+   (layer, row, those values) lets a chunk compute only the rows no
+   earlier point of the pipeline's life computed: on an exhaustive
+   gesummv sweep that is 54% of them.  The memo holds at most
+   :data:`ROW_MEMO_BYTES` with least-recently-used eviction, is shared
+   by every capacity template of a kernel, and lives until
+   :meth:`EvaluationPipeline.clear_cache` or the pipeline does.  Its
+   exactness leans on the three BLAS rules of :class:`CompiledGNNEngine`.
 3. **Classifier-first cascade** — searches only consume regression
    objectives of *valid* candidates, so ``objectives_for="valid"``
    skips the two regression forwards for points the classifier rejects.
@@ -88,6 +97,27 @@ _OBS_BATCHES = counter("pipeline.batches")
 _OBS_CACHE_HITS = counter("pipeline.cache_hits")
 _OBS_CACHE_MISSES = counter("pipeline.cache_misses")
 _OBS_BATCH_FILL = histogram("pipeline.batch_fill")
+_OBS_ROWS_REUSED = counter("pipeline.rows_reused")
+
+#: Byte budget of a pipeline's conv-row memo (:class:`_RowMemo`).  At
+#: float32 with 64-wide max-JK layers an entry slot is 512 bytes, so
+#: this holds 16,384 rows: an exhaustive gesummv sweep keeps every
+#: reusable row at about 6 MB across the three models.
+ROW_MEMO_BYTES = 8 << 20
+
+#: The engines that always see the same points: one memo entry, one
+#: set of per-chunk index tables each.
+_ENGINE_GROUPS = (("classifier",), ("regressor", "bram_regressor"))
+
+#: Row blocks of the stacked projections: at most ``_MAX_BLOCK`` rows
+#: and ``_BLOCK_WORK`` multiply-adds per product.  OpenBLAS runs larger
+#: products on a second thread, which then spins between calls.
+_MAX_BLOCK = 64
+_BLOCK_WORK = 1 << 19
+
+#: Low bits of a row-memo index entry hold the slot, the rest its generation.
+_SLOT_BITS = 24
+_SLOT_MASK = (1 << _SLOT_BITS) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +134,8 @@ class PipelineStats:
     cache_hits: int = 0
     cache_misses: int = 0
     cascade_skipped: int = 0  #: points whose regression forwards were skipped
+    rows_computed: int = 0  #: conv-layer rows computed (distinct memo keys missed)
+    rows_reused: int = 0  #: planned conv-layer rows taken from the row memo or a chunk twin
     padded_slots: int = 0  #: always 0 since right-sized chunk templates; kept for schema stability
     encode_seconds: float = 0.0  #: template fill + pragma patching
     inference_seconds: float = 0.0  #: model forward passes
@@ -117,6 +149,10 @@ class PipelineStats:
     def cache_hit_rate(self) -> float:
         seen = self.cache_hits + self.cache_misses
         return self.cache_hits / seen if seen else 0.0
+
+    def row_reuse_rate(self) -> float:
+        rows = self.rows_computed + self.rows_reused
+        return self.rows_reused / rows if rows else 0.0
 
     def __sub__(self, other: "PipelineStats") -> "PipelineStats":
         out = PipelineStats(engine=self.engine)
@@ -143,6 +179,7 @@ class PipelineStats:
         out: Dict[str, object] = {f.name: getattr(self, f.name) for f in fields(self)}
         out["points_per_second"] = self.points_per_second()
         out["cache_hit_rate"] = self.cache_hit_rate()
+        out["row_reuse_rate"] = self.row_reuse_rate()
         return out
 
     def summary(self) -> str:
@@ -150,7 +187,8 @@ class PipelineStats:
             f"{self.points:,} pts in {self.wall_seconds:.2f}s "
             f"({self.points_per_second():,.0f} pts/s, {self.engine}) | "
             f"{self.batches} batches, cache {self.cache_hits}/{self.cache_hits + self.cache_misses} hit, "
-            f"{self.cascade_skipped} regression-skipped | "
+            f"{self.cascade_skipped} regression-skipped, "
+            f"rows {100 * self.row_reuse_rate():.0f}% reused | "
             f"encode {self.encode_seconds:.2f}s infer {self.inference_seconds:.2f}s "
             f"materialize {self.materialize_seconds:.2f}s"
         )
@@ -161,46 +199,73 @@ class PipelineStats:
 
 
 class _LayerPlan:
-    """One conv layer's share of a :class:`_Plan`, tiled over the copies.
+    """One conv layer's share of a :class:`_Plan`.
 
-    The layer reads ``n_in`` changed input rows per copy and writes
-    ``n_out`` changed output rows (``rows``: a prefix of the plan order).
-    Its projection tables hold the ``capacity * n_in`` recomputed rows,
-    copy by copy, followed by the ``num_nodes`` base rows shared by every
-    copy; ``q_idx``/``kv_idx``/``self_idx`` index those tables for each
-    planned edge's destination, each planned edge's source, and each
-    planned row.  ``csr`` sums planned edges into planned rows.
+    The layer reads ``n_in`` changed input rows and writes ``n_out``
+    changed output rows (``rows``: a prefix of the plan order).
+    ``edges`` lists the planned rows' in-edges, grouped by row in plan
+    order (``degree`` edges from ``edge_start``) and kept in the
+    dst-sorted (reference) order within each row.  An input *column* is
+    a plan position ``< n_in`` (a changed row) or ``n_in + node`` (an
+    unchanged base row): ``self_col`` per planned row, ``src_col`` per
+    edge source.  ``rf`` lists, per planned row, the pragma columns
+    inside its receptive field, padded with the column count.
     """
 
     def __init__(self, plan: "_Plan", n_in: int, n_out: int):
-        B = plan.capacity
         self.n_in, self.n_out = n_in, n_out
         self.rows = plan.order[:n_out]
-        # In-edges of the planned rows, grouped by row in plan order and
-        # kept in the dst-sorted (reference) order within each row.
         starts = plan.indptr[self.rows]
-        degree = plan.indptr[self.rows + 1] - starts
-        first = np.concatenate([[0], np.cumsum(degree)[:-1]])
-        self.edges = np.repeat(starts - first, degree) + np.arange(degree.sum())
-        src, dst = plan.src[self.edges], plan.dst[self.edges]
-        copies = np.arange(B, dtype=np.int64)[:, None]
-
-        def table(nodes):
-            pos = plan.pos[nodes]
-            return np.where(pos < n_in, copies * n_in + pos, B * n_in + nodes).ravel()
-
-        self.q_idx = table(dst)
-        self.kv_idx = table(src)
-        self.self_idx = table(self.rows)
-        self.dst_loc = (copies * n_out + plan.pos[dst]).ravel()
-        counts = np.tile(degree, B)
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        self.seg_nonempty = counts > 0
-        self.seg_starts = indptr[:-1][self.seg_nonempty]
-        self.csr = sp.csr_matrix(
-            (np.ones(indptr[-1], dtype=np.float32), np.arange(indptr[-1]), indptr),
-            shape=(B * n_out, indptr[-1]),
+        self.degree = plan.indptr[self.rows + 1] - starts
+        self.edge_start = np.cumsum(self.degree) - self.degree
+        self.edges = np.repeat(starts - self.edge_start, self.degree) + np.arange(
+            self.degree.sum()
         )
+        self.src_pos = plan.pos[plan.src[self.edges]]
+        planned = np.arange(n_out)
+        self.self_col = np.where(planned < n_in, planned, n_in + self.rows)
+        self.src_col = np.where(
+            self.src_pos < n_in, self.src_pos, n_in + plan.src[self.edges]
+        )
+        self.rf = np.empty((n_out, 0), dtype=np.int64)
+
+    def ragged(self, copies, pos, in_map, head: int, num_nodes: int) -> "_Ragged":
+        """Index tables for computing planned rows ``pos`` of ``copies``.
+
+        ``in_map[copy, p]`` is the projection-table row of input
+        position ``p < n_in``; base rows start at table row ``head``.
+        """
+        r = _Ragged()
+        r.S = pos.size
+        degree = self.degree[pos]
+        r.indptr = np.zeros(r.S + 1, dtype=np.int32)
+        np.cumsum(degree, out=r.indptr[1:])
+        r.E = E = int(r.indptr[-1])
+        r.seg = np.repeat(np.arange(r.S), degree)
+        r.edges = np.arange(E) + np.repeat(self.edge_start[pos] - r.indptr[:-1], degree)
+        r.nonempty = degree > 0
+        r.starts = r.indptr[:-1][r.nonempty]
+        table = np.empty((in_map.shape[0], self.n_in + num_nodes), dtype=np.int64)
+        table[:, : self.n_in] = in_map
+        table[:, self.n_in:] = head + np.arange(num_nodes)
+        r.self_t = table[copies, self.self_col[pos]]
+        r.src_t = table[copies[r.seg], self.src_col[r.edges]]
+        r.q_t = r.self_t[r.seg]
+        r.csr = sp.csr_matrix(
+            (np.ones(E, dtype=np.float32), np.arange(E, dtype=np.int32), r.indptr),
+            shape=(r.S, E),
+        )
+        # Rule 2: the gate runs per copy that has a computed row.
+        gated = np.zeros(in_map.shape[0], dtype=bool)
+        gated[copies] = True
+        r.gated = int(np.count_nonzero(gated))
+        r.gate_copy = (np.cumsum(gated) - 1)[copies]
+        r.node = self.rows[pos]
+        return r
+
+
+class _Ragged:
+    """Per-chunk index tables of one layer (see :meth:`_LayerPlan.ragged`)."""
 
 
 class _Plan:
@@ -210,25 +275,24 @@ class _Plan:
     self-loop) and its in-neighbours, so the changed set grows by one
     out-hop per layer; every other row keeps its base activation.  Rows
     are ordered seeds first, then the rows each later layer adds, so each
-    layer's changed set is a prefix of :attr:`order`.  Layers are planned
-    on first use (:meth:`layer`).
+    layer's changed set is a prefix of :attr:`order`.  The plan is the
+    same at every batch capacity.  Layers are planned on first use
+    (:meth:`layer`), each with the receptive fields of its rows over the
+    ``pragma_rows`` columns.
     """
 
-    def __init__(self, src, dst, num_nodes: int, seeds, capacity: int):
+    def __init__(self, src, dst, num_nodes: int, seeds, pragma_rows=()):
         self.src, self.dst = src, dst  # one copy's edges, stably dst-sorted
-        self.num_nodes, self.capacity = num_nodes, capacity
+        self.num_nodes = num_nodes
         self.indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(dst, minlength=num_nodes))]
         )
-        seeds = np.unique(np.asarray(seeds, dtype=np.int64))
-        if seeds.size < 2 <= num_nodes:
-            # Rule 1: a one-row product takes BLAS's gemv path and differs
-            # from the reference's N-row gemm; widen to two rows.
-            spare = np.setdiff1d(np.arange(num_nodes), seeds)[: 2 - seeds.size]
-            seeds = np.union1d(seeds, spare)
-        self.seeds = self.order = seeds
+        self.seeds = self.order = np.unique(np.asarray(seeds, dtype=np.int64))
         self.pos = np.full(num_nodes, num_nodes, dtype=np.int64)
-        self.pos[seeds] = np.arange(seeds.size)
+        self.pos[self.seeds] = np.arange(self.seeds.size)
+        pragma_rows = np.asarray(pragma_rows, dtype=np.int64)
+        self.num_pragmas = pragma_rows.size
+        self._rf = self.seeds[:, None] == pragma_rows[None, :]
         self._layers: List[_LayerPlan] = []
 
     def layer(self, li: int) -> _LayerPlan:
@@ -239,7 +303,19 @@ class _Plan:
             new = reached[~changed[reached]]
             self.pos[new] = n_in + np.arange(new.size)
             self.order = np.concatenate([self.order, new])
-            self._layers.append(_LayerPlan(self, n_in, self.order.size))
+            lp = _LayerPlan(self, n_in, self.order.size)
+            # A row's receptive field: its own and its in-neighbours' fields
+            # one layer down (a base row's field is empty).
+            rf = np.zeros((lp.n_out, self.num_pragmas), dtype=bool)
+            rf[:n_in] = self._rf
+            read = lp.src_pos < n_in
+            dst_pos = np.repeat(np.arange(lp.n_out), lp.degree)
+            np.logical_or.at(rf, dst_pos[read], self._rf[lp.src_pos[read]])
+            self._rf = rf
+            cols = np.where(rf, np.arange(self.num_pragmas), self.num_pragmas)
+            cols.sort(axis=1)
+            lp.rf = cols[:, : rf.sum(axis=1).max(initial=0)]
+            self._layers.append(lp)
         return self._layers[li]
 
 
@@ -253,11 +329,12 @@ class _BatchTemplate:
     self-loop after its real in-edges (with exactly-zero edge features),
     reducing the real edges first and folding the self contribution in
     afterwards reproduces the reference segment sums
-    association-for-association.  ``plan`` seeds the receptive-field
-    :class:`_Plan` with the pragma rows.
+    association-for-association.  ``plan`` is the receptive-field
+    :class:`_Plan` seeded with the pragma rows; templates of one kernel
+    at different capacities may share it.
     """
 
-    def __init__(self, enc: EncodedGraph, capacity: int, dtype):
+    def __init__(self, enc: EncodedGraph, capacity: int, dtype, plan: Optional[_Plan] = None):
         self.enc = enc
         self.capacity = capacity
         self.dtype = np.dtype(dtype)
@@ -277,13 +354,154 @@ class _BatchTemplate:
         self.node_starts = node_indptr[:-1]
         self.graph_ids = np.repeat(np.arange(capacity, dtype=np.int64), N)
         self.x = np.tile(enc.x_base.astype(self.dtype), (capacity, 1))
-        self.plan = _Plan(self.src, self.dst, N, enc.pragma_row_order, capacity)
-        self.seed_rows = (self.plan.seeds[None, :] + node_indptr[:-1, None]).ravel()
+        pragma_rows = enc.pragma_row_order
+        if plan is None:
+            plan = _Plan(self.src, self.dst, N, pragma_rows, pragma_rows)
+        self.plan = plan
+        self.seed_rows = (plan.seeds[None, :] + node_indptr[:-1, None]).ravel()
+        self.pragma_cells = (pragma_rows[None, :] + node_indptr[:-1, None]).ravel()
 
     def set_point(self, slot: int, point: DesignPoint) -> None:
         """Write one candidate's pragma features into a template slot."""
         rows, values = self.enc.pragma_patch(point)
         self.x[slot * self.num_nodes + rows, PRAGMA_FEATURE_SLICE] = values
+
+
+# ---------------------------------------------------------------------------
+# conv-row memo
+
+
+class _RowMemo:
+    """Conv-layer rows memoised across design points, under a byte budget.
+
+    Only pragma features vary between design points, so a row's output
+    after conv layer ``l`` is a function of the pragma values in its
+    receptive field (:attr:`_LayerPlan.rf`).  :meth:`keys` turns each
+    (copy, planned row) of a filled template into a key: the row's plan
+    position followed by a small integer code per receptive-field pragma,
+    interned from the pragma's feature block.  A key of at most 8 bytes
+    is one int64; a longer one is a fixed-width byte string, which
+    cannot overflow.
+
+    Entries live in one preallocated slab of ``budget // slot bytes``
+    slots shared by every memo id of the pipeline: a kernel, a device
+    and an engine group (the classifier, or the regressor pair, whose
+    values share a slot).  Each layer of a memo id has a sorted key
+    index; a slot taken over by another entry bumps its generation,
+    which retires the old index entry.  A new entry takes the least
+    recently used slot, so a budget too small for one chunk only costs
+    reuse, never results: engines copy what they read out of the slab
+    before they store.
+    """
+
+    def __init__(self, budget: int, width: int, dtype):
+        dtype = np.dtype(dtype)
+        self.slot_bytes = width * dtype.itemsize
+        slots = min(max(int(budget), 0) // self.slot_bytes, _SLOT_MASK + 1)
+        self.slab = np.empty((slots, width), dtype=dtype)
+        self.stamp = np.full(slots, -1, dtype=np.int64)  # last use; -1: free
+        self.gen = np.zeros(slots, dtype=np.int64)
+        self.tick = 0
+        self._free = np.arange(slots)
+        self._index: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
+        self._codes: Dict[tuple, List[Dict[bytes, int]]] = {}
+        self._code_dtype: Dict[tuple, np.dtype] = {}
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by live entries."""
+        return int(np.count_nonzero(self.stamp >= 0)) * self.slot_bytes
+
+    def clear(self) -> None:
+        self._index.clear()
+        self._codes.clear()
+        self._code_dtype.clear()
+        self.stamp[:] = -1
+        self._free = np.arange(self.stamp.size)
+
+    def keys(self, kid: tuple, template: _BatchTemplate, layers: int):
+        """Per layer: the chunk's distinct row keys (sorted), each key's
+        first (copy * n_out + row) occurrence, and every pair's key index."""
+        B, plan = template.capacity, template.plan
+        codes = self._encode(kid, template)
+        row_t = np.min_scalar_type(plan.num_nodes)
+        out = []
+        for li in range(layers):
+            lp = plan.layer(li)
+            code = codes[:, lp.rf].view(np.uint8)
+            width = row_t.itemsize + code.shape[2]
+            packed = np.zeros((B, lp.n_out, max(width, 8)), dtype=np.uint8)
+            packed[:, :, : row_t.itemsize] = (
+                np.arange(lp.n_out, dtype=row_t).view(np.uint8).reshape(lp.n_out, row_t.itemsize)
+            )
+            packed[:, :, row_t.itemsize:width] = code
+            keys = packed.view("<i8" if width <= 8 else f"S{width}").reshape(-1)
+            out.append(np.unique(keys, return_index=True, return_inverse=True))
+        return out
+
+    def _encode(self, kid: tuple, template: _BatchTemplate) -> np.ndarray:
+        """Each copy's pragma codes, ``(copies, pragmas + 1)``; the last
+        column is the padding code of :attr:`_LayerPlan.rf`."""
+        B, P = template.capacity, template.plan.num_pragmas
+        blocks = np.ascontiguousarray(template.x[template.pragma_cells, PRAGMA_FEATURE_SLICE])
+        blocks = blocks.view(f"S{blocks.shape[1] * blocks.itemsize}").reshape(B, P)
+        tables = self._codes.setdefault(kid, [{} for _ in range(P)])
+        codes = np.zeros((B, P + 1), dtype=np.int64)
+        for j, table in enumerate(tables):
+            codes[:, j] = [table.setdefault(v, len(table)) for v in blocks[:, j].tolist()]
+        dtype = np.min_scalar_type(max((len(t) for t in tables), default=0))
+        if self._code_dtype.setdefault(kid, dtype) != dtype:
+            # Wider codes change every key's width: drop the kernel's entries.
+            self._code_dtype[kid] = dtype
+            for key in [k for k in self._index if k[0][: len(kid)] == kid]:
+                del self._index[key]
+        return codes.astype(dtype)
+
+    def lookup(self, key: tuple, keys: np.ndarray) -> np.ndarray:
+        """Slot of each (sorted) key, ``-1`` if not held; marks hits used."""
+        found = np.full(keys.size, -1, dtype=np.int64)
+        entry = self._index.get(key)
+        if entry is None:
+            return found
+        index, refs = entry
+        at = np.minimum(np.searchsorted(index, keys), index.size - 1)
+        slots = refs[at] & _SLOT_MASK
+        hit = (index[at] == keys) & (refs[at] >> _SLOT_BITS == self.gen[slots])
+        found[hit] = slots[hit]
+        self.stamp[found[hit]] = self.tick
+        return found
+
+    def insert(self, key: tuple, keys: np.ndarray) -> np.ndarray:
+        """Slots for the last ``n`` of the (sorted, absent) ``keys``, all
+        that fit, taking the least recently used; the caller fills them."""
+        n = min(keys.size, self.stamp.size)
+        if n == 0:
+            return np.empty(0, dtype=np.int64)
+        keys = keys[keys.size - n:]
+        if self._free.size < n:
+            # Evict the least recently used slots in bulk, at least an
+            # eighth of the slab, so selecting them is paid rarely.
+            k = min(self.stamp.size, self._free.size + max(n, self.stamp.size // 8))
+            victims = np.argpartition(self.stamp, k - 1)[:k]
+            self.gen[victims] += 1
+            self.stamp[victims] = -1
+            self._free = victims
+        slots, self._free = self._free[:n], self._free[n:]
+        self.stamp[slots] = self.tick
+        # An index entry is its key and its slot tagged with the slot's
+        # generation; an entry whose slot moved on is stale.  A new entry
+        # goes before any stale one with the same key, where lookups land.
+        refs = self.gen[slots] << _SLOT_BITS | slots
+        entry = self._index.get(key)
+        if entry is not None:
+            index, old = entry
+            if index.size > self.stamp.size:
+                live = old >> _SLOT_BITS == self.gen[old & _SLOT_MASK]
+                index, old = index[live], old[live]
+            at = np.searchsorted(index, keys)
+            keys, refs = np.insert(index, at, keys), np.insert(old, at, refs)
+        self._index[key] = (keys, refs)
+        return slots
 
 
 # ---------------------------------------------------------------------------
@@ -318,17 +536,22 @@ def _run_mlp(weights, x: np.ndarray) -> np.ndarray:
 
 
 class _Workspace:
-    """Reusable zero-initialised scratch buffers keyed by (tag, layer)."""
+    """Reusable scratch buffers keyed by tag.
+
+    A chunk's ragged shapes vary in their leading (row) dimension only,
+    so each key keeps one buffer, grown to the most rows any chunk has
+    asked for (at most the capacity's), and hands out its leading rows.
+    """
 
     def __init__(self):
         self._bufs: Dict[tuple, np.ndarray] = {}
 
     def get(self, key, shape, dtype) -> np.ndarray:
         buf = self._bufs.get(key)
-        if buf is None or buf.shape != shape or buf.dtype != dtype:
-            buf = np.zeros(shape, dtype=dtype)
-            self._bufs[key] = buf
-        return buf
+        if (buf is None or buf.shape[0] < shape[0] or buf.shape[1:] != tuple(shape[1:])
+                or buf.dtype != dtype):
+            buf = self._bufs[key] = np.zeros(shape, dtype=dtype)
+        return buf[: shape[0]]
 
 
 class CompiledGNNEngine:
@@ -341,33 +564,51 @@ class CompiledGNNEngine:
     the pipeline can fall back to the reference path.
 
     A design point changes only its pragma rows, and each conv layer
-    spreads a change by one hop, so the forward recomputes at layer
-    ``l`` only the rows of the template's :class:`_Plan` (the ``l``-hop
-    out-neighbourhood of the pragma rows) and their in-edges.  Every
-    other row keeps its *base* activation, which is the same in every
-    copy and for every point.  The base arrays come from one run of the
-    same conv code at capacity 1 with every row planned, on the neutral
-    features: its projections become the shared base rows of the
-    projection tables, and its layer outputs the unplanned rows of the
-    jumping-knowledge and pooling input.
+    spreads a change by one hop, so at layer ``l`` only the rows of the
+    template's :class:`_Plan` (the ``l``-hop out-neighbourhood of the
+    pragma rows) can differ from their *base* activation, which is the
+    same in every copy and for every point.  The base arrays come from
+    one all-rows forward of one copy on the neutral features: its
+    projections become the shared base rows of the projection tables,
+    and its layer outputs the unplanned rows of the jumping-knowledge and
+    pooling input.
+
+    A planned row's output after layer ``l`` depends only on the pragma
+    values in its receptive field, so :func:`_forward_group` computes a
+    layer only for the distinct (layer, row, receptive-field values)
+    keys the pipeline's :class:`_RowMemo` does not hold: their in-edges'
+    attention and aggregation (:meth:`_layer`), over the projections of
+    the chunk's input rows (computed or memoised one layer down).  An
+    entry holds the row's output and its running jumping-knowledge max,
+    or the jumping-knowledge row alone on the last layer.  The memo is
+    the pipeline's: at most :data:`ROW_MEMO_BYTES`, least recently used
+    out first, shared by every capacity's engines, and emptied by
+    :meth:`EvaluationPipeline.clear_cache`.  Pooling and heads run per
+    point (:meth:`_readout`).
 
     Bit-identity with the eager per-point path rests on three rules
     about BLAS (OpenBLAS, measured):
 
     1. A gemm output row does not depend on the row count when the
-       per-copy product has at least 2 rows; a 1-row product takes the
-       gemv path and differs, so the plan widens a 1-row seed set to 2.
+       product has at least 2 rows; a 1-row product takes the gemv path
+       and differs.  So the projections of a chunk's input rows run as
+       products over padded row blocks of 2 to ``_MAX_BLOCK`` rows.
     2. Products with a single output column (the beta gate, the last
        layer of the pooling and head MLPs) do depend on the row count and
-       on the row's position, so they run at the full per-copy shape.
+       on the row's position, so they run at the full per-copy shape: the
+       gate of every copy with a missed row covers all of its rows.
     3. The segment max and the CSR sums reduce the same segments in the
-       same order, whatever other segments are present.
+       same order, whatever other segments are present, so the ragged
+       per-chunk edge tables leave each row's reductions unchanged.
+
+    Together they make a row's output independent of the batch, the
+    slot and the other rows computed with it, so a memoised row is the
+    row the eager path computes.
     """
 
     def __init__(self, model, template: _BatchTemplate):
         self.template = template
         self.dtype = template.dtype
-        self._ws = _Workspace()
         self._compile(model)
         self._fill_base()
 
@@ -387,6 +628,15 @@ class CompiledGNNEngine:
             "classification",
             "regression",
         )
+
+    @property
+    def num_layers(self) -> int:
+        return len(self._layers)
+
+    @property
+    def entry_width(self) -> int:
+        """Values per memo entry (the widest layer's)."""
+        return max(self._widths)
 
     def _compile(self, model) -> None:
         if not self.supports(model):
@@ -436,6 +686,13 @@ class CompiledGNNEngine:
             ))
         self._layers = layers
         self._jkn_mode = model.jkn.mode if model.jkn is not None else "last"
+        # Memo entry widths: output + running JK max below the last layer
+        # (max mode), the JK row alone on it.
+        last = len(layers) - 1
+        self._widths = [
+            L["out"] * (2 if self._jkn_mode == "max" and li < last else 1)
+            for li, L in enumerate(layers)
+        ]
         pool = model.pool
         if isinstance(pool, NodeAttentionPool):
             self._pool = dict(
@@ -452,14 +709,15 @@ class CompiledGNNEngine:
             self._heads = [_mlp_weights(h, dtype) for h in heads.heads]
         self._task = heads.task
 
-    def _tables(self, plan: _Plan, base=None) -> List[Dict[str, np.ndarray]]:
-        """Per-layer projection tables (recomputed rows, then base rows)
-        and the planned edges' edge-feature projections."""
+    def _tables(self, plan: _Plan, capacity: int, base=None) -> List[Dict[str, np.ndarray]]:
+        """Per-layer projection tables: room for the projected input rows
+        in whole row blocks, then the base rows from ``head``; plus the
+        planned edges' edge-feature projections."""
         tables = []
         for li, L in enumerate(self._layers):
             lp = plan.layer(li)
-            head = plan.capacity * lp.n_in
-            tab = {"ekv": L["edge_kv"][lp.edges]}
+            head = -(-capacity * lp.n_in // _MAX_BLOCK) * _MAX_BLOCK
+            tab = {"head": head, "ekv": L["edge_kv"][lp.edges]}
             for name, width in (("pq", L["out"]), ("pkv", 2 * L["out"]), ("pr", L["out"])):
                 tab[name] = np.zeros((head + plan.num_nodes, width), self.dtype)
                 if base is not None:
@@ -471,22 +729,30 @@ class CompiledGNNEngine:
         """Base arrays from one all-rows forward of one copy (see class doc)."""
         tpl, plan, dt = self.template, self.template.plan, self.dtype
         N = tpl.num_nodes
-        full = _Plan(tpl.src, tpl.dst, N, np.arange(N), capacity=1)
-        tables = self._tables(full)
-        outs = self._convs(full, tpl.enc.x_base.astype(dt)[None], tables, _Workspace())
-        # An all-rows plan keeps node order, so its recomputed rows are
-        # the base rows themselves.
+        full = _Plan(tpl.src, tpl.dst, N, np.arange(N))
+        tables = self._tables(full, 1)
+        ws, every = _Workspace(), np.arange(N)
+        h, outs = tpl.enc.x_base.astype(dt), []
+        for li, tab in enumerate(tables):
+            rag = full.layer(li).ragged(np.zeros(N, np.int64), every, every[None], tab["head"], N)
+            h = self._layer(li, tab, h, rag, ws).copy()
+            outs.append(h)
+        # An all-rows plan keeps node order, so its projected rows are the
+        # base rows themselves.
         base = [{k: tab[k][:N] for k in ("pq", "pkv", "pr")} for tab in tables]
-        self._tabs = self._tables(plan, base)
-        rows = plan.layer(len(self._layers) - 1).rows
+        self._tabs = self._tables(plan, tpl.capacity, base)
+        # Per planned row, the JK max over the layers before it is planned
+        # (-inf where there are none); rows planned at the layer's input
+        # take the running max stored one layer down instead.
+        self._jk_prefix = []
         if self._jkn_mode == "max":
             base_jk = np.maximum.reduce(outs)
-            # Per planned row, the max over the layers that leave it unchanged.
-            fixed = np.full((rows.size, base_jk.shape[1]), -np.inf, dtype=dt)
-            for li, o in enumerate(outs):
-                n = plan.layer(li).n_out
-                np.maximum(fixed[n:], o[rows[n:]], out=fixed[n:])
-            self._jk_fixed = fixed
+            for li in range(len(self._layers)):
+                lp = plan.layer(li)
+                prefix = np.full((lp.n_out, outs[0].shape[1]), -np.inf, dtype=dt)
+                for o in outs[:li]:
+                    np.maximum(prefix[lp.n_in:], o[lp.rows[lp.n_in:]], out=prefix[lp.n_in:])
+                self._jk_prefix.append(prefix)
         else:
             base_jk = outs[-1]
         self._jk = np.tile(base_jk, (tpl.capacity, 1))
@@ -495,135 +761,120 @@ class CompiledGNNEngine:
 
     @staticmethod
     def _proj(h: np.ndarray, W: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``h @ W + b`` computed one graph copy at a time.
-
-        ``h`` is ``(copies, rows, features)``; the batched 3-D matmul runs
-        one product per copy, so each has the per-copy shape the rules in
-        the class docstring are stated for: at least 2 planned rows for
-        the projections (rule 1), all of a copy's rows for the gate
-        (rule 2).
-        """
-        np.matmul(h, W, out=out.reshape(h.shape[0], h.shape[1], W.shape[1]))
+        """``h @ W + b`` into ``out``; a 3-D ``h`` runs one product per copy."""
+        np.matmul(h, W, out=out.reshape(h.shape[:-1] + (W.shape[1],)))
         out += b
         return out
 
-    def _convs(self, plan: _Plan, h: np.ndarray, tables, ws: _Workspace) -> List[np.ndarray]:
-        """The conv stack on the plan's rows.
-
-        ``h`` holds each copy's seed-row features, ``(copies, seeds,
-        features)``.  Returns each layer's output on its planned rows,
-        ``(copies * n_out, out_dim)`` in plan order.
-        """
+    def _layer(self, li: int, tab, inp: np.ndarray, rag: _Ragged, ws: _Workspace) -> np.ndarray:
+        """Conv layer ``li`` on the rows of ``rag``, reading the input
+        rows ``inp`` (projection-table rows ``0..len(inp)``).  Returns the
+        rows' outputs, ``(rows, out_dim)``, in workspace memory."""
+        L = self._layers[li]
         dt = self.dtype
-        B, N = plan.capacity, plan.num_nodes
-        outs = []
-        for li, (L, tab) in enumerate(zip(self._layers, tables)):
-            lp = plan.layer(li)
-            H, D, od = L["heads"], L["head_dim"], L["out"]
-            S, E = B * lp.n_out, B * lp.edges.size
-            head = B * lp.n_in
-            pq, pkv, pr = tab["pq"], tab["pkv"], tab["pr"]
-            self._proj(h, L["Wq"], L["bq"], pq[:head])
-            self._proj(h, L["Wkv"], L["bkv"], pkv[:head])
-            self._proj(h, L["Wr"], L["br"], pr[:head])
-            q = np.take(pq, lp.q_idx, axis=0, out=ws.get(("q", li), (E, od), dt), mode="clip")
-            kv = np.take(
-                pkv, lp.kv_idx, axis=0, out=ws.get(("kv", li), (E, 2 * od), dt), mode="clip"
-            )
-            kv.reshape(B, -1, 2 * od).__iadd__(tab["ekv"])
-            k = kv[:, :od]
-            v = kv[:, od:]
-            # (q · k) per head via multiply + pairwise sum, matching the
-            # reference ``(q * k).sum(axis=2)`` bit-for-bit (einsum uses a
-            # different accumulation order and drifts by ulps at float32).
-            prod = np.multiply(
-                q.reshape(E, H, D), k.reshape(E, H, D),
-                out=ws.get(("prod", li), (E, H, D), dt),
-            )
-            scores = prod.sum(axis=2, out=ws.get(("scores", li), (E, H), dt))
-            scores *= 1.0 / np.sqrt(D)
-            # Self-loop contributions on row-aligned arrays (self-loop edge
-            # features are exactly zero, so k/v are the projections themselves).
-            q_s, kv_s, root = (
-                np.take(proj, lp.self_idx, axis=0, out=ws.get((name, li), (S, proj.shape[1]), dt),
-                        mode="clip")
-                for name, proj in (("q_s", pq), ("kv_s", pkv), ("root", pr))
-            )
-            prod_s = np.multiply(
-                q_s.reshape(S, H, D), kv_s[:, :od].reshape(S, H, D),
-                out=ws.get(("prod_s", li), (S, H, D), dt),
-            )
-            s_self = prod_s.sum(axis=2, out=ws.get(("s_self", li), (S, H), dt))
-            s_self *= 1.0 / np.sqrt(D)
-            m = ws.get(("m", li), (S, H), dt)
-            m[:] = -np.inf
-            m[lp.seg_nonempty] = np.maximum.reduceat(scores, lp.seg_starts, axis=0)
-            np.maximum(m, s_self, out=m)
-            scores -= m[lp.dst_loc]
-            np.clip(scores, -60.0, 60.0, out=scores)
-            np.exp(scores, out=scores)
-            s_self -= m
-            np.clip(s_self, -60.0, 60.0, out=s_self)
-            np.exp(s_self, out=s_self)
-            denom = lp.csr @ scores
-            denom += s_self
-            denom += 1e-16
-            np.power(denom, -1.0, out=denom)
-            scores *= denom[lp.dst_loc]
-            s_self *= denom
-            v.reshape(E, H, D).__imul__(scores.reshape(E, H, 1))
-            agg = lp.csr @ v
-            agg.reshape(S, H, D).__iadd__(
-                s_self.reshape(S, H, 1) * kv_s[:, od:].reshape(S, H, D)
-            )
-            # Rule 2: the gate's single-column product runs over every row
-            # of each copy; only the planned rows' inputs and outputs are
-            # used (a gemv row reads no other row).
-            gi_s = ws.get(("gi_s", li), (B, lp.n_out, 3 * od), dt)
-            gi_s[..., :od] = agg.reshape(B, -1, od)
-            gi_s[..., od:2 * od] = root.reshape(B, -1, od)
-            np.subtract(gi_s[..., :od], gi_s[..., od:2 * od], out=gi_s[..., 2 * od:])
-            gi = ws.get(("gi",), (B, N, 3 * od), dt)
-            gi[:, lp.rows] = gi_s
-            gate_all = self._proj(gi, L["Wb"], L["bb"], ws.get(("gate",), (B, N, 1), dt))
-            gate = gate_all[:, lp.rows].reshape(S, 1)
-            np.clip(gate, -60.0, 60.0, out=gate)
-            np.negative(gate, out=gate)
-            np.exp(gate, out=gate)
-            gate += 1.0
-            np.divide(1.0, gate, out=gate)
-            out = ws.get(("out", li), (S, od), dt)
-            np.multiply(root, gate, out=out)
-            np.subtract(1.0, gate, out=gate)
-            agg *= gate
-            out += agg
-            neg = ws.get(("neg", li), (S, od), dt)
-            np.clip(out, -60.0, 0.0, out=neg)
-            np.exp(neg, out=neg)
-            neg -= 1.0
-            np.copyto(neg, out, where=out > 0)
-            h = neg.reshape(B, lp.n_out, od)
-            outs.append(neg)
-        return outs
+        H, D, od = L["heads"], L["head_dim"], L["out"]
+        S, E, seg = rag.S, rag.E, rag.seg
+        # The input rows go through the projections in blocks of ``blk``
+        # rows: at least 2 (rule 1), and few enough that each product
+        # stays single-threaded in BLAS, as the eager path's are.
+        M, K = inp.shape
+        blk = _MAX_BLOCK
+        while blk > 2 and blk * K * 2 * od > _BLOCK_WORK:
+            blk //= 2
+        nb = -(-M // blk)
+        h = ws.get(("h", K), (nb * blk, K), dt)
+        h[:M] = inp
+        h = h.reshape(nb, blk, K)
+        for name, W, b in (("pq", "Wq", "bq"), ("pkv", "Wkv", "bkv"), ("pr", "Wr", "br")):
+            self._proj(h, L[W], L[b], tab[name][: nb * blk])
+        pq, pkv, pr = tab["pq"], tab["pkv"], tab["pr"]
+        q = np.take(pq, rag.q_t, axis=0, out=ws.get(("q",), (E, od), dt), mode="clip")
+        kv = np.take(pkv, rag.src_t, axis=0, out=ws.get(("kv",), (E, 2 * od), dt), mode="clip")
+        kv += np.take(
+            tab["ekv"], rag.edges, axis=0, out=ws.get(("ekv",), (E, 2 * od), dt), mode="clip"
+        )
+        k = kv[:, :od]
+        v = kv[:, od:]
+        # (q · k) per head via multiply + pairwise sum, matching the
+        # reference ``(q * k).sum(axis=2)`` bit-for-bit (einsum uses a
+        # different accumulation order and drifts by ulps at float32).
+        prod = np.multiply(
+            q.reshape(E, H, D), k.reshape(E, H, D),
+            out=ws.get(("prod",), (E, H, D), dt),
+        )
+        scores = prod.sum(axis=2, out=ws.get(("scores",), (E, H), dt))
+        scores *= 1.0 / np.sqrt(D)
+        # Self-loop contributions on row-aligned arrays (self-loop edge
+        # features are exactly zero, so k/v are the projections themselves).
+        q_s, kv_s, root = (
+            np.take(proj, rag.self_t, axis=0, out=ws.get((name,), (S, proj.shape[1]), dt),
+                    mode="clip")
+            for name, proj in (("q_s", pq), ("kv_s", pkv), ("root", pr))
+        )
+        prod_s = np.multiply(
+            q_s.reshape(S, H, D), kv_s[:, :od].reshape(S, H, D),
+            out=ws.get(("prod_s",), (S, H, D), dt),
+        )
+        s_self = prod_s.sum(axis=2, out=ws.get(("s_self",), (S, H), dt))
+        s_self *= 1.0 / np.sqrt(D)
+        m = ws.get(("m",), (S, H), dt)
+        m[:] = -np.inf
+        if E:
+            m[rag.nonempty] = np.maximum.reduceat(scores, rag.starts, axis=0)
+        np.maximum(m, s_self, out=m)
+        scores -= m[seg]
+        np.clip(scores, -60.0, 60.0, out=scores)
+        np.exp(scores, out=scores)
+        s_self -= m
+        np.clip(s_self, -60.0, 60.0, out=s_self)
+        np.exp(s_self, out=s_self)
+        denom = rag.csr @ scores
+        denom += s_self
+        denom += 1e-16
+        np.power(denom, -1.0, out=denom)
+        scores *= denom[seg]
+        s_self *= denom
+        v.reshape(E, H, D).__imul__(scores.reshape(E, H, 1))
+        agg = rag.csr @ v
+        agg.reshape(S, H, D).__iadd__(
+            s_self.reshape(S, H, 1) * kv_s[:, od:].reshape(S, H, D)
+        )
+        # Rule 2: the gate's single-column product runs over every row of
+        # each copy with a computed row; only those rows' inputs and
+        # outputs are used (a gemv row reads no other row).
+        N = self.template.num_nodes
+        gi_s = ws.get(("gi_s",), (S, 3 * od), dt)
+        gi_s[:, :od] = agg
+        gi_s[:, od:2 * od] = root
+        np.subtract(agg, root, out=gi_s[:, 2 * od:])
+        gi = ws.get(("gi",), (rag.gated, N, 3 * od), dt)
+        at = (rag.gate_copy, rag.node)
+        gi[at] = gi_s
+        gate = self._proj(gi, L["Wb"], L["bb"], ws.get(("gate",), (rag.gated, N, 1), dt))[at]
+        np.clip(gate, -60.0, 60.0, out=gate)
+        np.negative(gate, out=gate)
+        np.exp(gate, out=gate)
+        gate += 1.0
+        np.divide(1.0, gate, out=gate)
+        out = ws.get(("out",), (S, od), dt)
+        np.multiply(root, gate, out=out)
+        np.subtract(1.0, gate, out=gate)
+        agg *= gate
+        out += agg
+        neg = ws.get(("neg",), (S, od), dt)
+        np.clip(out, -60.0, 0.0, out=neg)
+        np.exp(neg, out=neg)
+        neg -= 1.0
+        np.copyto(neg, out, where=out > 0)
+        return neg
 
-    def forward(self) -> np.ndarray:
-        """Run the compiled forward over the template's current features."""
-        tpl, ws, dt = self.template, self._ws, self.dtype
-        plan = tpl.plan
+    def _readout(self, jk_rows: np.ndarray) -> np.ndarray:
+        """Pooling and heads, per point, from the last layer's planned JK
+        rows ``(copies, n_out, out_dim)``."""
+        tpl = self.template
         B, N, NT = tpl.capacity, tpl.num_nodes, tpl.total_nodes
-        x = tpl.x[tpl.seed_rows].reshape(B, plan.seeds.size, tpl.x.shape[1])
-        outs = self._convs(plan, x, self._tabs, ws)
-        last = plan.layer(len(self._layers) - 1)
-        if self._jkn_mode == "max":
-            rows = ws.get(("jk_rows",), (B,) + self._jk_fixed.shape, dt)
-            rows[:] = self._jk_fixed
-            for li, o in enumerate(outs):
-                n = plan.layer(li).n_out
-                np.maximum(rows[:, :n], o.reshape(B, n, -1), out=rows[:, :n])
-        else:
-            rows = outs[-1].reshape(B, last.n_out, -1)
         jk3 = self._jk.reshape(B, N, -1)
-        jk3[:, last.rows] = rows
+        jk3[:, tpl.plan.layer(len(self._layers) - 1).rows] = jk_rows
         if self._pool["kind"] == "attention":
             s = _run_mlp(self._pool["score"], jk3).reshape(NT, -1)
             m = np.maximum.reduceat(s, tpl.node_starts, axis=0)
@@ -642,6 +893,75 @@ class CompiledGNNEngine:
         pooled3 = pooled.reshape(B, 1, pooled.shape[1])
         cols = [_run_mlp(w, pooled3).reshape(B, -1) for w in self._heads]
         return cols[0] if self._task == "classification" else np.concatenate(cols, axis=1)
+
+
+def _forward_group(
+    engines, memo: _RowMemo, memo_id: tuple, keys, ws: _Workspace
+) -> Tuple[List[np.ndarray], int, int]:
+    """Run ``engines`` (sharing one template) over the template's features.
+
+    ``keys`` are the template's row keys from :meth:`_RowMemo.keys`.  A
+    memo entry holds every engine's values side by side, so the engines
+    share one lookup, one set of ragged tables and one insert per layer.
+    Scratch comes from ``ws``, which every engine and capacity shares.
+    Returns each engine's outputs and the (computed, reused) row counts.
+    """
+    tpl = engines[0].template
+    plan, B, N = tpl.plan, tpl.capacity, tpl.num_nodes
+    offsets = np.cumsum([0] + [e.entry_width for e in engines])
+    memo.tick += 1
+    vals = [tpl.x[tpl.seed_rows]] * len(engines)
+    in_map = np.arange(B * plan.seeds.size).reshape(B, -1)
+    computed = reused = 0
+    for li in range(max(e.num_layers for e in engines)):
+        lp = plan.layer(li)
+        index, first, inverse = keys[li]
+        slots = memo.lookup((memo_id, li), index)
+        hit = slots >= 0
+        miss = np.flatnonzero(~hit)
+        if miss.size:
+            copies, pos = np.divmod(first[miss], lp.n_out)
+            rag = lp.ragged(copies, pos, in_map, engines[0]._tabs[li]["head"], N)
+            below = pos < lp.n_in
+            below_rows = in_map[copies[below], pos[below]]
+            stored = memo.insert((memo_id, li), index[miss])
+        prev = vals
+        vals = []
+        for e, engine, off in zip(range(len(engines)), engines, offsets):
+            if li >= engine.num_layers:
+                vals.append(prev[e])
+                continue
+            L = engine._layers[li]
+            od, width = L["out"], engine._widths[li]
+            v = ws.get(("vals", e, li % 2, width), (index.size, width), engine.dtype)
+            v[hit] = memo.slab[slots[hit], off:off + width]
+            if miss.size:
+                inp = prev[e][:, :od] if li else prev[e]
+                out = engine._layer(li, engine._tabs[li], inp, rag, ws)
+                if engine._jkn_mode == "max":
+                    # Running JK max: the one stored a layer down for rows
+                    # planned there, else the max over base rows.
+                    running = engine._jk_prefix[li][pos]
+                    if li:
+                        running[below] = prev[e][below_rows, od:]
+                    np.maximum(running, out, out=running)
+                    if li < engine.num_layers - 1:
+                        v[miss, :od] = out
+                        v[miss, od:] = running
+                    else:
+                        v[miss] = running
+                else:
+                    v[miss] = out
+                memo.slab[stored, off:off + width] = v[miss[miss.size - stored.size:]]
+            computed += miss.size
+            reused += B * lp.n_out - miss.size
+            vals.append(v)
+        in_map = inverse.reshape(B, lp.n_out)
+    outputs = []
+    for engine, v in zip(engines, vals):
+        last = engine.num_layers - 1
+        outputs.append(engine._readout(v[keys[last][2].reshape(B, -1)]))
+    return outputs, computed, reused
 
 
 # ---------------------------------------------------------------------------
@@ -732,6 +1052,10 @@ class EvaluationPipeline:
         self._device_name = getattr(self._device, "name", None)
         self._point_cache: Dict[str, Dict] = {}
         self._compiled: Dict[tuple, Dict[str, object]] = {}
+        self._plans: Dict[tuple, _Plan] = {}
+        self._dtype: Optional[np.dtype] = None
+        self._memo: Optional[_RowMemo] = None
+        self._ws = _Workspace()  # forward scratch, shared by every engine
         self._compile_failed = False
         # One evaluation at a time: the compiled engines share workspace
         # buffers and batch templates, and the point caches are plain
@@ -777,35 +1101,39 @@ class EvaluationPipeline:
         batches — the final chunk of a sweep, or a micro-batcher flush
         under light load — run a right-sized forward instead of padding
         up to ``batch_size`` and paying for dead slots.  The engine is
-        bit-identical at every capacity (per-copy gemms keep per-point
-        shapes), so chunk sizing never changes results.
+        bit-identical at every capacity (a row's output does not depend
+        on the batch), so chunk sizing never changes results, and the
+        templates of one kernel share one plan and one row memo.
         """
         models = self._predictor_models()
-        # Compile at the dtype the reference forward actually computes
-        # in: float32 graph features promoted by the parameter dtype.
-        # ``load_state_dict`` keeps each parameter's own dtype, so
-        # float64 weights come only from a float64 artifact or a
-        # float64 engine default; the promotion is exact, so matching
-        # it keeps the compiled path bit-identical.
-        dtype = np.dtype(get_default_dtype())
-        for model in models.values():
-            for param in model.parameters():
-                dtype = np.promote_types(dtype, param.data.dtype)
-        key = (kernel, self._device_name, dtype.str, capacity)
+        if self._dtype is None:
+            # Compile at the dtype the reference forward actually computes
+            # in: float32 graph features promoted by the parameter dtype.
+            # ``load_state_dict`` keeps each parameter's own dtype, so
+            # float64 weights come only from a float64 artifact or a
+            # float64 engine default; the promotion is exact, so matching
+            # it keeps the compiled path bit-identical.  The models never
+            # change under a pipeline (a new predictor gets a new one).
+            dtype = np.dtype(get_default_dtype())
+            for model in models.values():
+                for param in model.parameters():
+                    dtype = np.promote_types(dtype, param.data.dtype)
+            self._dtype = dtype
+        kid = (kernel, self._device_name)
+        key = kid + (capacity,)
         entry = self._compiled.get(key)
         if entry is not None:
             return entry
         for model in models.values():
             model.eval()
-        template = _BatchTemplate(self.encodings.get(kernel, self._device), capacity, dtype)
-        entry = {
-            "template": template,
-            "engines": {
-                name: CompiledGNNEngine(model, template)
-                for name, model in models.items()
-            },
-        }
-        self._compiled[key] = entry
+        enc = self.encodings.get(kernel, self._device)
+        template = _BatchTemplate(enc, capacity, self._dtype, self._plans.get(kid))
+        self._plans[kid] = template.plan
+        engines = {name: CompiledGNNEngine(model, template) for name, model in models.items()}
+        if self._memo is None:
+            width = max(sum(engines[n].entry_width for n in group) for group in _ENGINE_GROUPS)
+            self._memo = _RowMemo(ROW_MEMO_BYTES, width, self._dtype)
+        entry = self._compiled[key] = {"template": template, "engines": engines, "kid": kid}
         return entry
 
     # -- cache ------------------------------------------------------------------
@@ -817,8 +1145,11 @@ class EvaluationPipeline:
         return cache
 
     def clear_cache(self) -> None:
+        """Drop the point cache and the conv-row memo."""
         with self._lock:
             self._point_cache.clear()
+            if self._memo is not None:
+                self._memo.clear()
 
     def reset_stats(self) -> PipelineStats:
         """Return the cumulative stats and start a fresh window."""
@@ -964,7 +1295,9 @@ class EvaluationPipeline:
         Chunks are at most ``batch_size`` points; a partial chunk (the
         tail of a sweep, or a lightly-filled micro-batch from the
         server) gets a template compiled at its exact size, so no
-        forward pays for padded slots.
+        forward pays for padded slots.  The chunk's row keys are built
+        once and shared by the engines (the regressor pair sees the
+        same points).
         """
         outputs: Dict[str, List[np.ndarray]] = {name: [] for name in engine_names}
         with no_grad():
@@ -972,20 +1305,29 @@ class EvaluationPipeline:
                 chunk = points[start:start + self.batch_size]
                 entry = self._engines(kernel, len(chunk))
                 template = entry["template"]
-                engines = entry["engines"]
+                engines = [entry["engines"][name] for name in engine_names]
                 with span(
                     "pipeline.forward", kernel=kernel, chunk=len(chunk),
                     engines=",".join(engine_names),
-                ):
+                ) as sp:
                     t0 = time.perf_counter()
                     for slot, point in enumerate(chunk):
                         template.set_point(slot, point)
                     self.stats.encode_seconds += time.perf_counter() - t0
                     t0 = time.perf_counter()
-                    for name in engine_names:
-                        result = engines[name].forward()
+                    keys = self._memo.keys(
+                        entry["kid"], template, max(e.num_layers for e in engines)
+                    )
+                    results, computed, reused = _forward_group(
+                        engines, self._memo, entry["kid"] + tuple(engine_names), keys, self._ws
+                    )
+                    for name, result in zip(engine_names, results):
                         outputs[name].append(result[: len(chunk)].copy())
                     self.stats.inference_seconds += time.perf_counter() - t0
+                    sp.set(computed=computed, reused=reused)
+                self.stats.rows_computed += computed
+                self.stats.rows_reused += reused
+                _OBS_ROWS_REUSED.inc(reused)
                 self.stats.batches += 1
                 self.stats.model_points += len(chunk)
                 _OBS_BATCH_FILL.observe(len(chunk))
@@ -1023,9 +1365,10 @@ class EvaluationPipeline:
                 need_cls.append(i)
                 fresh_cls.add(id(record))
                 self.stats.cache_misses += 1
+        classifier, regressors = _ENGINE_GROUPS
         if need_cls:
             cls_out = self._forward_chunks(
-                kernel, [points[i] for i in need_cls], ["classifier"]
+                kernel, [points[i] for i in need_cls], classifier
             )["classifier"]
             for row, i in enumerate(need_cls):
                 records[i]["logits"] = cls_out[row]
@@ -1047,11 +1390,7 @@ class EvaluationPipeline:
                 need_reg.append(i)
                 fresh_reg.add(id(record))
         if need_reg:
-            reg_out = self._forward_chunks(
-                kernel,
-                [points[i] for i in need_reg],
-                ["regressor", "bram_regressor"],
-            )
+            reg_out = self._forward_chunks(kernel, [points[i] for i in need_reg], regressors)
             for row, i in enumerate(need_reg):
                 records[i]["reg"] = reg_out["regressor"][row]
                 records[i]["bram"] = reg_out["bram_regressor"][row]

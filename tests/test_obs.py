@@ -432,3 +432,12 @@ class TestPipelineIntegration:
         assert fill["count"] == pipeline.stats.batches
         # Validate the whole trace while we have a real one.
         validate_trace(trace_payload())
+
+    def test_forward_spans_carry_row_reuse(self, predictor):
+        REGISTRY.reset()
+        obs.enable()
+        pipeline = self._run(predictor, n=12)
+        forwards = [s for s in TRACER.finished_spans() if s.name == "pipeline.forward"]
+        assert sum(s.attrs["reused"] for s in forwards) == pipeline.stats.rows_reused > 0
+        assert sum(s.attrs["computed"] for s in forwards) == pipeline.stats.rows_computed > 0
+        assert REGISTRY.counters()["pipeline.rows_reused"] == pipeline.stats.rows_reused

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.dse.pipeline as pipeline_module
 from repro.designspace import build_design_space, point_key
 from repro.dse import (
     EvaluationPipeline,
@@ -131,8 +132,12 @@ class TestEquivalence:
         predictor = make_predictor(seed=3, config_name=config_name)
         points = sample_points("mvt", 5, seed=11)
         expected = [predictor.predict("mvt", p) for p in points]
-        pipeline = EvaluationPipeline(predictor, batch_size=3, engine="compiled")
+        pipeline = EvaluationPipeline(predictor, batch_size=3, engine="compiled", cache=False)
         assert pipeline.predict_batch("mvt", points) == expected
+        # Again from a warm row memo: every row is reused.
+        computed = pipeline.stats.rows_computed
+        assert pipeline.predict_batch("mvt", points[::-1]) == expected[::-1]
+        assert pipeline.stats.rows_computed == computed
 
     @pytest.mark.parametrize("kernel", ["spmv-ellpack", "gemm-ncubed"])
     def test_reference_engine_matches_per_point(self, predictor, kernel):
@@ -223,6 +228,84 @@ class TestBatchCompositionInvariance:
         pipeline = EvaluationPipeline(f32_predictor, batch_size=batch_size, cache=False)
         got = pipeline.predict_batch(kernel, batch)
         assert got[slot] == alone.predict(kernel, target) == f32_predictor.predict(kernel, target)
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_warm_row_memo_matches_cold(self, f32_predictor, one_pragma, data):
+        """A batch predicts the same after any history of earlier points
+        (other kernels included) as from a fresh pipeline and eagerly:
+        what the row memo holds never changes a result."""
+        set_default_dtype(np.float32)
+        # mvt's wide receptive fields take the byte-string keys.
+        kernels = st.sampled_from(self.SAMPLED_KERNELS + ("stencil", "mvt"))
+        pools = {}
+
+        def draw_batch(kernel, min_size):
+            pool = pools.setdefault(kernel, sample_points(kernel, 8, seed=17))
+            picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=min_size, max_size=8))
+            return [pool[i] for i in picks]
+
+        warm = EvaluationPipeline(
+            f32_predictor, batch_size=data.draw(st.integers(1, 8)), cache=False
+        )
+        for kernel in data.draw(st.lists(kernels, max_size=3)):
+            warm.predict_batch(kernel, draw_batch(kernel, 0))
+        kernel = data.draw(kernels)
+        batch = draw_batch(kernel, 1)
+        cold = EvaluationPipeline(f32_predictor, batch_size=8, cache=False)
+        got = warm.predict_batch(kernel, batch)
+        assert got == cold.predict_batch(kernel, batch)
+        assert got == [f32_predictor.predict(kernel, p) for p in batch]
+
+
+class TestRowMemo:
+    """The conv-row memo: exact under eviction, emptied by
+    ``clear_cache``, and keyed exactly at any pragma-code width."""
+
+    @pytest.fixture(scope="class")
+    def sweep(self, f32_predictor):
+        """gesummv's exhaustive space and its eager float32 predictions."""
+        set_default_dtype(np.float32)
+        points = list(build_design_space(get_kernel("gesummv")).enumerate())
+        return points, [f32_predictor.predict("gesummv", p) for p in points]
+
+    @pytest.mark.parametrize("budget", [0, 4096])
+    def test_eviction_is_exact(self, f32_predictor, sweep, monkeypatch, budget):
+        set_default_dtype(np.float32)
+        points, expected = sweep
+        default = EvaluationPipeline(f32_predictor, batch_size=24, cache=False)
+        assert default.predict_batch("gesummv", points) == expected
+        monkeypatch.setattr(pipeline_module, "ROW_MEMO_BYTES", budget)
+        small = EvaluationPipeline(f32_predictor, batch_size=24, cache=False)
+        got = []
+        for start in range(0, len(points), 24):
+            got += small.predict_batch("gesummv", points[start:start + 24])
+            assert small._memo.slab.nbytes <= budget
+            assert small._memo.nbytes <= budget
+        assert got == expected
+        assert small.stats.rows_computed > default.stats.rows_computed
+
+    def test_clear_cache_empties_the_memo(self, predictor):
+        pipeline = EvaluationPipeline(predictor, batch_size=4, cache=False)
+        points = sample_points("gesummv", 6, seed=2)
+        pipeline.predict_batch("gesummv", points)
+        assert pipeline._memo.nbytes > 0
+        pipeline.clear_cache()
+        assert pipeline._memo.nbytes == 0
+        before = pipeline.stats_snapshot()
+        pipeline.predict_batch("gesummv", points[:1])
+        delta = pipeline.stats_snapshot() - before
+        assert delta.rows_reused == 0 and delta.rows_computed > 0
+
+    def test_many_pragma_values_widen_the_codes(self, predictor, one_pragma):
+        """A pragma with more encodings than one byte can code switches to
+        two-byte codes mid-run and keeps every prediction exact."""
+        knob = build_design_space(get_kernel(one_pragma)).knobs[0].name
+        points = [{knob: factor} for factor in range(1, 301)]
+        expected = [predictor.predict(one_pragma, p) for p in points]
+        pipeline = EvaluationPipeline(predictor, batch_size=64, cache=False)
+        assert pipeline.predict_batch(one_pragma, points) == expected
+        assert pipeline.predict_batch(one_pragma, points[::-1]) == expected[::-1]
 
 
 class TestCache:
@@ -378,11 +461,16 @@ class TestStats:
         assert snap.points == 10
 
     def test_rates(self):
-        stats = PipelineStats(points=30, wall_seconds=2.0, cache_hits=3, cache_misses=7)
+        stats = PipelineStats(points=30, wall_seconds=2.0, cache_hits=3, cache_misses=7,
+                              rows_computed=11, rows_reused=9)
         assert stats.points_per_second() == pytest.approx(15.0)
         assert stats.cache_hit_rate() == pytest.approx(0.3)
+        assert stats.row_reuse_rate() == pytest.approx(0.45)
+        assert stats.to_dict()["row_reuse_rate"] == pytest.approx(0.45)
+        assert "45% reused" in stats.summary()
         assert PipelineStats().points_per_second() == 0.0
         assert PipelineStats().cache_hit_rate() == 0.0
+        assert PipelineStats().row_reuse_rate() == 0.0
 
     def test_summary_mentions_engine(self):
         stats = PipelineStats(points=2, wall_seconds=1.0, engine="compiled")
