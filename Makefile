@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install lint test test-fast bench bench-fast bench-smoke serve-smoke bench-parallel-smoke trace-smoke loop-smoke serve-load-smoke bench-dse-smoke bench-cross-device-smoke bench-repo-smoke ci examples clean
+.PHONY: install lint test test-fast bench bench-fast bench-smoke bench-micro-smoke serve-smoke bench-parallel-smoke trace-smoke loop-smoke serve-load-smoke bench-dse-smoke bench-cross-device-smoke bench-repo-smoke ci examples clean
 
 install:
 	$(PY) setup.py develop
@@ -31,6 +31,11 @@ bench:
 # bit-identity against the eager per-point baseline in-row.
 bench-smoke:
 	$(PY) benchmarks/bench_pipeline.py --smoke
+
+# The micro-benchmarks (benchmarks/bench_micro.py) run once each, untimed:
+# every one asserts its result, so this keeps them working.
+bench-micro-smoke:
+	$(PY) -m pytest benchmarks/bench_micro.py -q --benchmark-disable
 
 # Boot the HTTP model server on an ephemeral port and round-trip
 # predict + dse + metrics through it; exits non-zero on any mismatch.
@@ -84,10 +89,11 @@ bench-repo-smoke:
 	sys.exit('bench: failed checks in %s' % bad if bad else 0)"
 
 # Everything CI runs, in the same order: lint, the tier-1 suite, and
-# the nine smoke gates.  `make ci` green locally = workflow green.
+# the ten smoke gates.  `make ci` green locally = workflow green.
 ci: lint
 	$(PY) -m pytest tests/ -x -q
 	$(MAKE) bench-smoke
+	$(MAKE) bench-micro-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) bench-parallel-smoke
 	$(MAKE) trace-smoke

@@ -9,7 +9,9 @@ time the DSE's running front on the two traffic shapes of the repo
 benchmark: many small merges into a standing front (strategy race) and
 one whole-sweep merge into an empty front (exhaustive sweep).  The
 row-memo benchmark times the exhaustive gesummv forward with the
-pipeline's conv-row memo at its default budget and with none.
+pipeline's conv-row memo at its default budget and with none, and the
+warm-up benchmark times a fresh pipeline's first chunks of every size
+up to its batch.
 """
 
 import random
@@ -170,3 +172,20 @@ def test_row_memo_sweep_forward(benchmark, monkeypatch, untrained_m7, budget):
         return pipeline.predict_batch("gesummv", points)
 
     assert benchmark(sweep) == expected
+
+
+def test_pipeline_warmup_chunk_sizes(benchmark, untrained_m7):
+    """A fresh pipeline (batch 8) runs first predicts at chunk sizes 1..8
+    on mvt, from a cleared cache each time: the strategy race's set-up,
+    which compiles the engines and grows their buffers to each size."""
+    points = build_design_space(get_kernel("mvt")).sample(random.Random(0), 8)
+
+    def warm():
+        pipeline = EvaluationPipeline(untrained_m7, batch_size=8)
+        for size in range(1, len(points) + 1):
+            pipeline.clear_cache()
+            got = pipeline.predict_batch("mvt", points[:size])
+        return got
+
+    got = benchmark(warm)
+    assert got[-1] == untrained_m7.predict("mvt", points[-1])

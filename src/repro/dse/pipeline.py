@@ -7,19 +7,20 @@ module turns the point-by-point reference path into a pipeline:
 
 1. **Keyed encoding cache** — each kernel is lowered and encoded once
    (:class:`EncodingCache`); per candidate only the pragma-node feature
-   cells (``len(pragma_rows) * 6`` floats) are rewritten inside a tiled
-   batch template, instead of rebuilding the ProGraML graph and copying
+   cells (``len(pragma_rows) * 6`` floats) are written into the chunk's
+   pragma block, instead of rebuilding the ProGraML graph and copying
    the full feature matrix per point.
 2. **Compiled batched inference** — :class:`CompiledGNNEngine` lowers
-   the transformer-conv GNN stack to flat numpy kernels over a fixed
-   batch template (fused projections, CSR segment reductions, a
-   self-loop split that keeps the reference summation order), replacing
-   thousands of small autograd ``Tensor`` ops per point with a handful
-   of large array operations per batch.  Only pragma rows differ
+   the transformer-conv GNN stack to flat numpy kernels (fused
+   projections, CSR segment reductions, a self-loop split that keeps
+   the reference summation order), replacing thousands of small
+   autograd ``Tensor`` ops per point with a handful of large array
+   operations per chunk.  The pipeline compiles one engine per kernel,
+   device and model, whatever the chunk sizes.  Only pragma rows differ
    between candidates, and each conv layer spreads a change one hop, so
-   the template's receptive-field plan lists, per layer, the rows (and
-   their in-edges) a candidate can change; every other row reuses base
-   activations computed once per engine.  On gesummv the plan keeps
+   the kernel graph's receptive-field plan lists, per layer, the rows
+   (and their in-edges) a candidate can change; every other row reuses
+   base activations computed once per engine.  On gesummv the plan keeps
    6/15/25/49/89/117 of 131 rows across the six layers.  A planned
    row's output depends only on the pragma values inside its receptive
    field, so a pipeline-wide row memo (:class:`_RowMemo`) keyed by
@@ -27,7 +28,7 @@ module turns the point-by-point reference path into a pipeline:
    earlier point of the pipeline's life computed: on an exhaustive
    gesummv sweep that is 54% of them.  The memo holds at most
    :data:`ROW_MEMO_BYTES` with least-recently-used eviction, is shared
-   by every capacity template of a kernel, and lives until
+   by every engine of the pipeline, and lives until
    :meth:`EvaluationPipeline.clear_cache` or the pipeline does.  Its
    exactness leans on the three BLAS rules of :class:`CompiledGNNEngine`.
 3. **Classifier-first cascade** — searches only consume regression
@@ -136,8 +137,7 @@ class PipelineStats:
     cascade_skipped: int = 0  #: points whose regression forwards were skipped
     rows_computed: int = 0  #: conv-layer rows computed (distinct memo keys missed)
     rows_reused: int = 0  #: planned conv-layer rows taken from the row memo or a chunk twin
-    padded_slots: int = 0  #: always 0 since right-sized chunk templates; kept for schema stability
-    encode_seconds: float = 0.0  #: template fill + pragma patching
+    encode_seconds: float = 0.0  #: pragma-block fill
     inference_seconds: float = 0.0  #: model forward passes
     materialize_seconds: float = 0.0  #: Prediction construction
     wall_seconds: float = 0.0
@@ -195,7 +195,7 @@ class PipelineStats:
 
 
 # ---------------------------------------------------------------------------
-# batch template and receptive-field plan
+# kernel graph and receptive-field plan
 
 
 class _LayerPlan:
@@ -229,11 +229,12 @@ class _LayerPlan:
         )
         self.rf = np.empty((n_out, 0), dtype=np.int64)
 
-    def ragged(self, copies, pos, in_map, head: int, num_nodes: int) -> "_Ragged":
+    def ragged(self, copies, pos, in_map, num_nodes: int) -> "_Ragged":
         """Index tables for computing planned rows ``pos`` of ``copies``.
 
-        ``in_map[copy, p]`` is the projection-table row of input
-        position ``p < n_in``; base rows start at table row ``head``.
+        ``in_map[copy, p]`` is the projected input row of position
+        ``p < n_in``.  A projection table holds the ``num_nodes`` base
+        rows first, then the projected input rows.
         """
         r = _Ragged()
         r.S = pos.size
@@ -246,8 +247,8 @@ class _LayerPlan:
         r.nonempty = degree > 0
         r.starts = r.indptr[:-1][r.nonempty]
         table = np.empty((in_map.shape[0], self.n_in + num_nodes), dtype=np.int64)
-        table[:, : self.n_in] = in_map
-        table[:, self.n_in:] = head + np.arange(num_nodes)
+        np.add(in_map, num_nodes, out=table[:, : self.n_in])
+        table[:, self.n_in:] = np.arange(num_nodes)
         r.self_t = table[copies, self.self_col[pos]]
         r.src_t = table[copies[r.seg], self.src_col[r.edges]]
         r.q_t = r.self_t[r.seg]
@@ -275,10 +276,10 @@ class _Plan:
     self-loop) and its in-neighbours, so the changed set grows by one
     out-hop per layer; every other row keeps its base activation.  Rows
     are ordered seeds first, then the rows each later layer adds, so each
-    layer's changed set is a prefix of :attr:`order`.  The plan is the
-    same at every batch capacity.  Layers are planned on first use
-    (:meth:`layer`), each with the receptive fields of its rows over the
-    ``pragma_rows`` columns.
+    layer's changed set is a prefix of :attr:`order`.  The plan does not
+    depend on how many points a chunk holds.  Layers are planned on first
+    use (:meth:`layer`), each with the receptive fields of its rows over
+    the ``pragma_rows`` columns.
     """
 
     def __init__(self, src, dst, num_nodes: int, seeds, pragma_rows=()):
@@ -319,52 +320,60 @@ class _Plan:
         return self._layers[li]
 
 
-class _BatchTemplate:
-    """Fixed-capacity batch of one kernel's graph, with its pruning plan.
+class _KernelGraph:
+    """One kernel's graph as the compiled engines see it.
 
-    ``x`` holds every copy's node features; a candidate rewrites only its
-    copy's pragma rows (:meth:`set_point`).  Real edges are sorted
-    (stably) by destination; self-loops are *split out* and handled on
-    row-aligned arrays.  Because the reference batch appends each node's
-    self-loop after its real in-edges (with exactly-zero edge features),
-    reducing the real edges first and folding the self contribution in
-    afterwards reproduces the reference segment sums
-    association-for-association.  ``plan`` is the receptive-field
-    :class:`_Plan` seeded with the pragma rows; templates of one kernel
-    at different capacities may share it.
+    Real edges are sorted (stably) by destination; self-loops are *split
+    out* and handled on row-aligned arrays.  Because the reference batch
+    appends each node's self-loop after its real in-edges (with
+    exactly-zero edge features), reducing the real edges first and
+    folding the self contribution in afterwards reproduces the reference
+    segment sums association-for-association.  ``plan`` is the
+    receptive-field :class:`_Plan` seeded with the pragma rows.
+
+    A chunk of design points differs from the base graph only in its
+    pragma rows, so a chunk is its pragma block (:meth:`fill`): the
+    pragma rows' features, one ``(pragmas, features)`` slab per point.
+    The block and the pooling CSR's index arrays (:meth:`pooling`) keep
+    room for the largest chunk seen so far and hand out their leading
+    copies.
     """
 
-    def __init__(self, enc: EncodedGraph, capacity: int, dtype, plan: Optional[_Plan] = None):
+    def __init__(self, enc: EncodedGraph, dtype):
         self.enc = enc
-        self.capacity = capacity
         self.dtype = np.dtype(dtype)
-        N = enc.num_nodes
+        N = self.num_nodes = enc.num_nodes
         src, dst = enc.edge_index
         order = np.argsort(dst, kind="stable")
         self.src = src[order].astype(np.int64)
         self.dst = dst[order].astype(np.int64)
-        self.num_nodes = N
-        self.total_nodes = N * capacity
-        node_indptr = np.arange(capacity + 1, dtype=np.int64) * N
-        self.node_csr = sp.csr_matrix(
-            (np.ones(self.total_nodes, dtype=np.float32),
-             np.arange(self.total_nodes), node_indptr),
-            shape=(capacity, self.total_nodes),
-        )
-        self.node_starts = node_indptr[:-1]
-        self.graph_ids = np.repeat(np.arange(capacity, dtype=np.int64), N)
-        self.x = np.tile(enc.x_base.astype(self.dtype), (capacity, 1))
-        pragma_rows = enc.pragma_row_order
-        if plan is None:
-            plan = _Plan(self.src, self.dst, N, pragma_rows, pragma_rows)
-        self.plan = plan
-        self.seed_rows = (plan.seeds[None, :] + node_indptr[:-1, None]).ravel()
-        self.pragma_cells = (pragma_rows[None, :] + node_indptr[:-1, None]).ravel()
+        pragma_rows = enc.pragma_row_order  # sorted and distinct: the plan's seeds
+        self.plan = _Plan(self.src, self.dst, N, pragma_rows, pragma_rows)
+        self.pragmas = enc.x_base[pragma_rows].astype(self.dtype)[None]
+        self._cols = np.empty(0, dtype=np.int64)
+
+    def fill(self, points: Sequence[DesignPoint]) -> np.ndarray:
+        """The chunk's pragma block, ``(len(points), pragmas, features)``."""
+        if self.pragmas.shape[0] < len(points):
+            self.pragmas = np.tile(self.pragmas[:1], (len(points), 1, 1))
+        for slot, point in enumerate(points):
+            self.set_point(slot, point)
+        return self.pragmas[: len(points)]
 
     def set_point(self, slot: int, point: DesignPoint) -> None:
-        """Write one candidate's pragma features into a template slot."""
-        rows, values = self.enc.pragma_patch(point)
-        self.x[slot * self.num_nodes + rows, PRAGMA_FEATURE_SLICE] = values
+        """Write one candidate's pragma features into a block slot."""
+        self.pragmas[slot, :, PRAGMA_FEATURE_SLICE] = self.enc.pragma_patch(point)[1]
+
+    def pooling(self, copies: int) -> sp.csr_matrix:
+        """The CSR summing each of ``copies`` stacked copies' rows."""
+        total = copies * self.num_nodes
+        if self._cols.size < total:
+            self._cols = np.arange(total)
+            self._indptr = np.arange(copies + 1) * self.num_nodes
+        ones = np.ones(total, dtype=np.float32)
+        return sp.csr_matrix(
+            (ones, self._cols[:total], self._indptr[: copies + 1]), shape=(copies, total)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +386,7 @@ class _RowMemo:
     Only pragma features vary between design points, so a row's output
     after conv layer ``l`` is a function of the pragma values in its
     receptive field (:attr:`_LayerPlan.rf`).  :meth:`keys` turns each
-    (copy, planned row) of a filled template into a key: the row's plan
+    (copy, planned row) of a chunk into a key: the row's plan
     position followed by a small integer code per receptive-field pragma,
     interned from the pragma's feature block.  A key of at most 8 bytes
     is one int64; a longer one is a fixed-width byte string, which
@@ -419,11 +428,12 @@ class _RowMemo:
         self.stamp[:] = -1
         self._free = np.arange(self.stamp.size)
 
-    def keys(self, kid: tuple, template: _BatchTemplate, layers: int):
+    def keys(self, kid: tuple, plan: _Plan, block: np.ndarray, layers: int):
         """Per layer: the chunk's distinct row keys (sorted), each key's
-        first (copy * n_out + row) occurrence, and every pair's key index."""
-        B, plan = template.capacity, template.plan
-        codes = self._encode(kid, template)
+        first (copy * n_out + row) occurrence, and every pair's key index.
+        ``block`` is the chunk's pragma block (:meth:`_KernelGraph.fill`)."""
+        B = block.shape[0]
+        codes = self._encode(kid, block)
         row_t = np.min_scalar_type(plan.num_nodes)
         out = []
         for li in range(layers):
@@ -439,12 +449,12 @@ class _RowMemo:
             out.append(np.unique(keys, return_index=True, return_inverse=True))
         return out
 
-    def _encode(self, kid: tuple, template: _BatchTemplate) -> np.ndarray:
+    def _encode(self, kid: tuple, block: np.ndarray) -> np.ndarray:
         """Each copy's pragma codes, ``(copies, pragmas + 1)``; the last
         column is the padding code of :attr:`_LayerPlan.rf`."""
-        B, P = template.capacity, template.plan.num_pragmas
-        blocks = np.ascontiguousarray(template.x[template.pragma_cells, PRAGMA_FEATURE_SLICE])
-        blocks = blocks.view(f"S{blocks.shape[1] * blocks.itemsize}").reshape(B, P)
+        B, P = block.shape[:2]
+        blocks = np.ascontiguousarray(block[:, :, PRAGMA_FEATURE_SLICE])
+        blocks = blocks.view(f"S{blocks.shape[2] * blocks.itemsize}").reshape(B, P)
         tables = self._codes.setdefault(kid, [{} for _ in range(P)])
         codes = np.zeros((B, P + 1), dtype=np.int64)
         for j, table in enumerate(tables):
@@ -540,7 +550,7 @@ class _Workspace:
 
     A chunk's ragged shapes vary in their leading (row) dimension only,
     so each key keeps one buffer, grown to the most rows any chunk has
-    asked for (at most the capacity's), and hands out its leading rows.
+    asked for, and hands out its leading rows.
     """
 
     def __init__(self):
@@ -555,7 +565,7 @@ class _Workspace:
 
 
 class CompiledGNNEngine:
-    """One GNN model lowered onto a :class:`_BatchTemplate`.
+    """One GNN model lowered onto one kernel's :class:`_KernelGraph`.
 
     Supports the paper's architecture family: a stack of
     :class:`~repro.nn.conv.TransformerConv` layers with ELU, optional
@@ -565,13 +575,15 @@ class CompiledGNNEngine:
 
     A design point changes only its pragma rows, and each conv layer
     spreads a change by one hop, so at layer ``l`` only the rows of the
-    template's :class:`_Plan` (the ``l``-hop out-neighbourhood of the
+    graph's :class:`_Plan` (the ``l``-hop out-neighbourhood of the
     pragma rows) can differ from their *base* activation, which is the
     same in every copy and for every point.  The base arrays come from
     one all-rows forward of one copy on the neutral features: its
-    projections become the shared base rows of the projection tables,
-    and its layer outputs the unplanned rows of the jumping-knowledge and
-    pooling input.
+    projections become the base rows at the head of each layer's
+    projection table, and its layer outputs the unplanned rows of the
+    jumping-knowledge and pooling input.  Nothing here is sized by a
+    chunk: the projection tables and the jumping-knowledge rows grow to
+    the largest chunk run so far, and a chunk uses their leading rows.
 
     A planned row's output after layer ``l`` depends only on the pragma
     values in its receptive field, so :func:`_forward_group` computes a
@@ -582,7 +594,7 @@ class CompiledGNNEngine:
     entry holds the row's output and its running jumping-knowledge max,
     or the jumping-knowledge row alone on the last layer.  The memo is
     the pipeline's: at most :data:`ROW_MEMO_BYTES`, least recently used
-    out first, shared by every capacity's engines, and emptied by
+    out first, shared by every engine of the pipeline, and emptied by
     :meth:`EvaluationPipeline.clear_cache`.  Pooling and heads run per
     point (:meth:`_readout`).
 
@@ -606,9 +618,9 @@ class CompiledGNNEngine:
     row the eager path computes.
     """
 
-    def __init__(self, model, template: _BatchTemplate):
-        self.template = template
-        self.dtype = template.dtype
+    def __init__(self, model, graph: _KernelGraph):
+        self.graph = graph
+        self.dtype = graph.dtype
         self._compile(model)
         self._fill_base()
 
@@ -650,7 +662,7 @@ class CompiledGNNEngine:
         # which stay in the engine's sorted order) keeps every row
         # bit-identical to the per-point path — BLAS results can depend on
         # the row count of the gemm, so the input shape must match too.
-        enc = self.template.enc
+        enc = self.graph.enc
         N = enc.num_nodes
         E_real = enc.edge_index.shape[1]
         ref_dst = np.concatenate([enc.edge_index[1], np.arange(N, dtype=np.int64)])
@@ -709,44 +721,31 @@ class CompiledGNNEngine:
             self._heads = [_mlp_weights(h, dtype) for h in heads.heads]
         self._task = heads.task
 
-    def _tables(self, plan: _Plan, capacity: int, base=None) -> List[Dict[str, np.ndarray]]:
-        """Per-layer projection tables: room for the projected input rows
-        in whole row blocks, then the base rows from ``head``; plus the
-        planned edges' edge-feature projections."""
-        tables = []
-        for li, L in enumerate(self._layers):
-            lp = plan.layer(li)
-            head = -(-capacity * lp.n_in // _MAX_BLOCK) * _MAX_BLOCK
-            tab = {"head": head, "ekv": L["edge_kv"][lp.edges]}
-            for name, width in (("pq", L["out"]), ("pkv", 2 * L["out"]), ("pr", L["out"])):
-                tab[name] = np.zeros((head + plan.num_nodes, width), self.dtype)
-                if base is not None:
-                    tab[name][head:] = base[li][name]
-            tables.append(tab)
-        return tables
-
     def _fill_base(self) -> None:
         """Base arrays from one all-rows forward of one copy (see class doc)."""
-        tpl, plan, dt = self.template, self.template.plan, self.dtype
-        N = tpl.num_nodes
-        full = _Plan(tpl.src, tpl.dst, N, np.arange(N))
-        tables = self._tables(full, 1)
+        graph, dt = self.graph, self.dtype
+        plan, N = graph.plan, graph.num_nodes
+        full = _Plan(graph.src, graph.dst, N, np.arange(N))
         ws, every = _Workspace(), np.arange(N)
-        h, outs = tpl.enc.x_base.astype(dt), []
-        for li, tab in enumerate(tables):
-            rag = full.layer(li).ragged(np.zeros(N, np.int64), every, every[None], tab["head"], N)
+        h, outs = graph.enc.x_base.astype(dt), []
+        self._tabs = []
+        for li, L in enumerate(self._layers):
+            tab = {"ekv": L.pop("edge_kv")}
+            rag = full.layer(li).ragged(np.zeros(N, np.int64), every, every[None], N)
             h = self._layer(li, tab, h, rag, ws).copy()
             outs.append(h)
-        # An all-rows plan keeps node order, so its projected rows are the
-        # base rows themselves.
-        base = [{k: tab[k][:N] for k in ("pq", "pkv", "pr")} for tab in tables]
-        self._tabs = self._tables(plan, tpl.capacity, base)
+            # An all-rows plan keeps node order, so its projected rows are
+            # the base rows themselves.  Only the planned edges' edge-feature
+            # projections are kept.
+            base = {k: tab[k][N:2 * N].copy() for k in ("pq", "pkv", "pr")}
+            base["ekv"] = tab["ekv"][plan.layer(li).edges]
+            self._tabs.append(base)
         # Per planned row, the JK max over the layers before it is planned
         # (-inf where there are none); rows planned at the layer's input
         # take the running max stored one layer down instead.
         self._jk_prefix = []
         if self._jkn_mode == "max":
-            base_jk = np.maximum.reduce(outs)
+            self._base_jk = np.maximum.reduce(outs)
             for li in range(len(self._layers)):
                 lp = plan.layer(li)
                 prefix = np.full((lp.n_out, outs[0].shape[1]), -np.inf, dtype=dt)
@@ -754,8 +753,8 @@ class CompiledGNNEngine:
                     np.maximum(prefix[lp.n_in:], o[lp.rows[lp.n_in:]], out=prefix[lp.n_in:])
                 self._jk_prefix.append(prefix)
         else:
-            base_jk = outs[-1]
-        self._jk = np.tile(base_jk, (tpl.capacity, 1))
+            self._base_jk = outs[-1]
+        self._jk = self._base_jk[:0]
 
     # -- forward ----------------------------------------------------------------
 
@@ -768,10 +767,12 @@ class CompiledGNNEngine:
 
     def _layer(self, li: int, tab, inp: np.ndarray, rag: _Ragged, ws: _Workspace) -> np.ndarray:
         """Conv layer ``li`` on the rows of ``rag``, reading the input
-        rows ``inp`` (projection-table rows ``0..len(inp)``).  Returns the
-        rows' outputs, ``(rows, out_dim)``, in workspace memory."""
+        rows ``inp`` (projection-table rows ``N..N + len(inp)``, after the
+        ``N`` base rows).  Returns the rows' outputs, ``(rows, out_dim)``,
+        in workspace memory."""
         L = self._layers[li]
         dt = self.dtype
+        N = self.graph.num_nodes
         H, D, od = L["heads"], L["head_dim"], L["out"]
         S, E, seg = rag.S, rag.E, rag.seg
         # The input rows go through the projections in blocks of ``blk``
@@ -785,8 +786,12 @@ class CompiledGNNEngine:
         h = ws.get(("h", K), (nb * blk, K), dt)
         h[:M] = inp
         h = h.reshape(nb, blk, K)
+        rows = N + nb * blk
         for name, W, b in (("pq", "Wq", "bq"), ("pkv", "Wkv", "bkv"), ("pr", "Wr", "br")):
-            self._proj(h, L[W], L[b], tab[name][: nb * blk])
+            table = tab.get(name, np.empty((0, L[W].shape[1]), dt))
+            if table.shape[0] < rows:
+                tab[name] = table = np.resize(table, (rows, table.shape[1]))  # keeps the base rows
+            self._proj(h, L[W], L[b], table[N:rows])
         pq, pkv, pr = tab["pq"], tab["pkv"], tab["pr"]
         q = np.take(pq, rag.q_t, axis=0, out=ws.get(("q",), (E, od), dt), mode="clip")
         kv = np.take(pkv, rag.src_t, axis=0, out=ws.get(("kv",), (E, 2 * od), dt), mode="clip")
@@ -842,7 +847,6 @@ class CompiledGNNEngine:
         # Rule 2: the gate's single-column product runs over every row of
         # each copy with a computed row; only those rows' inputs and
         # outputs are used (a gemv row reads no other row).
-        N = self.template.num_nodes
         gi_s = ws.get(("gi_s",), (S, 3 * od), dt)
         gi_s[:, :od] = agg
         gi_s[:, od:2 * od] = root
@@ -868,49 +872,54 @@ class CompiledGNNEngine:
         np.copyto(neg, out, where=out > 0)
         return neg
 
-    def _readout(self, jk_rows: np.ndarray) -> np.ndarray:
+    def _readout(self, pool: sp.csr_matrix, jk_rows: np.ndarray) -> np.ndarray:
         """Pooling and heads, per point, from the last layer's planned JK
-        rows ``(copies, n_out, out_dim)``."""
-        tpl = self.template
-        B, N, NT = tpl.capacity, tpl.num_nodes, tpl.total_nodes
-        jk3 = self._jk.reshape(B, N, -1)
-        jk3[:, tpl.plan.layer(len(self._layers) - 1).rows] = jk_rows
+        rows ``(copies, n_out, out_dim)``; ``pool`` sums each copy's rows
+        (:meth:`_KernelGraph.pooling`)."""
+        B, N = jk_rows.shape[0], self.graph.num_nodes
+        NT = B * N
+        if self._jk.shape[0] < NT:
+            self._jk = np.tile(self._base_jk, (B, 1))
+        jk = self._jk[:NT]
+        jk3 = jk.reshape(B, N, -1)
+        jk3[:, self.graph.plan.layer(len(self._layers) - 1).rows] = jk_rows
         if self._pool["kind"] == "attention":
-            s = _run_mlp(self._pool["score"], jk3).reshape(NT, -1)
-            m = np.maximum.reduceat(s, tpl.node_starts, axis=0)
-            s -= m[tpl.graph_ids]
-            np.clip(s, -60.0, 60.0, out=s)
-            np.exp(s, out=s)
-            denom = tpl.node_csr @ s
+            s3 = _run_mlp(self._pool["score"], jk3)
+            s3 -= s3.max(axis=1, keepdims=True)  # max is exact in any order
+            np.clip(s3, -60.0, 60.0, out=s3)
+            np.exp(s3, out=s3)
+            s = s3.reshape(NT, -1)
+            denom = pool @ s
             denom += 1e-16
             np.power(denom, -1.0, out=denom)
-            s *= denom[tpl.graph_ids]
+            s3 *= denom[:, None]
             vals = _run_mlp(self._pool["value"], jk3).reshape(NT, -1)
             vals *= s
-            pooled = tpl.node_csr @ vals
+            pooled = pool @ vals
         else:
-            pooled = tpl.node_csr @ self._jk
+            pooled = pool @ jk
         pooled3 = pooled.reshape(B, 1, pooled.shape[1])
         cols = [_run_mlp(w, pooled3).reshape(B, -1) for w in self._heads]
         return cols[0] if self._task == "classification" else np.concatenate(cols, axis=1)
 
 
 def _forward_group(
-    engines, memo: _RowMemo, memo_id: tuple, keys, ws: _Workspace
+    engines, block: np.ndarray, memo: _RowMemo, memo_id: tuple, keys, ws: _Workspace
 ) -> Tuple[List[np.ndarray], int, int]:
-    """Run ``engines`` (sharing one template) over the template's features.
+    """Run ``engines`` (sharing one graph) over a chunk's pragma block.
 
-    ``keys`` are the template's row keys from :meth:`_RowMemo.keys`.  A
+    ``keys`` are the chunk's row keys from :meth:`_RowMemo.keys`.  A
     memo entry holds every engine's values side by side, so the engines
     share one lookup, one set of ragged tables and one insert per layer.
-    Scratch comes from ``ws``, which every engine and capacity shares.
-    Returns each engine's outputs and the (computed, reused) row counts.
+    Scratch comes from ``ws``, which every engine shares.  Returns each
+    engine's outputs and the (computed, reused) row counts.
     """
-    tpl = engines[0].template
-    plan, B, N = tpl.plan, tpl.capacity, tpl.num_nodes
+    graph = engines[0].graph
+    plan, N = graph.plan, graph.num_nodes
+    B = block.shape[0]
     offsets = np.cumsum([0] + [e.entry_width for e in engines])
     memo.tick += 1
-    vals = [tpl.x[tpl.seed_rows]] * len(engines)
+    vals = [block.reshape(B * plan.seeds.size, -1)] * len(engines)
     in_map = np.arange(B * plan.seeds.size).reshape(B, -1)
     computed = reused = 0
     for li in range(max(e.num_layers for e in engines)):
@@ -921,7 +930,7 @@ def _forward_group(
         miss = np.flatnonzero(~hit)
         if miss.size:
             copies, pos = np.divmod(first[miss], lp.n_out)
-            rag = lp.ragged(copies, pos, in_map, engines[0]._tabs[li]["head"], N)
+            rag = lp.ragged(copies, pos, in_map, N)
             below = pos < lp.n_in
             below_rows = in_map[copies[below], pos[below]]
             stored = memo.insert((memo_id, li), index[miss])
@@ -957,10 +966,11 @@ def _forward_group(
             reused += B * lp.n_out - miss.size
             vals.append(v)
         in_map = inverse.reshape(B, lp.n_out)
+    pool = graph.pooling(B)
     outputs = []
     for engine, v in zip(engines, vals):
         last = engine.num_layers - 1
-        outputs.append(engine._readout(v[keys[last][2].reshape(B, -1)]))
+        outputs.append(engine._readout(pool, v[keys[last][2].reshape(B, -1)]))
     return outputs, computed, reused
 
 
@@ -1018,7 +1028,7 @@ class EvaluationPipeline:
         :class:`CompiledGNNEngine` can lower, inference runs compiled;
         otherwise every batch is delegated to the predictor itself.
     batch_size:
-        Template capacity: candidates evaluated per compiled forward.
+        Most candidates evaluated per compiled forward (a chunk).
     engine:
         ``"auto"`` (default: compiled if the models can be lowered,
         else reference), ``"compiled"`` (raise if unsupported), or
@@ -1045,24 +1055,23 @@ class EvaluationPipeline:
         self.stats = PipelineStats()
         self.encodings = EncodingCache(getattr(predictor, "builder", None))
         # Device the predictor is bound to (None = reference device):
-        # conditions the encoded graphs, keys the compiled templates,
+        # conditions the encoded graphs, keys the compiled engines,
         # and rescales predicted utilizations onto the target's
         # capacities — matching predictor.predict_batch exactly.
         self._device = getattr(predictor, "device", None)
         self._device_name = getattr(self._device, "name", None)
         self._point_cache: Dict[str, Dict] = {}
-        self._compiled: Dict[tuple, Dict[str, object]] = {}
-        self._plans: Dict[tuple, _Plan] = {}
+        self._compiled: Dict[tuple, Tuple[_KernelGraph, Dict[str, CompiledGNNEngine]]] = {}
         self._dtype: Optional[np.dtype] = None
         self._memo: Optional[_RowMemo] = None
         self._ws = _Workspace()  # forward scratch, shared by every engine
         self._compile_failed = False
         # One evaluation at a time: the compiled engines share workspace
-        # buffers and batch templates, and the point caches are plain
+        # buffers and pragma blocks, and the point caches are plain
         # dicts — neither survives concurrent mutation.  The serving
-        # layer gets its
-        # concurrency from micro-batching, not parallel forwards, so a
-        # coarse reentrant lock keeps multi-threaded callers bit-exact.
+        # layer gets its concurrency from micro-batching, not parallel
+        # forwards, so a coarse reentrant lock keeps multi-threaded
+        # callers bit-exact.
         self._lock = threading.RLock()
 
     # -- engine management ------------------------------------------------------
@@ -1094,17 +1103,17 @@ class EvaluationPipeline:
             return False
         return True
 
-    def _engines(self, kernel: str, capacity: int) -> Dict[str, object]:
-        """Compiled engines + template for one kernel at one capacity.
+    def _engines(self, kernel: str) -> Tuple[_KernelGraph, Dict[str, CompiledGNNEngine]]:
+        """One kernel's graph and compiled engines (memoised).
 
-        Templates are compiled per exact capacity (memoised), so partial
-        batches — the final chunk of a sweep, or a micro-batcher flush
-        under light load — run a right-sized forward instead of padding
-        up to ``batch_size`` and paying for dead slots.  The engine is
-        bit-identical at every capacity (a row's output does not depend
-        on the batch), so chunk sizing never changes results, and the
-        templates of one kernel share one plan and one row memo.
+        One engine per model serves every chunk size: its chunk-sized
+        buffers grow to the largest chunk run, and a row's output does
+        not depend on the chunk, so chunk sizing never changes results.
         """
+        kid = (kernel, self._device_name)
+        entry = self._compiled.get(kid)
+        if entry is not None:
+            return entry
         models = self._predictor_models()
         if self._dtype is None:
             # Compile at the dtype the reference forward actually computes
@@ -1119,21 +1128,14 @@ class EvaluationPipeline:
                 for param in model.parameters():
                     dtype = np.promote_types(dtype, param.data.dtype)
             self._dtype = dtype
-        kid = (kernel, self._device_name)
-        key = kid + (capacity,)
-        entry = self._compiled.get(key)
-        if entry is not None:
-            return entry
         for model in models.values():
             model.eval()
-        enc = self.encodings.get(kernel, self._device)
-        template = _BatchTemplate(enc, capacity, self._dtype, self._plans.get(kid))
-        self._plans[kid] = template.plan
-        engines = {name: CompiledGNNEngine(model, template) for name, model in models.items()}
+        graph = _KernelGraph(self.encodings.get(kernel, self._device), self._dtype)
+        engines = {name: CompiledGNNEngine(model, graph) for name, model in models.items()}
         if self._memo is None:
             width = max(sum(engines[n].entry_width for n in group) for group in _ENGINE_GROUPS)
             self._memo = _RowMemo(ROW_MEMO_BYTES, width, self._dtype)
-        entry = self._compiled[key] = {"template": template, "engines": engines, "kid": kid}
+        entry = self._compiled[kid] = (graph, engines)
         return entry
 
     # -- cache ------------------------------------------------------------------
@@ -1290,39 +1292,35 @@ class EvaluationPipeline:
         points: Sequence[DesignPoint],
         engine_names: Sequence[str],
     ) -> Dict[str, np.ndarray]:
-        """Run selected engines over ``points`` in right-sized chunks.
-
-        Chunks are at most ``batch_size`` points; a partial chunk (the
-        tail of a sweep, or a lightly-filled micro-batch from the
-        server) gets a template compiled at its exact size, so no
-        forward pays for padded slots.  The chunk's row keys are built
-        once and shared by the engines (the regressor pair sees the
+        """Run selected engines over ``points`` in chunks of at most
+        ``batch_size``; a partial chunk (the tail of a sweep, or a
+        lightly-filled micro-batch from the server) runs at its own size,
+        so no forward pays for padded slots.  The chunk's row keys are
+        built once and shared by the engines (the regressor pair sees the
         same points).
         """
+        kid = (kernel, self._device_name)
+        graph, compiled = self._engines(kernel)
+        engines = [compiled[name] for name in engine_names]
+        layers = max(e.num_layers for e in engines)
         outputs: Dict[str, List[np.ndarray]] = {name: [] for name in engine_names}
         with no_grad():
             for start in range(0, len(points), self.batch_size):
                 chunk = points[start:start + self.batch_size]
-                entry = self._engines(kernel, len(chunk))
-                template = entry["template"]
-                engines = [entry["engines"][name] for name in engine_names]
                 with span(
                     "pipeline.forward", kernel=kernel, chunk=len(chunk),
                     engines=",".join(engine_names),
                 ) as sp:
                     t0 = time.perf_counter()
-                    for slot, point in enumerate(chunk):
-                        template.set_point(slot, point)
+                    block = graph.fill(chunk)
                     self.stats.encode_seconds += time.perf_counter() - t0
                     t0 = time.perf_counter()
-                    keys = self._memo.keys(
-                        entry["kid"], template, max(e.num_layers for e in engines)
-                    )
+                    keys = self._memo.keys(kid, graph.plan, block, layers)
                     results, computed, reused = _forward_group(
-                        engines, self._memo, entry["kid"] + tuple(engine_names), keys, self._ws
+                        engines, block, self._memo, kid + tuple(engine_names), keys, self._ws
                     )
                     for name, result in zip(engine_names, results):
-                        outputs[name].append(result[: len(chunk)].copy())
+                        outputs[name].append(result)
                     self.stats.inference_seconds += time.perf_counter() - t0
                     sp.set(computed=computed, reused=reused)
                 self.stats.rows_computed += computed

@@ -338,7 +338,7 @@ def load_artifact(path, database: Optional[Database] = None):
         # must be bit-identical to the saved stack no matter what the
         # process's default dtype is.  The default itself is never
         # switched here: it is process-wide, and a serving thread that
-        # compiled a template during a reload would compute at it.
+        # compiled an engine during a reload would compute at it.
         model = build_model(config, NODE_DIM, EDGE_DIM, seed=0)
         for param in model.parameters():
             param.data = param.data.astype(dtype)

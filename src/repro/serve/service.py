@@ -99,7 +99,7 @@ class PredictorService:
         A loaded :class:`~repro.model.predictor.GNNDSEPredictor` (or
         any ``predict_batch`` duck type the pipeline accepts).
     batch_size:
-        Micro-batch capacity; also the pipeline's template size so one
+        Micro-batch capacity; also the pipeline's chunk size, so one
         full micro-batch is one compiled forward.
     max_delay_seconds:
         Micro-batcher flush deadline for partial batches.
@@ -460,7 +460,7 @@ class PredictorService:
         """Run the model-driven search server-side; returns the JSON payload.
 
         With ``workers=1`` (the default) the search shares the service
-        pipeline (and therefore its caches and batch templates); the
+        pipeline (and therefore its caches and compiled engines); the
         pipeline's internal lock interleaves the search's batches with
         concurrent predict traffic.  ``workers>1`` runs the sharded
         :class:`~repro.dse.parallel.ParallelDSE` orchestrator instead —

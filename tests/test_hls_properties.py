@@ -132,29 +132,26 @@ class TestEncodingCacheProperties:
     @given(sampled_points())
     @settings(max_examples=25, deadline=None)
     def test_template_slot_equals_fresh_graph(self, point):
-        """A batch-template slot written via ``set_point`` holds exactly
-        the node features a freshly built per-point graph would."""
-        from repro.dse.pipeline import _BatchTemplate
+        """A pragma-block slot holds exactly the pragma rows' features a
+        freshly built per-point graph would."""
+        from repro.dse.pipeline import _KernelGraph
 
-        template = _BatchTemplate(_ENC, capacity=3, dtype=np.float64)
-        slot = 1
-        template.set_point(slot, point)
-        n = _ENC.num_nodes
-        got = template.x[slot * n : (slot + 1) * n]
-        assert np.array_equal(got, _ENC.fill(point).astype(np.float64))
+        graph = _KernelGraph(_ENC, dtype=np.float64)
+        block = graph.fill([{}, point, {}])
+        rows = _ENC.pragma_row_order
+        assert np.array_equal(block[1], _ENC.fill(point)[rows].astype(np.float64))
+        assert np.array_equal(block[0], _ENC.x_base[rows].astype(np.float64))
 
     @given(sampled_points(), sampled_points())
     @settings(max_examples=25, deadline=None)
     def test_slot_rewrites_are_independent(self, first, second):
         """Rewriting a slot leaves other slots' features intact, and a
         slot overwritten with a new point forgets the previous one."""
-        from repro.dse.pipeline import _BatchTemplate
+        from repro.dse.pipeline import _KernelGraph
 
-        template = _BatchTemplate(_ENC, capacity=2, dtype=np.float64)
-        template.set_point(0, first)
-        template.set_point(1, second)
-        template.set_point(1, first)
-        n = _ENC.num_nodes
-        expected = _ENC.fill(first).astype(np.float64)
-        assert np.array_equal(template.x[:n], expected)
-        assert np.array_equal(template.x[n:], expected)
+        graph = _KernelGraph(_ENC, dtype=np.float64)
+        block = graph.fill([first, second])
+        graph.set_point(1, first)
+        expected = _ENC.fill(first)[_ENC.pragma_row_order].astype(np.float64)
+        assert np.array_equal(block[0], expected)
+        assert np.array_equal(block[1], expected)

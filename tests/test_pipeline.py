@@ -117,10 +117,6 @@ class TestEquivalence:
         got = pipeline.predict_batch(kernel, points)
         assert got == expected
         assert pipeline.stats.engine == "compiled"
-        # batch_size 3 over 5 points exercises a mixed-capacity sweep:
-        # one full chunk plus a right-sized 2-point template — and the
-        # right-sizing pays no padded slots.
-        assert pipeline.stats.padded_slots == 0
         # Each unique point runs the classifier pass and the regression
         # pass exactly once (duplicates are deduped into cache hits).
         assert pipeline.stats.model_points == 2 * pipeline.stats.cache_misses
@@ -194,7 +190,8 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("batch_size", [1, 2, 4])
     def test_single_pragma_kernel_float32(self, f32_predictor, one_pragma, batch_size):
-        """One pragma row per copy: the planned rows are widened to two,
+        """One pragma row per copy: a one-point chunk projects a single
+        input row at layer 0, which must still run as a padded row block,
         because a one-row product takes BLAS's gemv path and drifts from
         the reference's full-graph gemm by ulps at float32."""
         set_default_dtype(np.float32)
@@ -256,6 +253,43 @@ class TestBatchCompositionInvariance:
         got = warm.predict_batch(kernel, batch)
         assert got == cold.predict_batch(kernel, batch)
         assert got == [f32_predictor.predict(kernel, p) for p in batch]
+
+
+class TestChunkSizes:
+    """One compiled engine per (kernel, device, model) serves every chunk
+    size, and what a larger chunk left in its grown buffers never reaches
+    a later, smaller chunk (float32)."""
+
+    def test_one_engine_per_model(self, f32_predictor, monkeypatch):
+        set_default_dtype(np.float32)
+        built = []
+        init = pipeline_module.CompiledGNNEngine.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module.CompiledGNNEngine, "__init__", counting_init)
+        points = sample_points("mvt", 8, seed=5)
+        pipeline = EvaluationPipeline(f32_predictor, batch_size=8, cache=False)
+        for size in range(1, 9):
+            got = pipeline.predict_batch("mvt", points[:size])
+        assert len(built) == 3
+        assert got == [f32_predictor.predict("mvt", p) for p in points]
+
+    @pytest.mark.parametrize("kernel", ["mvt", "gesummv", ONE_PRAGMA.name])
+    def test_shrinking_chunks_stay_exact(self, f32_predictor, one_pragma, kernel):
+        set_default_dtype(np.float32)
+        points = sample_points(kernel, 22, seed=23)
+        pipeline = EvaluationPipeline(f32_predictor, batch_size=8, cache=False)
+        start = 0
+        for size in (8, 1, 5, 8):
+            chunk = points[start:start + size]
+            start += size
+            fresh = EvaluationPipeline(f32_predictor, batch_size=8, cache=False)
+            got = pipeline.predict_batch(kernel, chunk)
+            assert got == fresh.predict_batch(kernel, chunk)
+            assert got == [f32_predictor.predict(kernel, p) for p in chunk]
 
 
 class TestRowMemo:

@@ -208,7 +208,7 @@ class TestPipelineThreadSafety:
 
         def worker(idx):
             # Each thread walks the shared points from its own offset, in
-            # its own batch sizes — maximum template/cache contention.
+            # its own batch sizes — maximum engine/cache contention.
             rng = random.Random(idx)
             try:
                 mine = points[idx % 3:] + points[:idx % 3]
@@ -647,9 +647,10 @@ class TestMicroBatchingThroughput:
         )
         server = start_server(service)
         client = ServeClient(server.url)
-        # Warm up outside the timed window: compile the batch template
-        # for every chunk size a flush can produce (cache stays cold —
-        # the warm-up points are disjoint from the measured ones).
+        # Warm up outside the timed window: compile the engines and grow
+        # their buffers to every chunk size a flush can produce (cache
+        # stays cold — the warm-up points are disjoint from the measured
+        # ones).
         warm = sample_points("fir", batch_size, seed=self.WARM_SEED)
         for size in range(1, batch_size + 1):
             pipeline.predict_batch("fir", warm[:size])

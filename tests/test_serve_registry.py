@@ -115,7 +115,7 @@ class TestSaveLoadRoundTrip:
     ):
         """Serving threads read the process-wide default dtype while a
         hot reload loads the next artifact: switching it, even for the
-        length of a model build, let a template compiled meanwhile run
+        length of a model build, let an engine compiled meanwhile run
         at the artifact's dtype instead."""
         import repro.serve.registry as registry_module
 
