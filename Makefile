@@ -69,7 +69,8 @@ serve-load-smoke:
 
 # Search-quality gate: race vs the SA baseline at the same query
 # budget on three kernels — asserts race hypervolume >= SA and that a
-# rerun reproduces every number and ledger row bit-for-bit.
+# rerun reproduces every number and ledger row bit-for-bit — plus two
+# ModelDSE ordered-beam runs on mvt that must return identical results.
 bench-dse-smoke:
 	$(PY) benchmarks/bench_dse_quality.py --smoke
 

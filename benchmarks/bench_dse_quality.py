@@ -18,11 +18,14 @@ budgets stay comparable.
 Acceptance bar (``--smoke``, wired into ``make ci``): on fir,
 spmv-ellpack, and gesummv the race hypervolume is >= the SA baseline
 at the same budget, and a full second run reproduces every number and
-every budget-ledger row bit-for-bit under the fixed seed.
+every budget-ledger row bit-for-bit under the fixed seed.  The smoke
+run also searches mvt (too large to sweep) twice with ``ModelDSE``'s
+ordered beam and fails unless both runs return the same top-M, front,
+query count and ``time_limited`` flag.
 
 Run standalone (no training, untrained weights)::
 
-    python benchmarks/bench_dse_quality.py --smoke   # 3 kernels, ~1 min
+    python benchmarks/bench_dse_quality.py --smoke   # 3 kernels + mvt beam, ~1 min
     python benchmarks/bench_dse_quality.py           # all 16 kernels
 """
 
@@ -39,9 +42,10 @@ except ImportError:  # standalone run from a source checkout, no install
 
 from bench_parallel_dse import _untrained_predictor
 
-from repro.designspace import build_design_space
+from repro.designspace import build_design_space, point_key
 from repro.dse import (
     PARETO_KEYS,
+    ModelDSE,
     normalized_hypervolume,
     reference_point,
     run_race,
@@ -50,6 +54,7 @@ from repro.dse.pipeline import EvaluationPipeline
 from repro.kernels import get_kernel, list_kernels
 
 SMOKE_KERNELS = ("fir", "spmv-ellpack", "gesummv")
+BEAM_KERNEL = "mvt"  # too large to sweep, so ModelDSE runs the ordered beam
 SEED = 2022  # the paper's year; fixed so every CI run is bit-identical
 
 
@@ -114,6 +119,25 @@ def _reproducibility_signature(row: dict) -> tuple:
         row["sa"]["pareto_points"],
         row["race"]["pareto_points"],
         tuple(tuple(sorted(r.items())) for r in row["race"]["ledger"]),
+    )
+
+
+def beam_signature(predictor) -> tuple:
+    """One ordered-beam ModelDSE run, reduced to what must replay exactly."""
+    spec = get_kernel(BEAM_KERNEL)
+    space = build_design_space(spec)
+    result = ModelDSE(
+        predictor, spec, space, pipeline=EvaluationPipeline(predictor)
+    ).run()
+    assert not result.exhaustive
+    return (
+        [(point_key(c.point), c.predicted_latency) for c in result.top],
+        [
+            (point_key(c.point), sorted(c.prediction.objectives.items()))
+            for c in result.pareto
+        ],
+        result.explored,
+        result.time_limited,
     )
 
 
@@ -189,6 +213,17 @@ def main() -> int:
                 failures.append(f"{row['kernel']}: rerun did not reproduce bit-for-bit")
             else:
                 print(f"{row['kernel']:14s} reproduced bit-for-bit")
+        # The ordered beam must stop where the search says, not the clock.
+        first, second = beam_signature(predictor), beam_signature(predictor)
+        if first != second:
+            failures.append(
+                f"{BEAM_KERNEL} beam: rerun changed top, pareto, explored or time_limited"
+            )
+        else:
+            print(
+                f"{BEAM_KERNEL:14s} beam reproduced bit-for-bit "
+                f"({first[2]} queries, {len(first[1])} on the front)"
+            )
 
     table = markdown_table(rows)
     if args.markdown:

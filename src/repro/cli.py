@@ -365,39 +365,20 @@ def _cmd_train(args) -> int:
 
 
 def _run_device_dse(args, spec, space, device, predictor):
-    """One serial beam search bound to a registry device.
+    """One serial search bound to a registry device (see
+    :func:`repro.dse.device_pipeline` for which evaluator it runs on)."""
+    from .dse import ModelDSE, device_pipeline
 
-    FPGA targets ride the trained surrogate when one was loaded
-    (re-bound via ``for_device``); CGRA targets — and model-less
-    invocations — run the analytic evaluator.
-    """
-    from .dse import AnalyticPredictor, EvaluationPipeline, ModelDSE
-
-    if (
-        predictor is not None
-        and getattr(device, "kind", "fpga") == "fpga"
-        and hasattr(predictor, "for_device")
-    ):
-        bound = predictor.for_device(device)
-        pipeline = EvaluationPipeline(
-            bound,
-            batch_size=args.batch_size,
-            engine=args.engine,
-            cache=not args.no_cache,
-        )
-        dse = ModelDSE(
-            bound, spec, space, top_m=args.top, pipeline=pipeline, device=device
-        )
-    else:
-        dse = ModelDSE(
-            AnalyticPredictor(device),
-            spec,
-            space,
-            top_m=args.top,
-            pipeline=None,
-            use_pipeline=False,
-            device=device,
-        )
+    pipeline = device_pipeline(
+        predictor,
+        device,
+        batch_size=args.batch_size,
+        engine=args.engine,
+        cache=not args.no_cache,
+    )
+    dse = ModelDSE(
+        pipeline.predictor, spec, space, top_m=args.top, pipeline=pipeline, device=device
+    )
     return dse.run(time_limit_seconds=args.time_limit)
 
 
@@ -530,6 +511,8 @@ def _cmd_dse(args) -> int:
             result = dse.run(time_limit_seconds=args.time_limit)
     _finish_trace(args.trace, "dse.run")
     mode = "exhaustive" if result.exhaustive else "heuristic"
+    if result.time_limited:
+        mode += ", cut by --time-limit"
     target = f" on {result.device}" if result.device else ""
     print(
         f"{args.kernel}: explored {result.explored:,} configs in {result.seconds:.1f}s "

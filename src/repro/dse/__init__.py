@@ -1,9 +1,10 @@
 """Model-driven design-space exploration (Section 4.4).
 
 - :func:`order_pragmas` — the innermost-first pragma-ordering heuristic;
-- :class:`ModelDSE` — exhaustive / ordered-beam search over a design
-  space with the trained predictor in the loop; its result carries the
-  exact Pareto front of every usable point it scored;
+- :class:`ModelDSE` — exhaustive sweep, or the ordered-pragma beam
+  (:class:`OrderedBeamStrategy` on a :class:`BudgetedEvaluator`), over
+  a design space with the trained predictor in the loop; its result
+  carries the exact Pareto front of every usable point it scored;
 - :class:`Frontier` — the top-M + Pareto merge policy every searcher
   (serial, sharded, budgeted) keeps its results with;
 - :func:`pareto_front` — non-dominated filtering of designs (the one
@@ -30,6 +31,7 @@ from .crossdevice import (
     CrossDeviceResult,
     DeviceFrontEntry,
     cross_device_objectives,
+    device_pipeline,
     run_cross_device_dse,
 )
 from .ordering import order_pragmas
@@ -54,6 +56,7 @@ from .strategies import (
     AnnealingStrategy,
     BudgetedEvaluator,
     GreedyStrategy,
+    OrderedBeamStrategy,
     QueryBudget,
     RandomStrategy,
     SearchStrategy,
@@ -70,6 +73,7 @@ __all__ = [
     "CrossDeviceResult",
     "DeviceFrontEntry",
     "cross_device_objectives",
+    "device_pipeline",
     "run_cross_device_dse",
     "DSECheckpoint",
     "ParallelDSE",
@@ -90,6 +94,7 @@ __all__ = [
     "BudgetedEvaluator",
     "DEFAULT_ARMS",
     "GreedyStrategy",
+    "OrderedBeamStrategy",
     "QueryBudget",
     "RaceResult",
     "RandomStrategy",

@@ -8,12 +8,14 @@ CGRA), the merged front is taken over the device-agnostic objectives
 ``("latency", "util_max")`` — latency in cycles and the worst-axis
 utilization, both well-defined on every registry entry.
 
-FPGA targets can be searched with a trained surrogate (the predictor is
+:func:`device_pipeline` is the one rule binding a search to a target:
+FPGA targets are searched with a trained surrogate (the predictor is
 re-bound per device via :meth:`GNNDSEPredictor.for_device`, which
 conditions the encoding and rescales utilizations onto the target's
 capacities); CGRA-style targets — and predictor-less runs — fall back
 to :class:`AnalyticPredictor`, a thin predictor facade over the modeled
-HLS/CGRA evaluator itself.
+HLS/CGRA evaluator itself.  The CLI and the serving layer bind their
+single-device searches with it too.
 
 Everything here is deterministic: devices are visited in sorted-name
 order and each per-device search is the (batch-boundary invariant)
@@ -24,11 +26,12 @@ bit-identical merged fronts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..hls.device import get_device
-from ..model.predictor import Prediction
+from ..model.predictor import DEFAULT_VALID_THRESHOLD, Prediction
 from .pareto import pareto_front
+from .pipeline import EvaluationPipeline
 from .search import DSECandidate, DSEResult, ModelDSE
 
 __all__ = [
@@ -37,6 +40,7 @@ __all__ = [
     "DeviceFrontEntry",
     "CrossDeviceResult",
     "cross_device_objectives",
+    "device_pipeline",
     "run_cross_device_dse",
 ]
 
@@ -50,10 +54,12 @@ class AnalyticPredictor:
     """Predictor facade over the modeled HLS/CGRA evaluator.
 
     Quacks like :class:`~repro.model.GNNDSEPredictor` as far as the DSE
-    needs (``device`` attribute + ``predict_batch``), but answers with
-    the analytic estimator itself — exact by construction, no trained
-    artifact required.  This is how CGRA-style targets (no surrogate
-    training data) and predictor-less cross-device sweeps are searched.
+    needs (``device`` attribute + ``predict_batch``), so it runs on the
+    :class:`~repro.dse.pipeline.EvaluationPipeline`'s reference engine,
+    but answers with the analytic estimator itself — exact by
+    construction, no trained artifact required.  This is how CGRA-style
+    targets (no surrogate training data) and predictor-less
+    cross-device sweeps are searched.
     """
 
     def __init__(self, device):
@@ -62,7 +68,13 @@ class AnalyticPredictor:
 
         self.tool = MerlinHLSTool(device=device)
 
-    def predict_batch(self, kernel: str, points: Sequence) -> List[Prediction]:
+    def predict_batch(
+        self,
+        kernel: str,
+        points: Sequence,
+        valid_threshold: float = DEFAULT_VALID_THRESHOLD,
+    ) -> List[Prediction]:
+        """Synthesize each point; validity is exact, so no threshold applies."""
         from ..kernels import get_kernel
 
         spec = get_kernel(kernel)
@@ -164,6 +176,31 @@ def _resolve(device):
     return get_device(device) if isinstance(device, str) else device
 
 
+def device_pipeline(
+    predictor, device, pipeline_for=None, **pipeline_kwargs
+) -> EvaluationPipeline:
+    """The evaluation pipeline a search bound to ``device`` runs on.
+
+    An FPGA target with a re-bindable surrogate (``for_device``) gets
+    the model re-bound to it: ``pipeline_for(device.name)`` when the
+    caller keeps per-device pipelines, else a new pipeline built with
+    ``pipeline_kwargs``.  Any other target (a CGRA, or a run with no
+    model) gets :class:`AnalyticPredictor` on the reference engine.
+    Search the result with ``ModelDSE(pipeline.predictor, ...,
+    pipeline=pipeline, device=device)``.
+    """
+    if (
+        predictor is not None
+        and getattr(device, "kind", "fpga") == "fpga"
+        and hasattr(predictor, "for_device")
+    ):
+        if pipeline_for is not None:
+            return pipeline_for(device.name)
+        return EvaluationPipeline(predictor.for_device(device), **pipeline_kwargs)
+    # Runs on the reference engine; the estimator keeps its own cache.
+    return EvaluationPipeline(AnalyticPredictor(device), cache=False)
+
+
 def run_cross_device_dse(
     spec,
     space,
@@ -177,43 +214,27 @@ def run_cross_device_dse(
 ) -> CrossDeviceResult:
     """Run one DSE per device and merge the fronts.
 
-    ``devices`` holds registry names or device objects.  FPGA targets
-    use ``predictor`` (re-bound per device) when one is given; CGRA
-    targets and predictor-less runs use :class:`AnalyticPredictor`.
+    ``devices`` holds registry names or device objects, each bound by
+    :func:`device_pipeline`: FPGA targets use ``predictor`` (re-bound
+    per device) when one is given; CGRA targets and predictor-less runs
+    use :class:`AnalyticPredictor`.
     The per-device time budget is ``time_limit_seconds`` each.
     """
     resolved = sorted((_resolve(d) for d in devices), key=lambda d: d.name)
     per_device: Dict[str, DSEResult] = {}
     for device in resolved:
-        use_model = (
-            predictor is not None
-            and getattr(device, "kind", "fpga") == "fpga"
-            and hasattr(predictor, "for_device")
+        pipeline = device_pipeline(predictor, device)
+        dse = ModelDSE(
+            pipeline.predictor,
+            spec,
+            space,
+            fit_threshold=fit_threshold,
+            top_m=top_m,
+            batch_size=batch_size,
+            exhaustive_limit=exhaustive_limit,
+            pipeline=pipeline,
+            device=device,
         )
-        if use_model:
-            dse = ModelDSE(
-                predictor.for_device(device),
-                spec,
-                space,
-                fit_threshold=fit_threshold,
-                top_m=top_m,
-                batch_size=batch_size,
-                exhaustive_limit=exhaustive_limit,
-                device=device,
-            )
-        else:
-            dse = ModelDSE(
-                AnalyticPredictor(device),
-                spec,
-                space,
-                fit_threshold=fit_threshold,
-                top_m=top_m,
-                batch_size=batch_size,
-                exhaustive_limit=exhaustive_limit,
-                pipeline=None,
-                use_pipeline=False,
-                device=device,
-            )
         per_device[device.name] = dse.run(time_limit_seconds)
 
     entries = [

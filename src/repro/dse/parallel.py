@@ -657,6 +657,9 @@ class ParallelDSE:
             shards=num_shards,
             shards_resumed=len(resumed),
             retries=prior_retries + retries,
+            # A failed shard raises, so a missing one was never
+            # dispatched: the clock stopped the run.
+            time_limited=len(completed) < num_shards,
         )
 
     # -- in-process execution (workers == 1) -------------------------------------

@@ -1,11 +1,13 @@
 """Model-driven design-space exploration (Section 4.4).
 
 With the predictor answering in milliseconds, small spaces are swept
-**exhaustively**; enormous ones are searched with the ordered-pragma
-heuristic: knobs are visited in the order of :func:`order_pragmas`, a
-beam of the most-promising partial assignments is kept, and the global
-top-M predicted designs are retained throughout.  A wall-clock limit
-bounds the search exactly as in the paper (one hour for mvt/2mm).
+**exhaustively**; enormous ones are searched with the paper's
+ordered-pragma beam (:class:`~repro.dse.strategies.OrderedBeamStrategy`)
+stepped on a :class:`~repro.dse.strategies.BudgetedEvaluator`, whose
+query budget is the number of distinct points a sweep is allowed.  The
+search, not the clock, decides where it stops: the paper's wall-clock
+limit (one hour for mvt/2mm) is a cap checked between batches or beam
+steps, and a result it cut short says so (``DSEResult.time_limited``).
 """
 
 from __future__ import annotations
@@ -18,17 +20,15 @@ import numpy as np
 
 from ..designspace.space import DesignPoint, DesignSpace, point_key
 from ..model.predictor import GNNDSEPredictor, Prediction
-from .ordering import order_pragmas
 from .pareto import (
     DEFAULT_OBJECTIVE_KEYS,
     objective_keys_for,
     objective_matrix,
-    pareto_front,
     pareto_merge,
 )
 from .pipeline import EvaluationPipeline, PipelineStats
 
-__all__ = ["PARETO_KEYS", "DSECandidate", "DSEResult", "Frontier", "ModelDSE"]
+__all__ = ["PARETO_KEYS", "DSECandidate", "DSEResult", "Frontier", "ModelDSE", "is_usable"]
 
 #: Objectives (all minimised) the DSE's running Pareto front is kept
 #: over on the reference device; device-bound searches use the target's
@@ -55,20 +55,39 @@ class DSECandidate:
         return self.prediction.latency
 
 
+def is_usable(
+    candidate: DSECandidate, fit_threshold: float, fit_axes: Optional[Sequence[str]] = None
+) -> bool:
+    """Whether a scored design may enter a search's top-M and front.
+
+    It must be predicted valid and fit under ``fit_threshold`` (T_u of
+    Eq. 7) on ``fit_axes`` (None = every non-latency objective).
+    """
+    p = candidate.prediction
+    return p.valid and p.fits(fit_threshold, axes=fit_axes)
+
+
 @dataclass
 class DSEResult:
     """Outcome of one model-driven DSE run.
 
-    ``pareto`` is the non-dominated subset (over :data:`PARETO_KEYS`)
-    of every *usable* candidate the search scored, in first-evaluated
-    order.  ``workers``/``shards``/``shards_resumed``/``retries``
-    describe how :class:`~repro.dse.parallel.ParallelDSE` produced the
-    result; the serial searchers leave them at their defaults.
+    ``pareto`` is the non-dominated subset (over the target device's
+    objective axes) of every *usable* candidate the search scored, in
+    first-evaluated order; the ordered beam keeps it exactly as the
+    sweep does.  ``explored`` counts the distinct points scored.
+    ``time_limited`` is True when the wall-clock cap stopped the search
+    before it finished (a sweep with points left, a beam that had not
+    converged, a parallel run with shards undispatched); such a result
+    depends on machine load.  ``workers``/``shards``/``shards_resumed``/
+    ``retries`` describe how :class:`~repro.dse.parallel.ParallelDSE`
+    produced the result; the serial searchers leave them at their
+    defaults.
 
     ``strategy`` names the search that produced the result (``"beam"``
-    for this module's exhaustive/beam search); when it is ``"race"``
-    the ``race`` dict carries the strategy racer's budget ledger and
-    per-arm totals (:meth:`~repro.dse.race.RaceResult.summary`).
+    for :class:`ModelDSE`'s sweep or ordered beam); when it is
+    ``"race"`` the ``race`` dict carries the strategy racer's budget
+    ledger and per-arm totals
+    (:meth:`~repro.dse.race.RaceResult.summary`).
     """
 
     kernel: str
@@ -88,6 +107,7 @@ class DSEResult:
     #: Name of the registered device the search targeted ("" = the
     #: reference device, for results predating device provenance).
     device: str = ""
+    time_limited: bool = False
 
     def top_points(self) -> List[DesignPoint]:
         return [c.point for c in self.top]
@@ -176,7 +196,11 @@ class ModelDSE:
     Parameters
     ----------
     predictor:
-        Trained :class:`~repro.model.GNNDSEPredictor`.
+        Trained :class:`~repro.model.GNNDSEPredictor`, or anything the
+        :class:`~repro.dse.pipeline.EvaluationPipeline` can run on its
+        reference engine (``predict_batch(kernel, points,
+        valid_threshold)``, e.g.
+        :class:`~repro.dse.crossdevice.AnalyticPredictor`).
     spec, space:
         Kernel and its design space.
     fit_threshold:
@@ -185,21 +209,21 @@ class ModelDSE:
         Number of best designs to keep (the paper evaluates the top 10
         with the real HLS tool afterwards).
     batch_size:
-        Prediction batch size.
+        Points per pipeline call in the exhaustive sweep.
     exhaustive_limit:
-        Sweep the whole space when its size does not exceed this.
+        Sweep the whole space when its size does not exceed this;
+        otherwise run the ordered beam with this many distinct queries
+        as its budget.
     beam_width:
-        Beam kept per knob step in heuristic mode.
+        Beam kept per knob step by the ordered beam.
     pipeline:
-        Evaluation pipeline to route predictions through; constructed
-        from ``predictor`` when not given.  Pass ``pipeline=None`` and
-        ``use_pipeline=False`` to call ``predictor.predict_batch``
-        directly (the pre-pipeline behaviour).
+        Evaluation pipeline every prediction goes through; built from
+        ``predictor`` with default settings when not given.
     device:
         Registered device the search targets.  Defaults to the
         predictor's bound device (``predictor.device``) or, failing
         that, the reference device; determines the Pareto objective
-        keys and the ``device`` stamp on results.
+        keys, the fit axes and the ``device`` stamp on results.
     """
 
     def __init__(
@@ -213,7 +237,6 @@ class ModelDSE:
         exhaustive_limit: int = 20_000,
         beam_width: int = 8,
         pipeline: Optional[EvaluationPipeline] = None,
-        use_pipeline: bool = True,
         device=None,
     ):
         self.predictor = predictor
@@ -224,9 +247,7 @@ class ModelDSE:
         self.batch_size = batch_size
         self.exhaustive_limit = exhaustive_limit
         self.beam_width = beam_width
-        if pipeline is None and use_pipeline:
-            pipeline = EvaluationPipeline(predictor)
-        self.pipeline = pipeline
+        self.pipeline = pipeline if pipeline is not None else EvaluationPipeline(predictor)
         self.device = device if device is not None else getattr(predictor, "device", None)
         self.pareto_keys = objective_keys_for(self.device)
         self.device_name = getattr(self.device, "name", "")
@@ -234,58 +255,37 @@ class ModelDSE:
         # the reference-device behaviour).
         self.fit_axes = getattr(self.device, "fit_axes", None)
 
-    # -- scoring ------------------------------------------------------------------
-
-    def _usable(self, candidate: DSECandidate) -> bool:
-        p = candidate.prediction
-        return p.valid and p.fits(self.fit_threshold, axes=self.fit_axes)
-
-    def _frontier(self) -> Frontier:
-        return Frontier(self.top_m, self.pareto_keys, self._usable)
-
-    def _predict_batch(self, points: List[DesignPoint]) -> List[DSECandidate]:
-        if self.pipeline is not None:
-            # The search only reads objectives of usable (valid) points, so
-            # the pipeline may skip regression for classifier-rejected ones.
-            predictions = self.pipeline.predict_batch(
-                self.spec.name, points, objectives_for="valid"
-            )
-        else:
-            predictions = self.predictor.predict_batch(self.spec.name, points)
-        return [DSECandidate(p, pred) for p, pred in zip(points, predictions)]
-
-    def _ensure_objectives(self, scored: List[DSECandidate]) -> List[DSECandidate]:
-        """Re-score candidates whose regression pass was cascade-skipped.
-
-        Only needed on the heuristic fallback path where no usable
-        candidate exists and the beam must rank by predicted latency;
-        the classifier outputs are already cached, so this costs one
-        regression pass over the batch.
-        """
-        if self.pipeline is None or all(
-            c.prediction.objectives is not None for c in scored
-        ):
-            return scored
-        points = [c.point for c in scored]
-        predictions = self.pipeline.predict_batch(
-            self.spec.name, points, objectives_for="all"
-        )
-        return [DSECandidate(p, pred) for p, pred in zip(points, predictions)]
-
     # -- public API ------------------------------------------------------------------
 
     def run(self, time_limit_seconds: float = 3600.0) -> DSEResult:
-        """Run the DSE; returns the predicted top-M designs."""
-        if self.space.size(exact_limit=self.exhaustive_limit) <= self.exhaustive_limit:
-            return self._run_exhaustive(time_limit_seconds)
-        return self._run_heuristic(time_limit_seconds)
+        """Run the DSE; returns the predicted top-M designs and front."""
+        size = self.space.size(exact_limit=self.exhaustive_limit)
+        exhaustive = size <= self.exhaustive_limit
+        start = time.monotonic()
+        deadline = start + time_limit_seconds
+        stats_before = self.pipeline.stats.copy()
+        if exhaustive:
+            top, pareto, explored = self.evaluate_stream(
+                self.space.enumerate(), deadline=deadline
+            )
+            time_limited = explored < size
+        else:
+            top, pareto, explored, time_limited = self._run_beam(deadline)
+        seconds = time.monotonic() - start
+        return DSEResult(
+            kernel=self.spec.name,
+            top=top,
+            explored=explored,
+            seconds=seconds,
+            exhaustive=exhaustive,
+            predictions_per_second=explored / seconds if seconds > 0 else 0.0,
+            stats=self.pipeline.stats - stats_before,
+            pareto=pareto,
+            device=self.device_name,
+            time_limited=time_limited,
+        )
 
     # -- exhaustive sweep ---------------------------------------------------------------
-
-    def _stats_since(self, before: Optional[PipelineStats]) -> Optional[PipelineStats]:
-        if self.pipeline is None or before is None:
-            return None
-        return self.pipeline.stats - before
 
     def evaluate_stream(
         self,
@@ -308,13 +308,22 @@ class ModelDSE:
         heartbeats and tests/benchmarks use for fault and latency
         injection.
         """
-        frontier = self._frontier()
+        frontier = Frontier(
+            self.top_m,
+            self.pareto_keys,
+            lambda c: is_usable(c, self.fit_threshold, self.fit_axes),
+        )
         explored = 0
         out_of_time = False
 
         def consume(batch: List[DesignPoint]) -> None:
             nonlocal explored
-            frontier.add(self._predict_batch(batch))
+            # The search only reads objectives of usable (valid) points,
+            # so the pipeline may skip regression for rejected ones.
+            predictions = self.pipeline.predict_batch(
+                self.spec.name, batch, objectives_for="valid"
+            )
+            frontier.add([DSECandidate(p, pred) for p, pred in zip(batch, predictions)])
             explored += len(batch)
             if on_batch is not None:
                 on_batch(explored)
@@ -332,87 +341,34 @@ class ModelDSE:
             consume(pending)
         return frontier.top, frontier.pareto, explored
 
-    def _run_exhaustive(self, time_limit_seconds: float) -> DSEResult:
-        start = time.monotonic()
-        stats_before = self.pipeline.stats.copy() if self.pipeline else None
-        top, pareto, explored = self.evaluate_stream(
-            self.space.enumerate(), deadline=start + time_limit_seconds
+    # -- ordered beam ------------------------------------------------------------------
+
+    def _run_beam(
+        self, deadline: float
+    ) -> Tuple[List[DSECandidate], List[DSECandidate], int, bool]:
+        """Step the ordered beam on a budgeted evaluator until it stalls.
+
+        The budget is ``exhaustive_limit`` distinct queries.  One step
+        is one knob's batch, and the clock is read between steps only,
+        so the cap can end a search early but never changes a step.
+        Returns ``(top, pareto, explored, time_limited)``.
+        """
+        from .strategies import BudgetedEvaluator, OrderedBeamStrategy, QueryBudget
+
+        evaluator = BudgetedEvaluator(
+            self.pipeline,
+            self.spec,
+            self.space,
+            QueryBudget(self.exhaustive_limit),
+            top_m=self.top_m,
+            fit_threshold=self.fit_threshold,
+            device=self.device,
         )
-        seconds = time.monotonic() - start
-        return DSEResult(
-            kernel=self.spec.name,
-            top=top,
-            explored=explored,
-            seconds=seconds,
-            exhaustive=True,
-            predictions_per_second=explored / seconds if seconds > 0 else 0.0,
-            stats=self._stats_since(stats_before),
-            pareto=pareto,
-            device=self.device_name,
-        )
-
-    # -- ordered heuristic search ----------------------------------------------------------
-
-    def _run_heuristic(self, time_limit_seconds: float) -> DSEResult:
-        start = time.monotonic()
-        stats_before = self.pipeline.stats.copy() if self.pipeline else None
-        ordered = order_pragmas(self.space)
-        seen = set()
-        frontier = self._frontier()
-        explored = 0
-
-        base = self.space.default_point()
-        beam: List[DesignPoint] = [base]
-        out_of_time = False
-        # Repeated ordered sweeps refine the beam until the clock runs out.
-        for sweep in range(8):
-            if out_of_time:
+        beam = OrderedBeamStrategy(evaluator, beam_width=self.beam_width)
+        time_limited = False
+        while not beam.step(1).stalled and not evaluator.budget.exhausted:
+            if time.monotonic() > deadline:
+                time_limited = True
                 break
-            improved = False
-            for knob in ordered:
-                candidates: List[DesignPoint] = []
-                for point in beam:
-                    for mutated in self.space.mutations(point, knob.name) + [point]:
-                        key = point_key(mutated)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        candidates.append(mutated)
-                if not candidates:
-                    continue
-                scored: List[DSECandidate] = []
-                for i in range(0, len(candidates), self.batch_size):
-                    scored.extend(self._predict_batch(candidates[i : i + self.batch_size]))
-                explored += len(candidates)
-                best = frontier.top[0].predicted_latency if frontier.top else float("inf")
-                usable = [c for c in scored if self._usable(c)]
-                frontier.merge_top(usable)
-                if frontier.top and frontier.top[0].predicted_latency < best:
-                    improved = True
-                # Next beam: best usable candidates (fall back to lowest
-                # predicted latency when nothing usable has appeared yet).
-                if not usable:
-                    scored = self._ensure_objectives(scored)
-                pool = usable or scored
-                pool.sort(key=lambda c: c.predicted_latency)
-                beam = [c.point for c in pool[: self.beam_width]] or beam
-                if time.monotonic() - start > time_limit_seconds:
-                    out_of_time = True
-                    break
-            if not improved:
-                break
-        seconds = time.monotonic() - start
-        top = frontier.top
-        return DSEResult(
-            kernel=self.spec.name,
-            top=top,
-            explored=explored,
-            seconds=seconds,
-            exhaustive=False,
-            predictions_per_second=explored / seconds if seconds > 0 else 0.0,
-            stats=self._stats_since(stats_before),
-            # The beam search only retains the top list; its front is
-            # the non-dominated subset of those survivors.
-            pareto=pareto_front(top, _candidate_objectives, self.pareto_keys),
-            device=self.device_name,
-        )
+        frontier = evaluator.frontier
+        return frontier.top, frontier.pareto, evaluator.queries, time_limited

@@ -1,9 +1,12 @@
 """Budgeted search strategies over one shared surrogate-query ledger.
 
-The meta-searcher (:mod:`repro.dse.race`) races structurally different
-strategies — simulated annealing, bottleneck-style greedy hill
-climbing, the RL policy explorer, and random sampling — under **one**
-query budget.  Everything they share lives here:
+Every guided search in the repo is a :class:`SearchStrategy` stepped on
+a :class:`BudgetedEvaluator`: the meta-searcher (:mod:`repro.dse.race`)
+races simulated annealing, bottleneck-style greedy hill climbing, the
+RL policy explorer and random sampling under **one** query budget, and
+:class:`~repro.dse.search.ModelDSE` runs the paper's ordered-pragma
+beam (:class:`OrderedBeamStrategy`) the same way on spaces too large to
+sweep.  Everything they share lives here:
 
 - :class:`QueryBudget` — the hard cap on *distinct* design points
   pushed through the surrogate.  Revisits are served from the shared
@@ -11,19 +14,19 @@ query budget.  Everything they share lives here:
   behaves), so strategies compete on model compute, not on how often
   they re-probe known points.
 - :class:`BudgetedEvaluator` — batches candidate points through the
-  :class:`~repro.dse.pipeline.EvaluationPipeline` in lockstep (the
-  ``run_many`` pattern from PR 1: one surrogate batch per step across
-  all chains/episodes), charges the budget for memo misses only, and
-  maintains the **shared** top-M list and Pareto front every strategy
-  contributes to.
-- :class:`SearchStrategy` — the stepper interface the racer drives:
-  ``step(grant)`` advances the strategy until ``grant`` queries are
-  spent (or it stalls), reporting how many new Pareto points the spend
-  produced — the bandit's reward signal.
+  :class:`~repro.dse.pipeline.EvaluationPipeline` in lockstep (one
+  surrogate batch per step across all chains/episodes), charges the
+  budget for memo misses only, and maintains the **shared** top-M list
+  and Pareto front (over the target device's objective axes) every
+  strategy contributes to.
+- :class:`SearchStrategy` — the stepper interface: ``step(grant)``
+  advances the strategy until ``grant`` queries are spent (or it
+  stalls), reporting how many new Pareto points the spend produced —
+  the bandit's reward signal.
 
 Every strategy draws from its own ``random.Random(seed)`` stream in a
 fixed order, so a seeded run's edit trajectory and budget ledger are
-bit-reproducible.
+bit-reproducible.  The beam draws nothing at random.
 """
 
 from __future__ import annotations
@@ -35,12 +38,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..designspace.space import DesignPoint, DesignSpace, point_key
 from ..errors import ReproError
-from .search import PARETO_KEYS, DSECandidate, Frontier
+from .ordering import order_pragmas
+from .pareto import objective_keys_for
+from .search import DSECandidate, Frontier, is_usable
 
 __all__ = [
     "AnnealingStrategy",
     "BudgetedEvaluator",
     "GreedyStrategy",
+    "OrderedBeamStrategy",
     "QueryBudget",
     "RandomStrategy",
     "SearchStrategy",
@@ -85,7 +91,9 @@ class BudgetedEvaluator:
     One instance is shared by every strategy in a race: the memo, the
     top-M list, and the Pareto front are global, so a point one
     strategy already paid for is free for the others and the front is
-    the union of everyone's discoveries.
+    the union of everyone's discoveries.  ``device`` (None = the
+    reference device) picks the front's objective axes and the
+    resource axes a usable design must fit on.
     """
 
     def __init__(
@@ -96,18 +104,19 @@ class BudgetedEvaluator:
         budget: QueryBudget,
         top_m: int = 10,
         fit_threshold: float = 0.8,
+        device=None,
     ):
         self.pipeline = pipeline
         self.spec = spec
         self.space = space
         self.budget = budget
         self.fit_threshold = fit_threshold
+        self.fit_axes = getattr(device, "fit_axes", None)
         self.memo: Dict[str, DSECandidate] = {}
-        self.frontier = Frontier(top_m, PARETO_KEYS, self.usable)
+        self.frontier = Frontier(top_m, objective_keys_for(device), self.usable)
 
     def usable(self, candidate: DSECandidate) -> bool:
-        p = candidate.prediction
-        return p.valid and p.fits(self.fit_threshold)
+        return is_usable(candidate, self.fit_threshold, self.fit_axes)
 
     # -- evaluation -------------------------------------------------------------
 
@@ -377,6 +386,90 @@ class AnnealingStrategy(SearchStrategy):
             if accept:
                 chain["current"], chain["score"] = point, cand_score
             chain["temperature"] *= self.cooling
+
+
+class OrderedBeamStrategy(SearchStrategy):
+    """The paper's ordered-pragma beam search (Section 4.4).
+
+    Knobs are visited in :func:`~repro.dse.ordering.order_pragmas`
+    order, starting from the default point.  Each proposal is every
+    one-knob mutation (at the current knob) of every beam point, plus
+    the beam points themselves, minus anything proposed before in the
+    run; knobs that yield nothing new are skipped.  The best
+    ``beam_width`` usable results become the next beam, ranked by full
+    predicted latency when the step turned up no usable point.  The
+    search ends after :attr:`SWEEPS` passes over the knobs, or after a
+    pass that did not improve the best design; ``propose`` then returns
+    nothing, which :meth:`step` reports as a stall.
+    """
+
+    name = "beam"
+
+    #: Most passes over the ordered knobs.
+    SWEEPS = 8
+
+    def __init__(self, evaluator: BudgetedEvaluator, seed: int = 0, beam_width: int = 8):
+        super().__init__(evaluator, seed)
+        self.beam_width = beam_width
+        self.knobs = order_pragmas(evaluator.space)
+        self.beam: List[DesignPoint] = [evaluator.space.default_point()]
+        self.seen: set = set()
+        self.sweeps = 0
+        self.position = 0  # index of the next knob in this sweep
+        self.improved = False
+        self.done = False
+        self._best = float("inf")
+
+    def propose(self) -> List[DesignPoint]:
+        space = self.evaluator.space
+        while not self.done:
+            if self.position == len(self.knobs):
+                self.sweeps += 1
+                self.position = 0
+                self.done = not self.improved or self.sweeps == self.SWEEPS
+                self.improved = False
+                continue
+            knob = self.knobs[self.position]
+            self.position += 1
+            candidates: List[DesignPoint] = []
+            for point in self.beam:
+                for mutated in space.mutations(point, knob.name) + [point]:
+                    key = point_key(mutated)
+                    if key not in self.seen:
+                        self.seen.add(key)
+                        candidates.append(mutated)
+            if candidates:
+                top = self.evaluator.frontier.top
+                self._best = top[0].predicted_latency if top else float("inf")
+                return candidates
+        return []
+
+    def observe(self, points, candidates, novel) -> None:
+        # The budget may have truncated the batch's tail.
+        scored = [c for c in candidates if c is not None]
+        top = self.evaluator.frontier.top
+        if top and top[0].predicted_latency < self._best:
+            self.improved = True
+        pool = [c for c in scored if self.evaluator.usable(c)]
+        if not pool:
+            pool = self._with_objectives(scored)
+        pool = sorted(pool, key=lambda c: c.predicted_latency)
+        self.beam = [c.point for c in pool[: self.beam_width]] or self.beam
+
+    def _with_objectives(self, scored: List[DSECandidate]) -> List[DSECandidate]:
+        """Re-score candidates whose regression pass the cascade skipped.
+
+        The beam ranks by predicted latency even when nothing usable
+        has turned up; the classifier outputs are cached, so this costs
+        one regression pass and no budget.
+        """
+        if all(c.prediction.objectives is not None for c in scored):
+            return scored
+        points = [c.point for c in scored]
+        predictions = self.evaluator.pipeline.predict_batch(
+            self.evaluator.spec.name, points, objectives_for="all"
+        )
+        return [DSECandidate(p, pred) for p, pred in zip(points, predictions)]
 
 
 #: Strategy-name -> constructor.  ``rl`` is registered lazily by

@@ -25,7 +25,6 @@ from .device import (
 )
 from .cgra import CGRA4X4, CGRADevice, estimate_cgra
 from .estimator import Estimate, Estimator
-from .sweep import KnobSweep, SweepResult, sweep_kernel
 from .report import (
     INVALID_PARTITION,
     INVALID_RESOURCE,
@@ -62,7 +61,4 @@ __all__ = [
     "LoopReport",
     "SYNTH_TIMEOUT_SECONDS",
     "MerlinHLSTool",
-    "KnobSweep",
-    "SweepResult",
-    "sweep_kernel",
 ]

@@ -23,7 +23,6 @@ from .config import (
     ModelConfig,
 )
 from .dataset import MAX_KNOBS, GraphDatasetBuilder, pragma_vector, train_test_split
-from .importance import ImportanceReport, KnobImportance, knob_importance
 from .models import ContextMLPModel, GNNDSEModel, PragmaMLPModel, build_model
 from .normalizer import TargetNormalizer
 from .predictor import GNNDSEPredictor, Prediction, train_predictor
@@ -47,9 +46,6 @@ __all__ = [
     "MODEL_CONFIGS",
     "REGRESSION_OBJECTIVES",
     "ModelConfig",
-    "ImportanceReport",
-    "KnobImportance",
-    "knob_importance",
     "MAX_KNOBS",
     "GraphDatasetBuilder",
     "pragma_vector",

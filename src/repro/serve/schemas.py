@@ -81,6 +81,7 @@ def dse_result_payload(result, stats=None) -> Dict[str, object]:
         "explored": result.explored,
         "seconds": result.seconds,
         "exhaustive": result.exhaustive,
+        "time_limited": getattr(result, "time_limited", False),
         "predictions_per_second": result.predictions_per_second,
         "workers": getattr(result, "workers", 1),
         "shards": getattr(result, "shards", 0),

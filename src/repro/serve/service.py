@@ -561,37 +561,25 @@ class PredictorService:
     def _device_dse(
         self, gen: _Generation, target, kernel: str, space, top: int, time_limit: float
     ):
-        """Serial beam search bound to a non-reference registry device.
+        """Serial search bound to a non-reference registry device.
 
-        FPGA targets reuse the generation's model through a per-device
-        pipeline (device-conditioned encodings + capacity-rescaled
-        utilizations); CGRA-style targets — which the surrogate was
-        never trained for — run the analytic evaluator instead.
+        :func:`~repro.dse.crossdevice.device_pipeline` picks the
+        evaluator: FPGA targets reuse the generation's model through its
+        per-device pipeline (device-conditioned encodings +
+        capacity-rescaled utilizations); CGRA-style targets — which the
+        surrogate was never trained for — run the analytic evaluator.
         """
-        if getattr(target, "kind", "fpga") == "fpga" and hasattr(
-            gen.predictor, "for_device"
-        ):
-            pipeline = gen.pipeline_for(target.name)
-            dse = ModelDSE(
-                pipeline.predictor,
-                get_kernel(kernel),
-                space,
-                top_m=int(top),
-                pipeline=pipeline,
-                device=target,
-            )
-        else:
-            from ..dse.crossdevice import AnalyticPredictor
+        from ..dse.crossdevice import device_pipeline
 
-            dse = ModelDSE(
-                AnalyticPredictor(target),
-                get_kernel(kernel),
-                space,
-                top_m=int(top),
-                pipeline=None,
-                use_pipeline=False,
-                device=target,
-            )
+        pipeline = device_pipeline(gen.predictor, target, pipeline_for=gen.pipeline_for)
+        dse = ModelDSE(
+            pipeline.predictor,
+            get_kernel(kernel),
+            space,
+            top_m=int(top),
+            pipeline=pipeline,
+            device=target,
+        )
         return dse.run(time_limit_seconds=time_limit)
 
     # -- health / metrics --------------------------------------------------------

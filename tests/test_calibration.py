@@ -74,39 +74,3 @@ class TestRegressionProfile:
         text = profile_regression(predictor.regressor, valid).pretty()
         assert "spearman" in text
         assert "atax" in text
-
-
-class TestKnobImportance:
-    def test_report_structure(self, trained):
-        from repro.designspace import build_design_space
-        from repro.kernels import get_kernel
-        from repro.model import knob_importance
-
-        predictor, _ = trained
-        spec = get_kernel("atax")
-        space = build_design_space(spec)
-        report = knob_importance(predictor, "atax", space)
-        assert len(report.knobs) == len(space.knobs)
-        for knob in report.knobs:
-            assert knob.base_latency > 0
-
-    def test_ranked_by_magnitude(self, trained):
-        from repro.designspace import build_design_space
-        from repro.kernels import get_kernel
-        from repro.model import knob_importance
-
-        predictor, _ = trained
-        space = build_design_space(get_kernel("atax"))
-        ranked = knob_importance(predictor, "atax", space).ranked()
-        magnitudes = [abs(k.delta) for k in ranked]
-        assert magnitudes == sorted(magnitudes, reverse=True)
-
-    def test_pretty(self, trained):
-        from repro.designspace import build_design_space
-        from repro.kernels import get_kernel
-        from repro.model import knob_importance
-
-        predictor, _ = trained
-        space = build_design_space(get_kernel("atax"))
-        text = knob_importance(predictor, "atax", space).pretty()
-        assert "knob importance" in text

@@ -172,10 +172,7 @@ class TestCGRA:
     def test_front_kept_over_cgra_axes(self):
         spec = get_kernel("fir")
         space = build_design_space(spec)
-        dse = ModelDSE(
-            AnalyticPredictor(CGRA4X4), spec, space,
-            pipeline=None, use_pipeline=False, device=CGRA4X4,
-        )
+        dse = ModelDSE(AnalyticPredictor(CGRA4X4), spec, space, device=CGRA4X4)
         result = dse.run(time_limit_seconds=30.0)
         assert result.device == "cgra4x4"
         assert result.top

@@ -1,13 +1,27 @@
 """Tests for pragma ordering, Pareto utilities, and the model-driven DSE."""
 
+import json
+import os
+import time
+
 import pytest
 
-from repro.designspace import build_design_space
-from repro.dse import ModelDSE, order_pragmas, pareto_front
+from repro.designspace import build_design_space, point_key
+from repro.dse import (
+    PARETO_KEYS,
+    EvaluationPipeline,
+    ModelDSE,
+    order_pragmas,
+    pareto_front,
+)
 from repro.frontend.pragmas import PragmaKind
 from repro.kernels import get_kernel
 from repro.model.predictor import Prediction
+from tests import pareto_oracle
 from tests.pareto_oracle import dominates
+from tests.test_pipeline import make_predictor
+
+GOLDEN_BEAM = os.path.join(os.path.dirname(__file__), "golden", "beam_mvt.json")
 
 
 class TestOrdering:
@@ -179,3 +193,141 @@ class TestModelDSEFront:
         # The front's latency champion is the top-1 design.
         champion = min(front, key=lambda c: c.predicted_latency)
         assert champion.predicted_latency == result.top[0].predicted_latency
+
+
+class _RecordingOracle(_OracleStub):
+    """Oracle stub that remembers every prediction it hands out."""
+
+    def __init__(self, spec, tool):
+        super().__init__(spec, tool)
+        self.scored = []
+
+    def predict_batch(self, kernel, points, valid_threshold=0.5):
+        out = super().predict_batch(kernel, points, valid_threshold)
+        self.scored.extend(zip(points, out))
+        return out
+
+
+def _mvt_beam(predictor, **kwargs):
+    spec = get_kernel("mvt")
+    space = build_design_space(spec)
+    return ModelDSE(predictor, spec, space, **kwargs).run(time_limit_seconds=3600)
+
+
+def _beam_record(result):
+    return {
+        "top": [point_key(c.point) for c in result.top],
+        "latency": [c.predicted_latency for c in result.top],
+        "explored": result.explored,
+    }
+
+
+class TestBeamGolden:
+    """The ordered-pragma beam on mvt, pinned by a golden file.
+
+    Two runs: the HLS simulator as a perfect oracle with a narrow beam,
+    and the untrained-but-seeded M7 stack under the default settings.
+    Regenerate with REPRO_REGEN_GOLDEN=1 only after an intentional
+    change to search behaviour.
+    """
+
+    def _runs(self):
+        from repro.hls import MerlinHLSTool
+
+        oracle = _OracleStub(get_kernel("mvt"), MerlinHLSTool())
+        return {
+            "oracle": _beam_record(
+                _mvt_beam(oracle, exhaustive_limit=1000, beam_width=3)
+            ),
+            "model": _beam_record(_mvt_beam(make_predictor())),
+        }
+
+    def test_beam_matches_golden(self):
+        got = self._runs()
+        if os.environ.get("REPRO_REGEN_GOLDEN"):
+            with open(GOLDEN_BEAM, "w") as handle:
+                json.dump(got, handle, indent=1)
+                handle.write("\n")
+        with open(GOLDEN_BEAM) as handle:
+            golden = json.load(handle)
+        assert got == golden
+
+
+class TestBeamFront:
+    def test_front_is_front_of_every_scored_point(self):
+        """``pareto`` is the front of every usable point scored, not of the top-M."""
+        from repro.hls import MerlinHLSTool
+
+        oracle = _RecordingOracle(get_kernel("mvt"), MerlinHLSTool())
+        result = _mvt_beam(oracle, exhaustive_limit=1000, beam_width=3)
+        assert not result.exhaustive
+        usable = [
+            (point, p) for point, p in oracle.scored if p.valid and p.fits(0.8)
+        ]
+        assert len(oracle.scored) == result.explored
+        expected = pareto_oracle.pareto_front(
+            usable, lambda item: item[1].objectives, PARETO_KEYS
+        )
+        assert [point_key(c.point) for c in result.pareto] == [
+            point_key(point) for point, _ in expected
+        ]
+        # The front reaches past the top-M list (cheaper, slower designs).
+        top_keys = {point_key(c.point) for c in result.top}
+        assert any(point_key(c.point) not in top_keys for c in result.pareto)
+
+
+class _SlowPipeline(EvaluationPipeline):
+    """A pipeline whose every call sleeps first: a loaded host, on purpose."""
+
+    def __init__(self, predictor, delay):
+        super().__init__(predictor)
+        self.delay = delay
+
+    def predict_batch(self, *args, **kwargs):
+        time.sleep(self.delay)
+        return super().predict_batch(*args, **kwargs)
+
+
+def _signature(result):
+    return (
+        [(point_key(c.point), c.predicted_latency) for c in result.top],
+        [(point_key(c.point), c.prediction.objectives) for c in result.pareto],
+        result.explored,
+    )
+
+
+class TestTimeLimit:
+    def test_clock_cut_beam_says_so(self):
+        from repro.serve.schemas import dse_result_payload
+
+        predictor = make_predictor()
+        spec = get_kernel("mvt")
+        space = build_design_space(spec)
+        dse = ModelDSE(predictor, spec, space, pipeline=_SlowPipeline(predictor, 0.05))
+        result = dse.run(time_limit_seconds=0.5)
+        assert not result.exhaustive
+        assert result.time_limited
+        assert dse_result_payload(result)["time_limited"] is True
+
+    def test_slowed_beam_is_identical_under_a_loose_limit(self):
+        """Where the beam stops depends on the search, not on machine load."""
+        predictor = make_predictor()
+        spec = get_kernel("mvt")
+        space = build_design_space(spec)
+        fast = ModelDSE(predictor, spec, space).run(time_limit_seconds=3600)
+        slow = ModelDSE(
+            predictor, spec, space, pipeline=_SlowPipeline(predictor, 0.01)
+        ).run(time_limit_seconds=3600)
+        assert not fast.time_limited and not slow.time_limited
+        assert _signature(slow) == _signature(fast)
+
+    def test_clock_cut_sweep_says_so(self, oracle_dse):
+        spec, _, space, predictor = oracle_dse
+        whole = ModelDSE(predictor, spec, space, batch_size=4).run()
+        assert whole.exhaustive and not whole.time_limited
+        cut = ModelDSE(
+            predictor, spec, space, batch_size=4,
+            pipeline=_SlowPipeline(predictor, 0.05),
+        ).run(time_limit_seconds=0.2)
+        assert cut.time_limited
+        assert cut.explored < whole.explored

@@ -198,7 +198,7 @@ class TestTraceHook:
         spec = get_kernel("spmv-ellpack")
         space = build_design_space(spec)
         result = ModelDSE(
-            HLSOracle(spec), spec, space, top_m=5, batch_size=16, use_pipeline=False
+            HLSOracle(spec), spec, space, top_m=5, batch_size=16
         ).run(time_limit_seconds=300)
         assert result.exhaustive and result.pareto
         assert calls["hook"] == calls["non_empty"] > 1

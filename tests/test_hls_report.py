@@ -92,33 +92,3 @@ class TestExtraKernels:
                 point[knob.name] = P.COARSE
         piped = tool.synthesize(spec, point)
         assert piped.latency < base.latency
-
-
-class TestSensitivitySweep:
-    def test_sweep_structure(self, tool):
-        from repro.hls import sweep_kernel
-
-        spec = get_kernel("spmv-ellpack")
-        space = build_design_space(spec)
-        result = sweep_kernel(spec, space, tool=tool)
-        assert result.base_latency is not None
-        assert len(result.knobs) == len(space.knobs)
-        for knob in result.knobs:
-            assert len(knob.options) == len(knob.latencies)
-
-    def test_parallel_knob_is_sensitive(self, tool):
-        from repro.hls import sweep_kernel
-
-        spec = get_kernel("gemm-ncubed")
-        space = build_design_space(spec)
-        result = sweep_kernel(spec, space, tool=tool)
-        para = [k for k in result.knobs if k.kind == "parallel"]
-        assert any(k.sensitivity > 1.5 for k in para)
-
-    def test_pretty_ranked(self, tool):
-        from repro.hls import sweep_kernel
-
-        spec = get_kernel("spmv-ellpack")
-        space = build_design_space(spec)
-        text = sweep_kernel(spec, space, tool=tool).pretty()
-        assert "sensitivity sweep" in text

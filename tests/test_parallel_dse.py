@@ -108,6 +108,16 @@ class TestBitIdentity:
         ).run()
         assert signature(result) == signature(serial_result)
 
+    def test_clock_cut_run_says_so(self, predictor, spec, space):
+        whole = ParallelDSE(predictor, spec, space, workers=1, top_m=TOP_M).run()
+        assert not whole.time_limited
+        cut = ParallelDSE(
+            predictor, spec, space, workers=1, top_m=TOP_M, shard_size=7,
+            hooks=WorkerHooks(batch_overhead_seconds=0.3),
+        ).run(time_limit_seconds=0.1)
+        assert cut.time_limited
+        assert cut.explored < whole.explored
+
     def test_rejects_unboundable_spaces(self, predictor):
         big = get_kernel("2mm")
         big_space = build_design_space(big)

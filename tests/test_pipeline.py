@@ -515,9 +515,10 @@ class TestSearchIntegration:
     def test_model_dse_same_results_with_pipeline(self, predictor):
         spec = get_kernel("fir")
         space = build_design_space(spec)
-        plain = ModelDSE(predictor, spec, space, top_m=5, use_pipeline=False).run(
-            time_limit_seconds=120
-        )
+        plain = ModelDSE(
+            predictor, spec, space, top_m=5,
+            pipeline=EvaluationPipeline(predictor, engine="reference"),
+        ).run(time_limit_seconds=120)
         piped = ModelDSE(
             predictor, spec, space, top_m=5,
             pipeline=EvaluationPipeline(predictor, batch_size=32),
@@ -528,7 +529,6 @@ class TestSearchIntegration:
         ]
         assert piped.stats is not None
         assert piped.stats.points > 0
-        assert plain.stats is None
 
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "dse_top_points.json")
