@@ -9,9 +9,10 @@ time the DSE's running front on the two traffic shapes of the repo
 benchmark: many small merges into a standing front (strategy race) and
 one whole-sweep merge into an empty front (exhaustive sweep).  The
 row-memo benchmark times the exhaustive gesummv forward with the
-pipeline's conv-row memo at its default budget and with none, and the
-warm-up benchmark times a fresh pipeline's first chunks of every size
-up to its batch.
+pipeline's conv-row memo at its default budget and with none, the
+serve-cold replay times the repo benchmark's uncached serving traffic
+(small fused chunks, little row reuse), and the warm-up benchmark times
+a fresh pipeline's first chunks of every size up to its batch.
 """
 
 import random
@@ -172,6 +173,28 @@ def test_row_memo_sweep_forward(benchmark, monkeypatch, untrained_m7, budget):
         return pipeline.predict_batch("gesummv", points)
 
     assert benchmark(sweep) == expected
+
+
+def test_serve_cold_replay_forward(benchmark, untrained_m7):
+    """serve-cold's traffic through ``predict_batch``: requests of 4
+    distinct points cycling stencil, atax and gemm-blocked on one
+    pipeline at batch 16, each running the classifier and both
+    regressors as one fused chunk.  Each round starts from a cleared
+    cache, so no point repeats and rows are reused only within it."""
+    kernels = ("stencil", "atax", "gemm-blocked")
+    rng = random.Random(0)
+    spaces = {k: build_design_space(get_kernel(k)) for k in kernels}
+    requests = [(k, spaces[k].sample(rng, 4)) for _ in range(8) for k in kernels]
+    pipeline = EvaluationPipeline(untrained_m7, batch_size=16)
+    expected = [pipeline.predict_batch(k, points) for k, points in requests]  # compile and warm
+
+    def replay():
+        pipeline.clear_cache()
+        return [pipeline.predict_batch(k, points) for k, points in requests]
+
+    assert benchmark(replay) == expected
+    kernel, points = requests[-1]
+    assert expected[-1] == [untrained_m7.predict(kernel, p) for p in points]
 
 
 def test_pipeline_warmup_chunk_sizes(benchmark, untrained_m7):

@@ -24,16 +24,24 @@ module turns the point-by-point reference path into a pipeline:
    6/15/25/49/89/117 of 131 rows across the six layers.  A planned
    row's output depends only on the pragma values inside its receptive
    field, so a pipeline-wide row memo (:class:`_RowMemo`) keyed by
-   (layer, row, those values) lets a chunk compute only the rows no
-   earlier point of the pipeline's life computed: on an exhaustive
-   gesummv sweep that is 54% of them.  The memo holds at most
-   :data:`ROW_MEMO_BYTES` with least-recently-used eviction, is shared
-   by every engine of the pipeline, and lives until
+   (kernel, device, layer, row, those values) lets a chunk compute only
+   the rows no earlier point of the pipeline's life computed: on an
+   exhaustive gesummv sweep that is 54% of them.  One memo slot per key
+   holds all three models' output rows side by side, with a mask of the
+   models filled so far; jumping knowledge is taken per chunk from the
+   rows, so a slot stores outputs only.  The memo holds at most :data:`ROW_MEMO_BYTES`
+   with least-recently-used eviction, and lives until
    :meth:`EvaluationPipeline.clear_cache` or the pipeline does.  Its
    exactness leans on the three BLAS rules of :class:`CompiledGNNEngine`.
-3. **Classifier-first cascade** — searches only consume regression
-   objectives of *valid* candidates, so ``objectives_for="valid"``
-   skips the two regression forwards for points the classifier rejects.
+3. **One fused forward, or a classifier-first cascade** — a call that
+   wants objectives for every point (``objectives_for="all"``: serving,
+   the beam's full re-score) runs the classifier and both regressors as
+   one forward per chunk (:func:`_forward_group`): one set of row keys,
+   and per layer one memo lookup, one slot claim and one set of ragged
+   tables.  Searches only consume regression objectives of *valid*
+   candidates, so ``objectives_for="valid"`` runs the classifier first
+   and the two regressors only on points it accepts; the regression
+   stage fills the memo slots its classifier stage wrote.
 4. **Pipeline statistics** — :class:`PipelineStats` tracks points/sec,
    cache hits, batch counts and per-stage wall time; searchers thread
    it through :class:`~repro.dse.search.DSEResult` and the CLI prints
@@ -101,14 +109,17 @@ _OBS_BATCH_FILL = histogram("pipeline.batch_fill")
 _OBS_ROWS_REUSED = counter("pipeline.rows_reused")
 
 #: Byte budget of a pipeline's conv-row memo (:class:`_RowMemo`).  At
-#: float32 with 64-wide max-JK layers an entry slot is 512 bytes, so
-#: this holds 16,384 rows: an exhaustive gesummv sweep keeps every
-#: reusable row at about 6 MB across the three models.
+#: float32 with 64-wide layers a slot holding all three models' outputs
+#: is 768 bytes, so this holds 10,922 rows.
 ROW_MEMO_BYTES = 8 << 20
 
-#: The engines that always see the same points: one memo entry, one
-#: set of per-chunk index tables each.
-_ENGINE_GROUPS = (("classifier",), ("regressor", "bram_regressor"))
+#: The models in memo-slot order: a slot holds each one's values at a
+#: fixed offset (:attr:`_RowMemo.offsets`), and mask bit ``1 << i``
+#: says whether model ``i``'s are filled.
+_HEADS = ("classifier", "regressor", "bram_regressor")
+_CLASSIFIER, _REGRESSORS = _HEADS[:1], _HEADS[1:]
+#: Where each model's outputs go in a point-cache record.
+_RECORD_FIELDS = {"classifier": "logits", "regressor": "reg", "bram_regressor": "bram"}
 
 #: Row blocks of the stacked projections: at most ``_MAX_BLOCK`` rows
 #: and ``_BLOCK_WORK`` multiply-adds per product.  OpenBLAS runs larger
@@ -127,11 +138,18 @@ _SLOT_MASK = (1 << _SLOT_BITS) - 1
 
 @dataclass
 class PipelineStats:
-    """Counters and per-stage wall time for one pipeline (cumulative)."""
+    """Counters and per-stage wall time for one pipeline (cumulative).
+
+    A batch is one chunk's forward, whichever models it runs.
+    ``model_points`` counts the cascade stages each forwarded point
+    passes: one for a classifier-only or regressor-only chunk, two for
+    a fused chunk.  ``rows_computed`` and ``rows_reused`` count once per
+    model that runs the row.
+    """
 
     points: int = 0  #: predictions returned to callers
-    batches: int = 0  #: model forward batches executed
-    model_points: int = 0  #: points actually pushed through a model
+    batches: int = 0  #: chunk forwards executed
+    model_points: int = 0  #: points pushed through a model, once per cascade stage
     cache_hits: int = 0
     cache_misses: int = 0
     cascade_skipped: int = 0  #: points whose regression forwards were skipped
@@ -393,26 +411,35 @@ class _RowMemo:
     cannot overflow.
 
     Entries live in one preallocated slab of ``budget // slot bytes``
-    slots shared by every memo id of the pipeline: a kernel, a device
-    and an engine group (the classifier, or the regressor pair, whose
-    values share a slot).  Each layer of a memo id has a sorted key
+    slots shared by every kernel and device of the pipeline.  One slot
+    per (kernel, device, layer, row key) holds every model's output
+    row, model ``i`` of :data:`_HEADS` at ``offsets[i]``, and ``filled``
+    keeps a bit per model whose row the slot holds: a lookup hits only
+    where every requested model is filled, and a later cascade stage
+    fills its models into the slot an earlier one took
+    (:meth:`claim`).  Each layer of a (kernel, device) has a sorted key
     index; a slot taken over by another entry bumps its generation,
-    which retires the old index entry.  A new entry takes the least
-    recently used slot, so a budget too small for one chunk only costs
-    reuse, never results: engines copy what they read out of the slab
-    before they store.
+    which retires the old index entry, and an index sheds its retired
+    entries once they outnumber its live ones.  A new entry takes the
+    least recently used slot, so a budget too small for one chunk only
+    costs reuse, never results: engines copy what they read out of the
+    slab before they store.
     """
 
-    def __init__(self, budget: int, width: int, dtype):
+    def __init__(self, budget: int, widths: Sequence[int], dtype):
         dtype = np.dtype(dtype)
-        self.slot_bytes = width * dtype.itemsize
+        self.offsets = np.cumsum([0, *widths])[:-1].tolist()
+        self.slot_bytes = sum(widths) * dtype.itemsize
         slots = min(max(int(budget), 0) // self.slot_bytes, _SLOT_MASK + 1)
-        self.slab = np.empty((slots, width), dtype=dtype)
+        self.slab = np.empty((slots, sum(widths)), dtype=dtype)
+        self.filled = np.zeros(slots, dtype=np.uint8)  # a bit per model held
         self.stamp = np.full(slots, -1, dtype=np.int64)  # last use; -1: free
         self.gen = np.zeros(slots, dtype=np.int64)
+        self.owner = np.zeros(slots, dtype=np.int64)  # number of the _Index a live slot is in
         self.tick = 0
         self._free = np.arange(slots)
-        self._index: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
+        self._indexes: List[_Index] = []
+        self._index: Dict[tuple, _Index] = {}
         self._codes: Dict[tuple, List[Dict[bytes, int]]] = {}
         self._code_dtype: Dict[tuple, np.dtype] = {}
 
@@ -422,6 +449,7 @@ class _RowMemo:
         return int(np.count_nonzero(self.stamp >= 0)) * self.slot_bytes
 
     def clear(self) -> None:
+        self._indexes.clear()
         self._index.clear()
         self._codes.clear()
         self._code_dtype.clear()
@@ -463,27 +491,43 @@ class _RowMemo:
         if self._code_dtype.setdefault(kid, dtype) != dtype:
             # Wider codes change every key's width: drop the kernel's entries.
             self._code_dtype[kid] = dtype
-            for key in [k for k in self._index if k[0][: len(kid)] == kid]:
+            for key in [k for k in self._index if k[0] == kid]:
                 del self._index[key]
         return codes.astype(dtype)
 
-    def lookup(self, key: tuple, keys: np.ndarray) -> np.ndarray:
-        """Slot of each (sorted) key, ``-1`` if not held; marks hits used."""
+    def lookup(self, key: tuple, keys: np.ndarray, heads: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Slot of each (sorted) key, ``-1`` if not held, and whether the
+        slot holds every model of the ``heads`` mask; marks held slots used."""
         found = np.full(keys.size, -1, dtype=np.int64)
         entry = self._index.get(key)
         if entry is None:
-            return found
-        index, refs = entry
+            return found, found >= 0
+        index, refs = entry.keys, entry.refs
         at = np.minimum(np.searchsorted(index, keys), index.size - 1)
         slots = refs[at] & _SLOT_MASK
-        hit = (index[at] == keys) & (refs[at] >> _SLOT_BITS == self.gen[slots])
-        found[hit] = slots[hit]
-        self.stamp[found[hit]] = self.tick
-        return found
+        held = (index[at] == keys) & (refs[at] >> _SLOT_BITS == self.gen[slots])
+        found[held] = slots[held]
+        self.stamp[found[held]] = self.tick
+        return found, held & (self.filled[found] & heads == heads)
+
+    def claim(self, key: tuple, keys: np.ndarray, found: np.ndarray, heads: int) -> np.ndarray:
+        """Slots to store the ``heads`` models' values of the (sorted) missed
+        ``keys`` in, ``-1`` where none: a key's own slot where ``found``
+        (from :meth:`lookup`) holds one, else a new one, as many as fit."""
+        held = np.flatnonzero(found >= 0)
+        gen = self.gen[found[held]]
+        absent = np.flatnonzero(found < 0)
+        out = found.copy()
+        new = self.insert(key, keys[absent])
+        out[absent[absent.size - new.size:]] = new
+        # A held slot the insert evicted now belongs to another key.
+        out[held[self.gen[found[held]] != gen]] = -1
+        self.filled[out[out >= 0]] |= heads
+        return out
 
     def insert(self, key: tuple, keys: np.ndarray) -> np.ndarray:
-        """Slots for the last ``n`` of the (sorted, absent) ``keys``, all
-        that fit, taking the least recently used; the caller fills them."""
+        """Empty slots for the last ``n`` of the (sorted, absent) ``keys``,
+        all that fit, taking the least recently used; the caller fills them."""
         n = min(keys.size, self.stamp.size)
         if n == 0:
             return np.empty(0, dtype=np.int64)
@@ -493,25 +537,41 @@ class _RowMemo:
             # eighth of the slab, so selecting them is paid rarely.
             k = min(self.stamp.size, self._free.size + max(n, self.stamp.size // 8))
             victims = np.argpartition(self.stamp, k - 1)[:k]
+            live = victims[self.stamp[victims] >= 0]
+            for owner, count in zip(*np.unique(self.owner[live], return_counts=True)):
+                self._indexes[owner].live -= int(count)
             self.gen[victims] += 1
             self.stamp[victims] = -1
             self._free = victims
         slots, self._free = self._free[:n], self._free[n:]
         self.stamp[slots] = self.tick
+        self.filled[slots] = 0
         # An index entry is its key and its slot tagged with the slot's
         # generation; an entry whose slot moved on is stale.  A new entry
         # goes before any stale one with the same key, where lookups land.
         refs = self.gen[slots] << _SLOT_BITS | slots
         entry = self._index.get(key)
-        if entry is not None:
-            index, old = entry
-            if index.size > self.stamp.size:
+        if entry is None:
+            entry = self._index[key] = _Index(len(self._indexes), keys, refs)
+            self._indexes.append(entry)
+        else:
+            index, old = entry.keys, entry.refs
+            if index.size > 2 * entry.live:
                 live = old >> _SLOT_BITS == self.gen[old & _SLOT_MASK]
                 index, old = index[live], old[live]
             at = np.searchsorted(index, keys)
-            keys, refs = np.insert(index, at, keys), np.insert(old, at, refs)
-        self._index[key] = (keys, refs)
+            entry.keys, entry.refs = np.insert(index, at, keys), np.insert(old, at, refs)
+        entry.live += n
+        self.owner[slots] = entry.number
         return slots
+
+
+class _Index:
+    """One (kernel, device, layer)'s sorted memo keys, their slot refs,
+    and how many of them are live."""
+
+    def __init__(self, number: int, keys: np.ndarray, refs: np.ndarray):
+        self.number, self.keys, self.refs, self.live = number, keys, refs, 0
 
 
 # ---------------------------------------------------------------------------
@@ -539,27 +599,40 @@ def _run_mlp(weights, x: np.ndarray) -> np.ndarray:
         if b is not None:
             x += b
         if i < len(weights) - 1:
-            neg = np.exp(np.clip(x, -60.0, 0.0)) - 1.0
-            np.copyto(neg, x, where=x > 0)
-            x = neg
+            x = _elu(x, np.empty_like(x))
     return x
 
 
+def _elu(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """ELU of ``x`` into ``out``, bit for bit
+    :meth:`~repro.nn.tensor.Tensor.elu`; clobbers ``x``.
+
+    Branch-free: ``exp(min(x, 0)) - 1`` is exactly +0.0 where ``x > 0``,
+    and ``max(x, 0)`` adds +0.0 everywhere else.
+    """
+    np.clip(x, -60.0, 0.0, out=out)
+    np.exp(out, out=out)
+    out -= 1.0
+    out += np.maximum(x, 0.0, out=x)
+    return out
+
+
 class _Workspace:
-    """Reusable scratch buffers keyed by tag.
+    """Reusable scratch buffers keyed by (tag, trailing shape, dtype).
 
     A chunk's ragged shapes vary in their leading (row) dimension only,
     so each key keeps one buffer, grown to the most rows any chunk has
-    asked for, and hands out its leading rows.
+    asked for, and hands out its leading rows.  Kernels of different
+    sizes (the gate's per-copy rows) keep one buffer each.
     """
 
     def __init__(self):
         self._bufs: Dict[tuple, np.ndarray] = {}
 
-    def get(self, key, shape, dtype) -> np.ndarray:
+    def get(self, tag, shape, dtype) -> np.ndarray:
+        key = (tag, tuple(shape[1:]), np.dtype(dtype))
         buf = self._bufs.get(key)
-        if (buf is None or buf.shape[0] < shape[0] or buf.shape[1:] != tuple(shape[1:])
-                or buf.dtype != dtype):
+        if buf is None or buf.shape[0] < shape[0]:
             buf = self._bufs[key] = np.zeros(shape, dtype=dtype)
         return buf[: shape[0]]
 
@@ -591,10 +664,11 @@ class CompiledGNNEngine:
     keys the pipeline's :class:`_RowMemo` does not hold: their in-edges'
     attention and aggregation (:meth:`_layer`), over the projections of
     the chunk's input rows (computed or memoised one layer down).  An
-    entry holds the row's output and its running jumping-knowledge max,
-    or the jumping-knowledge row alone on the last layer.  The memo is
-    the pipeline's: at most :data:`ROW_MEMO_BYTES`, least recently used
-    out first, shared by every engine of the pipeline, and emptied by
+    entry holds the row's output; the jumping-knowledge max of a planned
+    row is taken per chunk over its outputs at every layer
+    (:meth:`_jk_rows`).  The memo is the pipeline's: at most
+    :data:`ROW_MEMO_BYTES`, least recently used out first, shared by
+    every engine of the pipeline, and emptied by
     :meth:`EvaluationPipeline.clear_cache`.  Pooling and heads run per
     point (:meth:`_readout`).
 
@@ -647,8 +721,8 @@ class CompiledGNNEngine:
 
     @property
     def entry_width(self) -> int:
-        """Values per memo entry (the widest layer's)."""
-        return max(self._widths)
+        """Values per memo entry (the widest layer's output)."""
+        return max(L["out"] for L in self._layers)
 
     def _compile(self, model) -> None:
         if not self.supports(model):
@@ -698,13 +772,6 @@ class CompiledGNNEngine:
             ))
         self._layers = layers
         self._jkn_mode = model.jkn.mode if model.jkn is not None else "last"
-        # Memo entry widths: output + running JK max below the last layer
-        # (max mode), the JK row alone on it.
-        last = len(layers) - 1
-        self._widths = [
-            L["out"] * (2 if self._jkn_mode == "max" and li < last else 1)
-            for li, L in enumerate(layers)
-        ]
         pool = model.pool
         if isinstance(pool, NodeAttentionPool):
             self._pool = dict(
@@ -740,18 +807,17 @@ class CompiledGNNEngine:
             base = {k: tab[k][N:2 * N].copy() for k in ("pq", "pkv", "pr")}
             base["ekv"] = tab["ekv"][plan.layer(li).edges]
             self._tabs.append(base)
-        # Per planned row, the JK max over the layers before it is planned
-        # (-inf where there are none); rows planned at the layer's input
-        # take the running max stored one layer down instead.
-        self._jk_prefix = []
         if self._jkn_mode == "max":
             self._base_jk = np.maximum.reduce(outs)
+            # Per row the last layer plans, the JK max over the layers
+            # before the row is first planned (-inf where there are none).
+            lp = plan.layer(len(self._layers) - 1)
+            self._jk_first = np.full((lp.n_out, outs[0].shape[1]), -np.inf, dtype=dt)
             for li in range(len(self._layers)):
                 lp = plan.layer(li)
-                prefix = np.full((lp.n_out, outs[0].shape[1]), -np.inf, dtype=dt)
+                first = self._jk_first[lp.n_in:lp.n_out]
                 for o in outs[:li]:
-                    np.maximum(prefix[lp.n_in:], o[lp.rows[lp.n_in:]], out=prefix[lp.n_in:])
-                self._jk_prefix.append(prefix)
+                    np.maximum(first, o[lp.rows[lp.n_in:]], out=first)
         else:
             self._base_jk = outs[-1]
         self._jk = self._base_jk[:0]
@@ -783,7 +849,7 @@ class CompiledGNNEngine:
         while blk > 2 and blk * K * 2 * od > _BLOCK_WORK:
             blk //= 2
         nb = -(-M // blk)
-        h = ws.get(("h", K), (nb * blk, K), dt)
+        h = ws.get(("h",), (nb * blk, K), dt)
         h[:M] = inp
         h = h.reshape(nb, blk, K)
         rows = N + nb * blk
@@ -865,12 +931,24 @@ class CompiledGNNEngine:
         np.subtract(1.0, gate, out=gate)
         agg *= gate
         out += agg
-        neg = ws.get(("neg",), (S, od), dt)
-        np.clip(out, -60.0, 0.0, out=neg)
-        np.exp(neg, out=neg)
-        neg -= 1.0
-        np.copyto(neg, out, where=out > 0)
-        return neg
+        return _elu(out, ws.get(("neg",), (S, od), dt))
+
+    def _jk_rows(self, vals: Sequence[np.ndarray], keys, copies: int) -> np.ndarray:
+        """The last layer's planned jumping-knowledge rows, ``(copies,
+        n_out, out_dim)``: ``vals[l]`` holds layer ``l``'s output per row
+        key of the chunk (``keys``, from :meth:`_RowMemo.keys`).  A max
+        row folds its outputs in layer order from the max over the layers
+        before it is planned, as the eager running max does."""
+        plan = self.graph.plan
+        last = len(vals) - 1
+        if self._jkn_mode != "max":
+            return vals[last][keys[last][2].reshape(copies, -1)]
+        jk = np.empty((copies,) + self._jk_first.shape, dtype=self.dtype)
+        jk[:] = self._jk_first
+        for li, v in enumerate(vals):
+            rows = jk[:, : plan.layer(li).n_out]
+            np.maximum(rows, v[keys[li][2].reshape(copies, -1)], out=rows)
+        return jk
 
     def _readout(self, pool: sp.csr_matrix, jk_rows: np.ndarray) -> np.ndarray:
         """Pooling and heads, per point, from the last layer's planned JK
@@ -904,73 +982,57 @@ class CompiledGNNEngine:
 
 
 def _forward_group(
-    engines, block: np.ndarray, memo: _RowMemo, memo_id: tuple, keys, ws: _Workspace
+    engines, heads: Sequence[int], block: np.ndarray, memo: _RowMemo, kid: tuple, keys,
+    ws: _Workspace,
 ) -> Tuple[List[np.ndarray], int, int]:
     """Run ``engines`` (sharing one graph) over a chunk's pragma block.
 
-    ``keys`` are the chunk's row keys from :meth:`_RowMemo.keys`.  A
-    memo entry holds every engine's values side by side, so the engines
-    share one lookup, one set of ragged tables and one insert per layer.
-    Scratch comes from ``ws``, which every engine shares.  Returns each
-    engine's outputs and the (computed, reused) row counts.
+    ``heads`` gives each engine's model position in :data:`_HEADS` (its
+    place in a memo slot), and ``keys`` are the chunk's row keys from
+    :meth:`_RowMemo.keys`.  The engines share one memo lookup, one set
+    of ragged tables and one claim of slots per layer: a row is reused
+    only where its slot holds every engine's output, else every engine
+    computes it and stores its output into the row's slot.  Scratch
+    comes from ``ws``, which every engine shares.  Returns each engine's
+    outputs and the (computed, reused) row counts, once per engine.
     """
     graph = engines[0].graph
     plan, N = graph.plan, graph.num_nodes
     B = block.shape[0]
-    offsets = np.cumsum([0] + [e.entry_width for e in engines])
+    mask = sum(1 << h for h in heads)
     memo.tick += 1
-    vals = [block.reshape(B * plan.seeds.size, -1)] * len(engines)
+    vals: List[List[np.ndarray]] = [[] for _ in engines]  # per engine, per layer
     in_map = np.arange(B * plan.seeds.size).reshape(B, -1)
     computed = reused = 0
     for li in range(max(e.num_layers for e in engines)):
         lp = plan.layer(li)
         index, first, inverse = keys[li]
-        slots = memo.lookup((memo_id, li), index)
-        hit = slots >= 0
+        slots, hit = memo.lookup((kid, li), index, mask)
         miss = np.flatnonzero(~hit)
         if miss.size:
             copies, pos = np.divmod(first[miss], lp.n_out)
             rag = lp.ragged(copies, pos, in_map, N)
-            below = pos < lp.n_in
-            below_rows = in_map[copies[below], pos[below]]
-            stored = memo.insert((memo_id, li), index[miss])
-        prev = vals
-        vals = []
-        for e, engine, off in zip(range(len(engines)), engines, offsets):
+            stored = memo.claim((kid, li), index[miss], slots[miss], mask)
+            kept = stored >= 0
+            stored, written = stored[kept], miss[kept]
+        for engine, h, v_e in zip(engines, heads, vals):
             if li >= engine.num_layers:
-                vals.append(prev[e])
                 continue
-            L = engine._layers[li]
-            od, width = L["out"], engine._widths[li]
-            v = ws.get(("vals", e, li % 2, width), (index.size, width), engine.dtype)
-            v[hit] = memo.slab[slots[hit], off:off + width]
+            od = engine._layers[li]["out"]
+            off = memo.offsets[h]
+            v = ws.get(("vals", h, li), (index.size, od), engine.dtype)
+            v[hit] = memo.slab[slots[hit], off:off + od]
             if miss.size:
-                inp = prev[e][:, :od] if li else prev[e]
-                out = engine._layer(li, engine._tabs[li], inp, rag, ws)
-                if engine._jkn_mode == "max":
-                    # Running JK max: the one stored a layer down for rows
-                    # planned there, else the max over base rows.
-                    running = engine._jk_prefix[li][pos]
-                    if li:
-                        running[below] = prev[e][below_rows, od:]
-                    np.maximum(running, out, out=running)
-                    if li < engine.num_layers - 1:
-                        v[miss, :od] = out
-                        v[miss, od:] = running
-                    else:
-                        v[miss] = running
-                else:
-                    v[miss] = out
-                memo.slab[stored, off:off + width] = v[miss[miss.size - stored.size:]]
+                inp = v_e[-1] if li else block.reshape(B * plan.seeds.size, -1)
+                v[miss] = engine._layer(li, engine._tabs[li], inp, rag, ws)
+                memo.slab[stored, off:off + od] = v[written]
             computed += miss.size
             reused += B * lp.n_out - miss.size
-            vals.append(v)
+            v_e.append(v)
         in_map = inverse.reshape(B, lp.n_out)
     pool = graph.pooling(B)
-    outputs = []
-    for engine, v in zip(engines, vals):
-        last = engine.num_layers - 1
-        outputs.append(engine._readout(pool, v[keys[last][2].reshape(B, -1)]))
+    outputs = [engine._readout(pool, engine._jk_rows(v_e, keys, B))
+               for engine, v_e in zip(engines, vals)]
     return outputs, computed, reused
 
 
@@ -1133,8 +1195,8 @@ class EvaluationPipeline:
         graph = _KernelGraph(self.encodings.get(kernel, self._device), self._dtype)
         engines = {name: CompiledGNNEngine(model, graph) for name, model in models.items()}
         if self._memo is None:
-            width = max(sum(engines[n].entry_width for n in group) for group in _ENGINE_GROUPS)
-            self._memo = _RowMemo(ROW_MEMO_BYTES, width, self._dtype)
+            widths = [engines[name].entry_width for name in _HEADS]
+            self._memo = _RowMemo(ROW_MEMO_BYTES, widths, self._dtype)
         entry = self._compiled[kid] = (graph, engines)
         return entry
 
@@ -1295,13 +1357,16 @@ class EvaluationPipeline:
         """Run selected engines over ``points`` in chunks of at most
         ``batch_size``; a partial chunk (the tail of a sweep, or a
         lightly-filled micro-batch from the server) runs at its own size,
-        so no forward pays for padded slots.  The chunk's row keys are
-        built once and shared by the engines (the regressor pair sees the
-        same points).
+        so no forward pays for padded slots.  Each chunk is one
+        :func:`_forward_group` of every selected engine over row keys
+        built once.
         """
         kid = (kernel, self._device_name)
         graph, compiled = self._engines(kernel)
         engines = [compiled[name] for name in engine_names]
+        heads = [_HEADS.index(name) for name in engine_names]
+        # Cascade stages each point passes: the classifier, the regressors.
+        stages = (_CLASSIFIER[0] in engine_names) + any(n in _REGRESSORS for n in engine_names)
         layers = max(e.num_layers for e in engines)
         outputs: Dict[str, List[np.ndarray]] = {name: [] for name in engine_names}
         with no_grad():
@@ -1317,7 +1382,7 @@ class EvaluationPipeline:
                     t0 = time.perf_counter()
                     keys = self._memo.keys(kid, graph.plan, block, layers)
                     results, computed, reused = _forward_group(
-                        engines, block, self._memo, kid + tuple(engine_names), keys, self._ws
+                        engines, heads, block, self._memo, kid, keys, self._ws
                     )
                     for name, result in zip(engine_names, results):
                         outputs[name].append(result)
@@ -1327,9 +1392,20 @@ class EvaluationPipeline:
                 self.stats.rows_reused += reused
                 _OBS_ROWS_REUSED.inc(reused)
                 self.stats.batches += 1
-                self.stats.model_points += len(chunk)
+                self.stats.model_points += stages * len(chunk)
                 _OBS_BATCH_FILL.observe(len(chunk))
         return {name: np.concatenate(chunks, axis=0) for name, chunks in outputs.items()}
+
+    def _fill_records(self, kernel, points, records, indices, engine_names) -> None:
+        """Forward ``points[i]`` for each ``i`` in ``indices`` through the
+        named engines and store the outputs in ``records[i]``."""
+        if not indices:
+            return
+        out = self._forward_chunks(kernel, [points[i] for i in indices], engine_names)
+        for name in engine_names:
+            field = _RECORD_FIELDS[name]
+            for row, i in enumerate(indices):
+                records[i][field] = out[name][row]
 
     def _compiled_batch(
         self, kernel, points, valid_threshold, objectives_for
@@ -1351,7 +1427,8 @@ class EvaluationPipeline:
             by_key.setdefault(key, record)
         records = [by_key[key] for key in keys]
 
-        # Stage 1: validity classifier for every point not yet classified.
+        # Stage 1: validity classifier for every point not yet classified,
+        # fused with the regressors when every point wants objectives.
         need_cls: List[int] = []
         fresh_cls = set()
         for i, record in enumerate(records):
@@ -1363,20 +1440,16 @@ class EvaluationPipeline:
                 need_cls.append(i)
                 fresh_cls.add(id(record))
                 self.stats.cache_misses += 1
-        classifier, regressors = _ENGINE_GROUPS
-        if need_cls:
-            cls_out = self._forward_chunks(
-                kernel, [points[i] for i in need_cls], classifier
-            )["classifier"]
-            for row, i in enumerate(need_cls):
-                records[i]["logits"] = cls_out[row]
+        fused = objectives_for == "all"
+        self._fill_records(kernel, points, records, need_cls, _HEADS if fused else _CLASSIFIER)
 
         logits = np.stack([record["logits"] for record in records])
         exp = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs = exp[:, 1] / exp.sum(axis=1)
 
-        # Stage 2: regression for points that need objectives.
-        if objectives_for == "all":
+        # Stage 2: regression for points that need objectives and have
+        # none yet (a classified point the cascade skipped, when fused).
+        if fused:
             wants_reg = [True] * len(points)
         else:
             wants_reg = [bool(probs[i] >= valid_threshold) for i in range(len(points))]
@@ -1387,11 +1460,7 @@ class EvaluationPipeline:
             if wants_reg[i] and "reg" not in record and id(record) not in fresh_reg:
                 need_reg.append(i)
                 fresh_reg.add(id(record))
-        if need_reg:
-            reg_out = self._forward_chunks(kernel, [points[i] for i in need_reg], regressors)
-            for row, i in enumerate(need_reg):
-                records[i]["reg"] = reg_out["regressor"][row]
-                records[i]["bram"] = reg_out["bram_regressor"][row]
+        self._fill_records(kernel, points, records, need_reg, _REGRESSORS)
 
         # Materialize through the shared reference helper.
         t0 = time.perf_counter()

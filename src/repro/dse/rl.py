@@ -30,7 +30,7 @@ exposed in :attr:`RLExplorer.trajectory` — replays identically.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 

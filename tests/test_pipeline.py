@@ -38,7 +38,7 @@ from repro.model.predictor import (
     Prediction,
     predictions_from_outputs,
 )
-from repro.nn.tensor import get_default_dtype, set_default_dtype
+from repro.nn.tensor import Tensor, get_default_dtype, set_default_dtype
 
 
 def make_predictor(seed: int = 0, config_name: str = "M7") -> GNNDSEPredictor:
@@ -340,6 +340,167 @@ class TestRowMemo:
         pipeline = EvaluationPipeline(predictor, batch_size=64, cache=False)
         assert pipeline.predict_batch(one_pragma, points) == expected
         assert pipeline.predict_batch(one_pragma, points[::-1]) == expected[::-1]
+
+
+class TestFusedForward:
+    """An ``objectives_for="all"`` chunk runs the classifier and both
+    regressors as one forward, and every model's values of a row key
+    share one memo slot (float32)."""
+
+    KERNELS = TestBatchCompositionInvariance.SAMPLED_KERNELS + ("mvt",)  # mvt: byte-string keys
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_fused_equals_staged_and_eager(self, f32_predictor, one_pragma, kernel):
+        set_default_dtype(np.float32)
+        points = sample_points(kernel, 8, seed=29)
+        fused = EvaluationPipeline(f32_predictor, batch_size=5, cache=False)
+        staged = EvaluationPipeline(f32_predictor, batch_size=5, cache=False)
+        got = fused._forward_chunks(kernel, points, pipeline_module._HEADS)
+        want = staged._forward_chunks(kernel, points, pipeline_module._CLASSIFIER)
+        want.update(staged._forward_chunks(kernel, points, pipeline_module._REGRESSORS))
+        for name in pipeline_module._HEADS:
+            assert got[name].tobytes() == want[name].tobytes()
+        assert fused.predict_batch(kernel, points) == [
+            f32_predictor.predict(kernel, p) for p in points
+        ]
+
+    @staticmethod
+    def _median_threshold(predictor, kernel, points) -> float:
+        """A threshold the cascade rejects about half of ``points`` at."""
+        probs = sorted(predictor.predict(kernel, p).valid_prob for p in points)
+        return probs[len(probs) // 2]
+
+    @pytest.mark.parametrize(
+        "budget, cache", [(None, False), (None, True), (0, False), (4096, False)]
+    )
+    def test_valid_and_all_calls_interleave(self, f32_predictor, monkeypatch, budget, cache):
+        """Cascade and fused calls on overlapping points fill one another's
+        memo slots and equal a fresh pipeline and eager, at the default
+        budget and under eviction."""
+        set_default_dtype(np.float32)
+        if budget is not None:
+            monkeypatch.setattr(pipeline_module, "ROW_MEMO_BYTES", budget)
+        kernel = "mvt"
+        pool = sample_points(kernel, 24, seed=31)
+        threshold = self._median_threshold(f32_predictor, kernel, pool)
+        pipeline = EvaluationPipeline(f32_predictor, batch_size=6, cache=cache)
+        calls = [(0, 10, "valid"), (5, 15, "all"), (12, 24, "valid"), (0, 24, "all")]
+        skipped = 0
+        for start, stop, mode in calls:
+            points = pool[start:stop]
+            got = pipeline.predict_batch(kernel, points, threshold, objectives_for=mode)
+            fresh = EvaluationPipeline(f32_predictor, batch_size=6, cache=False)
+            assert got == fresh.predict_batch(kernel, points, threshold, objectives_for=mode)
+            for pred, point in zip(got, points):
+                eager = f32_predictor.predict_batch(kernel, [point], threshold)[0]
+                if mode == "all" or eager.valid:
+                    assert pred == eager
+                else:
+                    skipped += 1
+                    assert pred.objectives is None and pred.valid_prob == eager.valid_prob
+            if budget is not None:
+                assert pipeline._memo.slab.nbytes <= budget
+                assert pipeline._memo.nbytes <= budget
+        assert skipped > 0
+
+    def test_staged_calls_leave_one_slot_per_key(self, f32_predictor):
+        """A cascade call and then a fused call on the same points hold
+        as many memo slots as one fused call: the regression stages fill
+        the classifier's slots."""
+        set_default_dtype(np.float32)
+        kernel = "gesummv"
+        points = sample_points(kernel, 12, seed=37)
+        threshold = self._median_threshold(f32_predictor, kernel, points)
+        staged = EvaluationPipeline(f32_predictor, batch_size=4, cache=False)
+        staged.predict_batch(kernel, points, threshold, objectives_for="valid")
+        staged.predict_batch(kernel, points, threshold, objectives_for="all")
+        fused = EvaluationPipeline(f32_predictor, batch_size=4, cache=False)
+        fused.predict_batch(kernel, points, threshold)
+        memo = staged._memo
+        assert memo.nbytes == fused._memo.nbytes > 0
+        for entry in memo._index.values():
+            refs = entry.refs
+            live = refs >> pipeline_module._SLOT_BITS == memo.gen[refs & pipeline_module._SLOT_MASK]
+            assert np.unique(entry.keys[live]).size == entry.live == np.count_nonzero(live)
+        assert np.all(memo.filled[memo.stamp >= 0] == 0b111)
+
+
+class TestMemoSlots:
+    """:class:`_RowMemo` slot claims and index upkeep, on a 4-slot memo."""
+
+    @staticmethod
+    def _memo():
+        memo = pipeline_module._RowMemo(4 * 3 * 4, [1, 1, 1], np.float32)
+        assert memo.slab.shape[0] == 4
+        return memo
+
+    def test_claim_under_eviction_gives_each_slot_one_key(self):
+        memo, key = self._memo(), ("k", 0)
+        keys = np.arange(4, dtype=np.int64)
+        memo.tick += 1
+        found, _ = memo.lookup(key, keys, 0b001)
+        memo.claim(key, keys, found, 0b001)  # the classifier's values only
+        memo.tick += 1
+        keys = np.array([0, 5, 6, 7, 8], dtype=np.int64)
+        found, hit = memo.lookup(key, keys, 0b111)
+        assert found[0] >= 0 and not hit.any()  # key 0 is held, partly filled
+        # Four new keys evict every slot, key 0's too.
+        slots = memo.claim(key, keys, found, 0b111)
+        taken = slots[slots >= 0]
+        assert np.unique(taken).size == taken.size == 4
+        memo.tick += 1
+        found, hit = memo.lookup(key, keys, 0b111)
+        assert np.array_equal(found, slots) and np.array_equal(hit, slots >= 0)
+
+    def test_index_sheds_stale_entries(self):
+        memo, key = self._memo(), ("k", 0)
+        for start in range(0, 400, 3):
+            keys = np.arange(start, start + 3, dtype=np.int64)
+            memo.tick += 1
+            found, _ = memo.lookup(key, keys, 0b111)
+            memo.claim(key, keys, found, 0b111)
+            entry = memo._index[key]
+            assert entry.live == np.count_nonzero(memo.stamp >= 0) <= 4
+            assert entry.keys.size <= 2 * 4 + 3
+
+
+class TestEluAndWorkspace:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_elu_matches_tensor_elu(self, dtype):
+        """The compiled ELU is bit for bit the eager one, edge values included."""
+        info = np.finfo(dtype)
+        edges = [-0.0, 0.0, 1e-8, -1e-8, -60.0, -61.0, np.inf, -np.inf, 1e30, -1e30,
+                 info.max, -info.max, info.tiny, -info.tiny, info.eps, -info.eps]
+        rng = np.random.default_rng(0)
+        values = np.concatenate([edges, rng.normal(0.0, 10.0, 256)]).astype(dtype)
+        previous = get_default_dtype()
+        set_default_dtype(dtype)
+        try:
+            want = Tensor(values).elu().data
+        finally:
+            set_default_dtype(previous)
+        got = pipeline_module._elu(values.copy(), np.empty_like(values))
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_kernel_alternation_stops_allocating(self, f32_predictor, monkeypatch):
+        """serve-cold's stencil/atax/gemm-blocked cycle allocates each
+        scratch buffer in its first round only: kernels with different
+        node counts keep a gate buffer each."""
+        set_default_dtype(np.float32)
+        monkeypatch.setattr(pipeline_module, "ROW_MEMO_BYTES", 0)  # every chunk computes
+        kernels = ("stencil", "atax", "gemm-blocked")
+        requests = {kernel: sample_points(kernel, 4, seed=41) for kernel in kernels}
+        pipeline = EvaluationPipeline(f32_predictor, batch_size=16, cache=False)
+        for kernel in kernels:
+            pipeline.predict_batch(kernel, requests[kernel])
+        buffers = dict(pipeline._ws._bufs)
+        assert sum(1 for key in buffers if key[0] == ("gi",)) == len(kernels)
+        for _ in range(2):
+            for kernel in kernels:
+                pipeline.predict_batch(kernel, requests[kernel])
+                assert pipeline._ws._bufs.keys() == buffers.keys()
+                assert all(pipeline._ws._bufs[key] is buf for key, buf in buffers.items())
 
 
 class TestCache:
