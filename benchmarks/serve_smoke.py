@@ -8,11 +8,16 @@ whole request path from the outside:
 - ``/v1/predict`` answers are **bit-identical** to the in-process
   :class:`~repro.dse.pipeline.EvaluationPipeline` on the same weights;
 - ``/v1/dse/top`` returns a well-formed ranked payload;
+- ``/v1/dse/top`` and an in-process :func:`~repro.dse.run_dse` on the
+  same weights agree on ``top``, ``pareto``, ``explored`` and the
+  ``race`` ledger, for the beam and for a seeded race on fir (one
+  request path: the server and ``repro dse`` share ``run_dse``);
 - ``/metrics`` accounts for every request we sent.
 
 Exits non-zero on any mismatch, so it can gate CI.
 """
 
+import json
 import os
 import random
 import sys
@@ -23,7 +28,7 @@ except ImportError:  # standalone run from a source checkout, no install
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro.designspace import build_design_space
-from repro.dse import EvaluationPipeline
+from repro.dse import EvaluationPipeline, run_dse
 from repro.explorer.database import Database
 from repro.graph.encoding import EDGE_DIM, NODE_DIM
 from repro.kernels import get_kernel
@@ -32,9 +37,20 @@ from repro.model.dataset import GraphDatasetBuilder
 from repro.model.models import build_model
 from repro.model.predictor import GNNDSEPredictor
 from repro.serve import PredictorService, ServeClient, start_server
+from repro.serve.schemas import dse_result_payload
 
 KERNEL = "spmv-ellpack"
 POINTS = 12
+
+#: (label, request fields) of the searches the server and an in-process
+#: ``run_dse`` must agree on.  fir's 97-point space sweeps well inside
+#: the time limit, so neither side is cut by the clock.
+DSE_KERNEL = "fir"
+DSE_CASES = (
+    ("beam", {}),
+    ("race", {"strategy": "race", "budget": 25, "seed": 3}),
+)
+DSE_FIELDS = ("top", "pareto", "explored", "race")
 
 
 def make_predictor(seed=0):
@@ -93,6 +109,25 @@ def main():
             f"serve-smoke: dse/top returned {len(ranks)} designs, "
             f"{result['explored']} points explored"
         )
+
+        spec = get_kernel(DSE_KERNEL)
+        dse_space = build_design_space(spec)
+        for label, fields in DSE_CASES:
+            served = client.dse_top(DSE_KERNEL, top=3, time_limit=30.0, **fields)
+            local = run_dse(
+                spec, dse_space, EvaluationPipeline(predictor),
+                top_m=3, time_limit_seconds=30.0, **fields,
+            )
+            local = json.loads(json.dumps(dse_result_payload(local)))
+            if served["time_limited"] or local["time_limited"]:
+                fail(f"{label} search on {DSE_KERNEL} was cut by its time limit")
+            for field in DSE_FIELDS:
+                if served[field] != local[field]:
+                    fail(f"/v1/dse/top {label} {field!r} differs from in-process run_dse")
+            print(
+                f"serve-smoke: dse/top {label} on {DSE_KERNEL} matches run_dse "
+                f"({served['explored']} explored, {len(served['pareto'])} on the front)"
+            )
 
         metrics = client.metrics()
         predict_count = metrics["latency"]["/v1/predict"]["count"]

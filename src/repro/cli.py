@@ -61,6 +61,8 @@ def _parse_setting(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .dse import STRATEGIES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="GNN-DSE reproduction (DAC 2022) command-line interface",
@@ -111,8 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one DSE per registered device, plus the merged "
                         "device-annotated cross-device Pareto front")
     p.add_argument(
-        "--strategy", default="beam",
-        choices=["beam", "race", "sa", "rl", "greedy", "random"],
+        "--strategy", default="beam", choices=STRATEGIES,
         help="search strategy: 'beam' is the exhaustive/ordered-beam "
              "ModelDSE; the others are budgeted searchers — 'race' "
              "runs sa/greedy/rl/random under one shared query budget "
@@ -364,25 +365,7 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _run_device_dse(args, spec, space, device, predictor):
-    """One serial search bound to a registry device (see
-    :func:`repro.dse.device_pipeline` for which evaluator it runs on)."""
-    from .dse import ModelDSE, device_pipeline
-
-    pipeline = device_pipeline(
-        predictor,
-        device,
-        batch_size=args.batch_size,
-        engine=args.engine,
-        cache=not args.no_cache,
-    )
-    dse = ModelDSE(
-        pipeline.predictor, spec, space, top_m=args.top, pipeline=pipeline, device=device
-    )
-    return dse.run(time_limit_seconds=args.time_limit)
-
-
-def _cmd_dse_all_devices(args, spec, space, predictor) -> int:
+def _cmd_dse_all_devices(args, spec, space, pipeline) -> int:
     from .dse import run_cross_device_dse
     from .hls import list_devices
     from .obs import span
@@ -390,13 +373,8 @@ def _cmd_dse_all_devices(args, spec, space, predictor) -> int:
 
     with span("dse.cross_device", kernel=args.kernel):
         result = run_cross_device_dse(
-            spec,
-            space,
-            list_devices(),
-            predictor=predictor,
-            top_m=args.top,
-            batch_size=args.batch_size,
-            time_limit_seconds=args.time_limit,
+            spec, space, list_devices(), pipeline=pipeline,
+            top_m=args.top, time_limit_seconds=args.time_limit,
         )
     _finish_trace(args.trace, "dse.cross_device")
     for name in result.devices:
@@ -423,7 +401,8 @@ def _cmd_dse_all_devices(args, spec, space, predictor) -> int:
 
 
 def _cmd_dse(args) -> int:
-    from .dse import EvaluationPipeline, ModelDSE
+    from .dse import EvaluationPipeline, run_dse
+    from .dse.run import check_request
     from .obs import span
 
     _start_trace(args.trace)
@@ -432,83 +411,36 @@ def _cmd_dse(args) -> int:
     if args.all_devices and args.device:
         raise ReproError("--device and --all-devices are mutually exclusive")
     device = _resolve_device(args.device)
+    pipeline = None
     if args.model is not None:
         from .model.predictor import GNNDSEPredictor
 
-        predictor = GNNDSEPredictor.load(args.model)
-    elif args.device or args.all_devices:
-        # Device-targeted runs can fall back to the analytic evaluator,
-        # so a trained model is optional.
-        predictor = None
-    else:
+        pipeline = EvaluationPipeline(
+            GNNDSEPredictor.load(args.model),
+            batch_size=args.batch_size,
+            engine=args.engine,
+            cache=not args.no_cache,
+        )
+    elif not (args.device or args.all_devices):
+        # Only device-targeted runs can do without a model: they fall
+        # back to the analytic evaluator.
         raise ReproError(
             "dse needs --model <artifact-dir> (or --device/--all-devices "
             "for the analytic evaluator)"
         )
     if args.resume and not args.checkpoint:
         raise ReproError("--resume requires --checkpoint FILE")
-    if args.strategy != "beam" and (args.workers > 1 or args.checkpoint):
-        raise ReproError(
-            "--strategy race/sa/rl/greedy/random runs serially; "
-            "drop --workers/--checkpoint or use --strategy beam"
-        )
-    if (device is not None or args.all_devices) and (
-        args.strategy != "beam" or args.workers > 1 or args.checkpoint
-    ):
-        raise ReproError(
-            "--device/--all-devices run the serial beam search; "
-            "drop --strategy/--workers/--checkpoint"
-        )
     if args.all_devices:
-        return _cmd_dse_all_devices(args, spec, space, predictor)
+        check_request(args.strategy, args.workers, args.checkpoint, device_bound=True)
+        return _cmd_dse_all_devices(args, spec, space, pipeline)
     with span("dse.run", kernel=args.kernel, workers=args.workers):
-        if device is not None:
-            result = _run_device_dse(args, spec, space, device, predictor)
-        elif args.strategy != "beam":
-            from .dse import DEFAULT_ARMS, run_race
-
-            pipeline = EvaluationPipeline(
-                predictor,
-                batch_size=args.batch_size,
-                engine=args.engine,
-                cache=not args.no_cache,
-            )
-            arms = DEFAULT_ARMS if args.strategy == "race" else (args.strategy,)
-            race = run_race(
-                pipeline, spec, space,
-                budget=args.budget,
-                strategies=arms,
-                top_m=args.top,
-                seed=args.seed,
-            )
-            result = race.as_dse_result(stats=pipeline.stats_snapshot())
-            result.strategy = args.strategy
-        elif args.workers > 1 or args.checkpoint:
-            from .dse import ParallelDSE
-
-            parallel = ParallelDSE(
-                predictor, spec, space,
-                workers=args.workers,
-                top_m=args.top,
-                pipeline_batch_size=args.batch_size,
-                engine=args.engine,
-                cache=not args.no_cache,
-                shard_size=args.shard_size,
-                checkpoint_path=args.checkpoint,
-                resume=args.resume,
-            )
-            result = parallel.run(time_limit_seconds=args.time_limit)
-        else:
-            # The plain serial code path, byte-for-byte what pre-parallel
-            # builds ran (no sharding, no journal).
-            pipeline = EvaluationPipeline(
-                predictor,
-                batch_size=args.batch_size,
-                engine=args.engine,
-                cache=not args.no_cache,
-            )
-            dse = ModelDSE(predictor, spec, space, top_m=args.top, pipeline=pipeline)
-            result = dse.run(time_limit_seconds=args.time_limit)
+        result = run_dse(
+            spec, space, pipeline,
+            strategy=args.strategy, budget=args.budget, seed=args.seed,
+            device=device, workers=args.workers, checkpoint_path=args.checkpoint,
+            resume=args.resume, shard_size=args.shard_size,
+            top_m=args.top, time_limit_seconds=args.time_limit,
+        )
     _finish_trace(args.trace, "dse.run")
     mode = "exhaustive" if result.exhaustive else "heuristic"
     if result.time_limited:

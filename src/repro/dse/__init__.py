@@ -19,7 +19,9 @@
   shared query budget by a UCB bandit; the ``sa`` arm is the repo's
   annealer;
 - :mod:`~repro.dse.hypervolume` — exact WFG hypervolume, the search
-  quality metric the benchmarks gate on.
+  quality metric the benchmarks gate on;
+- :func:`run_dse` — the one request path ``repro dse`` and
+  ``/v1/dse/top`` share: it picks the searcher (see :mod:`~repro.dse.run`).
 
 Fig. 7's multi-round database augmentation is not here: it is
 :func:`repro.experiments.run_fig7`, one :class:`repro.loop.ActiveLoop` run.
@@ -51,6 +53,7 @@ from .pipeline import (
 )
 from .hypervolume import hypervolume, normalized_hypervolume, reference_point
 from .race import DEFAULT_ARMS, RaceResult, StrategyRacer, run_race
+from .run import STRATEGIES, run_dse
 from .search import PARETO_KEYS, DSECandidate, DSEResult, Frontier, ModelDSE
 from .strategies import (
     AnnealingStrategy,
@@ -106,4 +109,6 @@ __all__ = [
     "normalized_hypervolume",
     "reference_point",
     "run_race",
+    "STRATEGIES",
+    "run_dse",
 ]

@@ -14,8 +14,10 @@ re-bound per device via :meth:`GNNDSEPredictor.for_device`, which
 conditions the encoding and rescales utilizations onto the target's
 capacities); CGRA-style targets — and predictor-less runs — fall back
 to :class:`AnalyticPredictor`, a thin predictor facade over the modeled
-HLS/CGRA evaluator itself.  The CLI and the serving layer bind their
-single-device searches with it too.
+HLS/CGRA evaluator itself.  :func:`device_dse` runs the serial beam on
+that pipeline: it is the device branch of :func:`repro.dse.run.run_dse`
+(the CLI's and the server's one request path), and
+:func:`run_cross_device_dse` runs it once per device.
 
 Everything here is deterministic: devices are visited in sorted-name
 order and each per-device search is the (batch-boundary invariant)
@@ -26,7 +28,7 @@ bit-identical merged fronts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..hls.device import get_device
 from ..model.predictor import DEFAULT_VALID_THRESHOLD, Prediction
@@ -40,6 +42,7 @@ __all__ = [
     "DeviceFrontEntry",
     "CrossDeviceResult",
     "cross_device_objectives",
+    "device_dse",
     "device_pipeline",
     "run_cross_device_dse",
 ]
@@ -176,19 +179,18 @@ def _resolve(device):
     return get_device(device) if isinstance(device, str) else device
 
 
-def device_pipeline(
-    predictor, device, pipeline_for=None, **pipeline_kwargs
-) -> EvaluationPipeline:
+def device_pipeline(pipeline, device, pipeline_for=None) -> EvaluationPipeline:
     """The evaluation pipeline a search bound to ``device`` runs on.
 
-    An FPGA target with a re-bindable surrogate (``for_device``) gets
-    the model re-bound to it: ``pipeline_for(device.name)`` when the
-    caller keeps per-device pipelines, else a new pipeline built with
-    ``pipeline_kwargs``.  Any other target (a CGRA, or a run with no
-    model) gets :class:`AnalyticPredictor` on the reference engine.
-    Search the result with ``ModelDSE(pipeline.predictor, ...,
-    pipeline=pipeline, device=device)``.
+    ``pipeline`` is the caller's pipeline around the trained model, or
+    ``None`` for a run without one.  An FPGA target with a re-bindable
+    surrogate (``for_device``) gets the model re-bound to it:
+    ``pipeline_for(device.name)`` when the caller keeps per-device
+    pipelines, else a new pipeline with ``pipeline``'s batch size,
+    engine and cache setting.  Any other target (a CGRA, or a run with
+    no model) gets :class:`AnalyticPredictor` on the reference engine.
     """
+    predictor = getattr(pipeline, "predictor", None)
     if (
         predictor is not None
         and getattr(device, "kind", "fpga") == "fpga"
@@ -196,9 +198,27 @@ def device_pipeline(
     ):
         if pipeline_for is not None:
             return pipeline_for(device.name)
-        return EvaluationPipeline(predictor.for_device(device), **pipeline_kwargs)
+        return EvaluationPipeline(
+            predictor.for_device(device),
+            batch_size=pipeline.batch_size,
+            engine=pipeline.engine_mode,
+            cache=pipeline.cache_enabled,
+        )
     # Runs on the reference engine; the estimator keeps its own cache.
     return EvaluationPipeline(AnalyticPredictor(device), cache=False)
+
+
+def device_dse(spec, space, device, pipeline=None, pipeline_for=None,
+               time_limit_seconds: float = 3600.0, **search) -> DSEResult:
+    """The serial beam bound to ``device``, on :func:`device_pipeline`.
+
+    :func:`~repro.dse.run.run_dse`'s device branch, and the search
+    :func:`run_cross_device_dse` runs per device.  ``search`` goes to
+    :class:`~repro.dse.search.ModelDSE`.
+    """
+    bound = device_pipeline(pipeline, device, pipeline_for)
+    dse = ModelDSE(bound.predictor, spec, space, pipeline=bound, device=device, **search)
+    return dse.run(time_limit_seconds)
 
 
 def run_cross_device_dse(
@@ -211,31 +231,30 @@ def run_cross_device_dse(
     batch_size: int = 256,
     exhaustive_limit: int = 20_000,
     time_limit_seconds: float = 3600.0,
+    pipeline: Optional[EvaluationPipeline] = None,
 ) -> CrossDeviceResult:
     """Run one DSE per device and merge the fronts.
 
-    ``devices`` holds registry names or device objects, each bound by
-    :func:`device_pipeline`: FPGA targets use ``predictor`` (re-bound
-    per device) when one is given; CGRA targets and predictor-less runs
-    use :class:`AnalyticPredictor`.
-    The per-device time budget is ``time_limit_seconds`` each.
+    ``devices`` holds registry names or device objects, each searched
+    by :func:`device_dse`.  The model comes as ``pipeline``, whose batch
+    size, engine and cache setting every FPGA pipeline copies, or as
+    ``predictor`` on default settings; without either, every device
+    runs :class:`AnalyticPredictor`.  ``batch_size`` is the points each
+    search scores per call.  The time budget is per device.
     """
+    if pipeline is None and predictor is not None:
+        pipeline = EvaluationPipeline(predictor)
     resolved = sorted((_resolve(d) for d in devices), key=lambda d: d.name)
     per_device: Dict[str, DSEResult] = {}
     for device in resolved:
-        pipeline = device_pipeline(predictor, device)
-        dse = ModelDSE(
-            pipeline.predictor,
-            spec,
-            space,
+        per_device[device.name] = device_dse(
+            spec, space, device, pipeline,
+            time_limit_seconds=time_limit_seconds,
             fit_threshold=fit_threshold,
             top_m=top_m,
             batch_size=batch_size,
             exhaustive_limit=exhaustive_limit,
-            pipeline=pipeline,
-            device=device,
         )
-        per_device[device.name] = dse.run(time_limit_seconds)
 
     entries = [
         DeviceFrontEntry(device=name, candidate=candidate)

@@ -95,6 +95,10 @@ class RaceResult:
         }
 
     def as_dse_result(self, stats=None) -> DSEResult:
+        """The race as a :class:`DSEResult` carrying :meth:`summary`;
+        its ``strategy`` is the arm's name when one arm ran alone, else
+        ``"race"``."""
+        arms = list(self.totals)
         return DSEResult(
             kernel=self.kernel,
             top=self.top,
@@ -106,7 +110,7 @@ class RaceResult:
             else 0.0,
             stats=stats,
             pareto=self.pareto,
-            strategy="race",
+            strategy=arms[0] if len(arms) == 1 else "race",
             race=self.summary(),
         )
 
@@ -254,12 +258,14 @@ def run_race(
     seed: int = 0,
     round_budget: int = 32,
 ) -> RaceResult:
-    """Convenience wrapper: build the shared evaluator and race it.
+    """Build the shared evaluator on ``pipeline`` and race ``strategies``.
 
     A single-entry ``strategies`` list degenerates to running that
     strategy alone under the whole budget — exactly how the quality
-    benchmark produces its SA baseline, so baseline and race share
-    every line of evaluation code.
+    benchmark produces its SA baseline and how a DSE request naming one
+    arm runs, so baseline and race share every line of evaluation code.
+    :func:`repro.dse.run.run_dse` calls this for every budgeted
+    strategy and returns :meth:`RaceResult.as_dse_result`.
     """
     evaluator = BudgetedEvaluator(
         pipeline, spec, space, QueryBudget(budget), top_m=top_m

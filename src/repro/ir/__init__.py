@@ -22,7 +22,6 @@ from .builder import IRBuilder
 from .cfg import DominatorTree, NaturalLoop, compute_dominators, find_natural_loops
 from .function import BasicBlock, Function, Module
 from .lowering import Lowering, lower_unit
-from .passes import PassStats, eliminate_dead_code, fold_constants, optimize_module
 from .printer import print_function, print_instruction, print_module
 from .types import (
     F32,
@@ -72,10 +71,6 @@ __all__ = [
     "Module",
     "Lowering",
     "lower_unit",
-    "PassStats",
-    "eliminate_dead_code",
-    "fold_constants",
-    "optimize_module",
     "print_function",
     "print_instruction",
     "print_module",

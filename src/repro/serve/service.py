@@ -32,9 +32,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..designspace import DesignSpace, build_design_space
 from ..designspace.space import DesignPoint
 from ..dse.pipeline import EvaluationPipeline
-from ..dse.parallel import ParallelDSE
-from ..dse.search import ModelDSE
-from ..errors import DesignSpaceError, HLSError, ServeError
+from ..dse.run import run_dse
+from ..errors import DesignSpaceError, DSEError, HLSError, ServeError
 from ..hls.device import DEFAULT_DEVICE, get_device, list_devices
 from ..kernels import get_kernel, list_kernels
 from ..model.predictor import DEFAULT_VALID_THRESHOLD, Prediction
@@ -443,9 +442,6 @@ class PredictorService:
     #: Upper bound on the surrogate-query budget of a budgeted strategy.
     MAX_DSE_BUDGET = 20_000
 
-    #: Strategies :meth:`dse_top` accepts (beam = the default ModelDSE).
-    DSE_STRATEGIES = ("beam", "race", "sa", "rl", "greedy", "random")
-
     def dse_top(
         self,
         kernel: str,
@@ -459,21 +455,14 @@ class PredictorService:
     ) -> Dict[str, object]:
         """Run the model-driven search server-side; returns the JSON payload.
 
-        With ``workers=1`` (the default) the search shares the service
-        pipeline (and therefore its caches and compiled engines); the
-        pipeline's internal lock interleaves the search's batches with
-        concurrent predict traffic.  ``workers>1`` runs the sharded
-        :class:`~repro.dse.parallel.ParallelDSE` orchestrator instead —
-        worker processes get their own pipelines, and the merged result
-        is bit-identical to the serial sweep.
-
-        ``strategy`` selects the searcher: ``"beam"`` is the ModelDSE
-        sweep; the budgeted strategies (``"race"``/``"sa"``/``"rl"``/
-        ``"greedy"``/``"random"``) spend at most ``budget`` distinct
-        surrogate queries and return the shared Pareto front plus, for
-        races, the bandit's budget ledger in the payload's ``race``
-        field.  Budgeted runs are serial (``workers`` must stay 1) and
-        bit-reproducible for a fixed ``seed``.
+        :func:`~repro.dse.run.run_dse` picks the searcher, as for
+        ``repro dse``; its rejections become :class:`ServeError`.  Serial
+        searches share the service pipeline (its caches and compiled
+        engines; its lock interleaves them with predict traffic), and a
+        device-bound one the generation's pipeline for that device.
+        This method bounds the outside input: ``top``, ``workers``
+        (:attr:`MAX_DSE_WORKERS`), a budgeted strategy's ``budget``
+        (:attr:`MAX_DSE_BUDGET`) and the time limit (``max_dse_seconds``).
         """
         if self._closed:
             raise ServeError("service is shut down")
@@ -484,103 +473,31 @@ class PredictorService:
             raise ServeError(
                 f"workers must be between 1 and {self.MAX_DSE_WORKERS}, got {workers}"
             )
-        if strategy not in self.DSE_STRATEGIES:
-            raise ServeError(
-                f"unknown strategy {strategy!r}; known: {list(self.DSE_STRATEGIES)}"
-            )
         budget = int(budget)
-        if strategy != "beam":
-            if workers != 1:
-                raise ServeError(
-                    f"strategy {strategy!r} runs serially; workers must be 1"
-                )
-            if not 1 <= budget <= self.MAX_DSE_BUDGET:
-                raise ServeError(
-                    f"budget must be between 1 and {self.MAX_DSE_BUDGET}, "
-                    f"got {budget}"
-                )
+        if strategy != "beam" and not 1 <= budget <= self.MAX_DSE_BUDGET:
+            raise ServeError(
+                f"budget must be between 1 and {self.MAX_DSE_BUDGET}, got {budget}"
+            )
         time_limit = min(float(time_limit_seconds), self.max_dse_seconds)
         if time_limit <= 0:
             raise ServeError(f"time_limit must be > 0, got {time_limit_seconds}")
         target = self.resolve_device(device) if device else None
-        if target is not None and target.name == DEFAULT_DEVICE.name:
-            target = None  # explicit reference device == the default path
-        if target is not None and (strategy != "beam" or workers != 1):
-            raise ServeError(
-                "device-targeted DSE runs the serial beam search; "
-                "set strategy='beam' and workers=1"
-            )
         space = self.space(kernel)  # raises ServeError on unknown kernels
         gen = self._acquired_generation()
         try:
-            if target is not None:
-                result = self._device_dse(gen, target, kernel, space, top, time_limit)
-                payload = dse_result_payload(result)
-            elif strategy != "beam":
-                from ..dse.race import DEFAULT_ARMS, run_race
-
-                arms = DEFAULT_ARMS if strategy == "race" else (strategy,)
-                race = run_race(
-                    gen.pipeline,
-                    get_kernel(kernel),
-                    space,
-                    budget=budget,
-                    strategies=arms,
-                    top_m=int(top),
-                    seed=int(seed),
-                )
-                result = race.as_dse_result(stats=gen.pipeline.stats_snapshot())
-                result.strategy = strategy
-                payload = dse_result_payload(result)
-            elif workers > 1:
-                parallel = ParallelDSE(
-                    gen.predictor,
-                    get_kernel(kernel),
-                    space,
-                    workers=workers,
-                    top_m=int(top),
-                )
-                payload = dse_result_payload(
-                    parallel.run(time_limit_seconds=time_limit)
-                )
-            else:
-                dse = ModelDSE(
-                    gen.predictor,
-                    get_kernel(kernel),
-                    space,
-                    top_m=int(top),
-                    pipeline=gen.pipeline,
-                )
-                result = dse.run(time_limit_seconds=time_limit)
-                payload = dse_result_payload(result)
-            payload["model"] = dict(gen.info)
+            result = run_dse(
+                get_kernel(kernel), space, gen.pipeline,
+                strategy=strategy, budget=budget, seed=int(seed),
+                device=target, pipeline_for=gen.pipeline_for, workers=workers,
+                top_m=int(top), time_limit_seconds=time_limit,
+            )
+        except DSEError as exc:
+            raise ServeError(str(exc)) from exc
         finally:
             gen.release()
+        payload = dse_result_payload(result)
+        payload["model"] = dict(gen.info)
         return payload
-
-    def _device_dse(
-        self, gen: _Generation, target, kernel: str, space, top: int, time_limit: float
-    ):
-        """Serial search bound to a non-reference registry device.
-
-        :func:`~repro.dse.crossdevice.device_pipeline` picks the
-        evaluator: FPGA targets reuse the generation's model through its
-        per-device pipeline (device-conditioned encodings +
-        capacity-rescaled utilizations); CGRA-style targets — which the
-        surrogate was never trained for — run the analytic evaluator.
-        """
-        from ..dse.crossdevice import device_pipeline
-
-        pipeline = device_pipeline(gen.predictor, target, pipeline_for=gen.pipeline_for)
-        dse = ModelDSE(
-            pipeline.predictor,
-            get_kernel(kernel),
-            space,
-            top_m=int(top),
-            pipeline=pipeline,
-            device=target,
-        )
-        return dse.run(time_limit_seconds=time_limit)
 
     # -- health / metrics --------------------------------------------------------
 
