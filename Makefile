@@ -70,7 +70,8 @@ serve-load-smoke:
 # Search-quality gate: race vs the SA baseline at the same query
 # budget on three kernels — asserts race hypervolume >= SA and that a
 # rerun reproduces every number and ledger row bit-for-bit — plus two
-# ModelDSE ordered-beam runs on mvt that must return identical results.
+# ModelDSE ordered-beam runs on mvt that must return identical results
+# and a race under a 1 ms time limit that must come back cut.
 bench-dse-smoke:
 	$(PY) benchmarks/bench_dse_quality.py --smoke
 

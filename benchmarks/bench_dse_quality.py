@@ -21,7 +21,8 @@ at the same budget, and a full second run reproduces every number and
 every budget-ledger row bit-for-bit under the fixed seed.  The smoke
 run also searches mvt (too large to sweep) twice with ``ModelDSE``'s
 ordered beam and fails unless both runs return the same top-M, front,
-query count and ``time_limited`` flag.
+query count and ``time_limited`` flag, and races fir under a 1 ms time
+limit, which must come back ``time_limited`` with budget left.
 
 Run standalone (no training, untrained weights)::
 
@@ -141,6 +142,16 @@ def beam_signature(predictor) -> tuple:
     )
 
 
+def cut_race(predictor):
+    """A smoke-kernel race under a 1 ms limit: the clock must stop it."""
+    spec = get_kernel(SMOKE_KERNELS[0])
+    space = build_design_space(spec)
+    return run_race(
+        EvaluationPipeline(predictor), spec, space,
+        budget=_budget(space.size(), smoke=True), seed=SEED, time_limit_seconds=0.001,
+    )
+
+
 def markdown_table(rows) -> str:
     lines = [
         "| kernel | space | budget | SA hv | race hv | SA hv/1kq | race hv/1kq | race arms (queries) |",
@@ -223,6 +234,18 @@ def main() -> int:
             print(
                 f"{BEAM_KERNEL:14s} beam reproduced bit-for-bit "
                 f"({first[2]} queries, {len(first[1])} on the front)"
+            )
+        # The time limit caps a race as it caps the beam.
+        cut = cut_race(predictor)
+        if not cut.time_limited or cut.queries >= cut.budget:
+            failures.append(
+                f"{cut.kernel} race under a 1 ms limit ran on: time_limited="
+                f"{cut.time_limited}, {cut.queries}/{cut.budget} queries"
+            )
+        else:
+            print(
+                f"{cut.kernel:14s} race cut by a 1 ms limit "
+                f"({cut.queries}/{cut.budget} queries)"
             )
 
     table = markdown_table(rows)

@@ -54,12 +54,6 @@ class AttentionReport:
             by_type.setdefault(node.ntype, []).append(node.score)
         return {t: float(np.mean(v)) for t, v in by_type.items()}
 
-    def pragma_rank(self) -> float:
-        """Mean attention rank of pragma nodes (0 = most attended)."""
-        ordered = sorted(self.nodes, key=lambda n: n.score, reverse=True)
-        ranks = [i for i, n in enumerate(ordered) if n.ntype == "pragma"]
-        return float(np.mean(ranks)) if ranks else float(len(ordered))
-
 
 def attention_report(
     predictor: GNNDSEPredictor, kernel: str, point: DesignPoint

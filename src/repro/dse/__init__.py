@@ -1,10 +1,14 @@
 """Model-driven design-space exploration (Section 4.4).
 
 - :func:`order_pragmas` — the innermost-first pragma-ordering heuristic;
-- :class:`ModelDSE` — exhaustive sweep, or the ordered-pragma beam
-  (:class:`OrderedBeamStrategy` on a :class:`BudgetedEvaluator`), over
-  a design space with the trained predictor in the loop; its result
-  carries the exact Pareto front of every usable point it scored;
+- :class:`ModelDSE` — exhaustive sweep (:class:`SweepStrategy`), or
+  the ordered-pragma beam (:class:`OrderedBeamStrategy`), over a design
+  space with the trained predictor in the loop; its result carries the
+  exact Pareto front of every usable point it scored;
+- :meth:`StrategyRacer.run` — the one search loop: the sweep, the
+  beam, every race and every :class:`ParallelDSE` shard are strategies
+  it steps on a :class:`BudgetedEvaluator`, and the only place a serial
+  search reads the clock, so the time limit caps every searcher;
 - :class:`Frontier` — the top-M + Pareto merge policy every searcher
   (serial, sharded, budgeted) keeps its results with;
 - :func:`pareto_front` — non-dominated filtering of designs (the one
@@ -64,6 +68,7 @@ from .strategies import (
     RandomStrategy,
     SearchStrategy,
     StepOutcome,
+    SweepStrategy,
     build_strategy,
 )
 
@@ -104,6 +109,7 @@ __all__ = [
     "SearchStrategy",
     "StepOutcome",
     "StrategyRacer",
+    "SweepStrategy",
     "build_strategy",
     "hypervolume",
     "normalized_hypervolume",

@@ -7,8 +7,10 @@ worker process running the same cascade/:class:`EvaluationPipeline`
 as the serial explorer, and the shard-local top-M lists and Pareto
 fronts merge back into results **bit-identical** to the single-process
 sweep (both the iterated top-M merge and the incremental Pareto merge
-are batch-boundary invariant — see
-:meth:`~repro.dse.search.ModelDSE.evaluate_stream`).
+are batch-boundary invariant — see :class:`~repro.dse.search.Frontier`).
+Each shard is a :class:`~repro.dse.strategies.SweepStrategy` run, as the
+serial sweep is, but with no deadline: a checkpointed shard must be
+complete, so the time limit only stops dispatching further shards.
 
 :class:`ParallelDSE` adds the operational layer any scatter/gather
 stack needs:
@@ -55,7 +57,9 @@ from ..obs import TRACER, counter, histogram, span
 from ..workers import ForkSupervisor, SupervisedWorker
 from .pareto import objective_keys_for
 from .pipeline import EvaluationPipeline, PipelineStats
-from .search import DSECandidate, DSEResult, Frontier, ModelDSE
+from .race import StrategyRacer
+from .search import DSECandidate, DSEResult, Frontier
+from .strategies import BudgetedEvaluator, QueryBudget, SweepStrategy
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
@@ -326,7 +330,7 @@ class DSECheckpoint:
 
 @dataclass
 class _WorkerConfig:
-    """Everything a worker needs to rebuild its evaluation stack."""
+    """Everything a shard scorer needs to rebuild its evaluation stack."""
 
     top_m: int
     fit_threshold: float
@@ -334,6 +338,43 @@ class _WorkerConfig:
     pipeline_batch_size: int
     engine: str
     cache: bool
+
+    def pipeline(self, predictor) -> EvaluationPipeline:
+        return EvaluationPipeline(
+            predictor,
+            batch_size=self.pipeline_batch_size,
+            engine=self.engine,
+            cache=self.cache,
+        )
+
+
+def _score_shard(pipeline, spec, space, config, hooks, worker, index, attempt,
+                 points, beat=None) -> ShardResult:
+    """Sweep one shard to its end; both execution paths score shards here.
+
+    ``hooks`` run before the shard and after every batch, then
+    ``beat`` (a worker's heartbeat), if given.
+    """
+    if hooks is not None and hooks.on_shard_start is not None:
+        hooks.on_shard_start(worker, index, attempt)
+
+    def on_batch() -> None:
+        if hooks is not None and hooks.batch_overhead_seconds > 0:
+            time.sleep(hooks.batch_overhead_seconds)
+        if beat is not None:
+            beat()
+
+    before = pipeline.stats.copy()
+    evaluator = BudgetedEvaluator(
+        pipeline, spec, space, QueryBudget(max(len(points), 1)),
+        top_m=config.top_m,
+        fit_threshold=config.fit_threshold,
+        device=getattr(pipeline.predictor, "device", None),
+    )
+    sweep = SweepStrategy(evaluator, points, config.batch_size, on_batch)
+    race = StrategyRacer(evaluator, [sweep], round_budget=1).run()
+    return ShardResult(index, race.top, race.pareto, race.queries,
+                       pipeline.stats - before, worker, attempt)
 
 
 def _worker_main(worker_id, result_q, predictor, spec, space, config, task_q, hooks):
@@ -345,49 +386,26 @@ def _worker_main(worker_id, result_q, predictor, spec, space, config, task_q, ho
     per-process; caching never changes values, so per-worker caches
     keep results bit-identical).
     """
-    pipeline = EvaluationPipeline(
-        predictor,
-        batch_size=config.pipeline_batch_size,
-        engine=config.engine,
-        cache=config.cache,
-    )
-    dse = ModelDSE(
-        predictor, spec, space,
-        fit_threshold=config.fit_threshold,
-        top_m=config.top_m,
-        batch_size=config.batch_size,
-        pipeline=pipeline,
-    )
+    pipeline = config.pipeline(predictor)
     while True:
         task = task_q.get()
         if task is None:
             result_q.put(("exit", worker_id))
             return
         index, attempt, points = task
-        # Heartbeat stamps are CLOCK_MONOTONIC: fork-started children
-        # share the parent's monotonic clock (same boot epoch), so the
-        # orchestrator can difference them for queue-lag without any
-        # wall-clock involvement.
-        result_q.put(("hb", worker_id, index, time.monotonic()))
+
+        def beat() -> None:
+            # Heartbeat stamps are CLOCK_MONOTONIC: fork-started children
+            # share the parent's monotonic clock (same boot epoch), so the
+            # orchestrator can difference them for queue-lag without any
+            # wall-clock involvement.
+            result_q.put(("hb", worker_id, index, time.monotonic()))
+
+        beat()
         try:
-            if hooks is not None and hooks.on_shard_start is not None:
-                hooks.on_shard_start(worker_id, index, attempt)
-
-            def on_batch(_explored):
-                if hooks is not None and hooks.batch_overhead_seconds > 0:
-                    time.sleep(hooks.batch_overhead_seconds)
-                result_q.put(("hb", worker_id, index, time.monotonic()))
-
-            before = pipeline.stats.copy()
-            top, pareto, explored = dse.evaluate_stream(points, on_batch=on_batch)
-            result = ShardResult(
-                index=index,
-                top=top,
-                pareto=pareto,
-                explored=explored,
-                stats=pipeline.stats - before,
-                worker=worker_id,
-                attempts=attempt,
+            result = _score_shard(
+                pipeline, spec, space, config, hooks, worker_id, index, attempt,
+                points, beat,
             )
             result_q.put(("result", worker_id, result))
         except BaseException:
@@ -420,7 +438,8 @@ class ParallelDSE:
     """Multiprocessing DSE orchestrator over deterministic shards.
 
     Parameters mirror :class:`~repro.dse.search.ModelDSE` where they
-    overlap; the parallel-specific ones:
+    overlap (``batch_size`` is each shard sweep's points per batch); the
+    parallel-specific ones:
 
     workers:
         Worker processes.  ``1`` evaluates shards in-process (no
@@ -664,42 +683,28 @@ class ParallelDSE:
 
     # -- in-process execution (workers == 1) -------------------------------------
 
-    def _run_in_process(self, shards, pending, completed, fingerprint,
-                        shard_size, num_shards, total, prior_retries, deadline):
-        pipeline = EvaluationPipeline(
-            self.predictor,
-            batch_size=self.pipeline_batch_size,
+    def _config(self) -> _WorkerConfig:
+        return _WorkerConfig(
+            top_m=self.top_m,
+            fit_threshold=self.fit_threshold,
+            batch_size=self.batch_size,
+            pipeline_batch_size=self.pipeline_batch_size,
             engine=self.engine,
             cache=self.cache,
         )
-        dse = ModelDSE(
-            self.predictor, self.spec, self.space,
-            fit_threshold=self.fit_threshold,
-            top_m=self.top_m,
-            batch_size=self.batch_size,
-            exhaustive_limit=self.exhaustive_limit,
-            pipeline=pipeline,
-        )
-        hooks = self.hooks
+
+    def _run_in_process(self, shards, pending, completed, fingerprint,
+                        shard_size, num_shards, total, prior_retries, deadline):
+        config = self._config()
+        pipeline = config.pipeline(self.predictor)
         for index in pending:
             if time.monotonic() > deadline:
                 break
-            if hooks is not None and hooks.on_shard_start is not None:
-                hooks.on_shard_start(0, index, 1)
-
-            def on_batch(_explored):
-                if hooks is not None and hooks.batch_overhead_seconds > 0:
-                    time.sleep(hooks.batch_overhead_seconds)
-
-            before = pipeline.stats.copy()
             with span("dse.shard", shard=index, points=len(shards[index]), worker=0):
-                top, pareto, explored = dse.evaluate_stream(
-                    shards[index], on_batch=on_batch
+                completed[index] = _score_shard(
+                    pipeline, self.spec, self.space, config, self.hooks,
+                    0, index, 1, shards[index],
                 )
-            completed[index] = ShardResult(
-                index=index, top=top, pareto=pareto, explored=explored,
-                stats=pipeline.stats - before, worker=0, attempts=1,
-            )
             _SHARDS_COMPLETED.inc()
             self._checkpoint_write(
                 fingerprint, shard_size, num_shards, total, completed, prior_retries
@@ -716,14 +721,7 @@ class ParallelDSE:
             name_prefix="repro-dse-worker",
             worker_class=_WorkerHandle,
         )
-        config = _WorkerConfig(
-            top_m=self.top_m,
-            fit_threshold=self.fit_threshold,
-            batch_size=self.batch_size,
-            pipeline_batch_size=self.pipeline_batch_size,
-            engine=self.engine,
-            cache=self.cache,
-        )
+        config = self._config()
         queue: deque = deque(pending)
         attempts: Dict[int, int] = {}
         retries = 0

@@ -15,6 +15,11 @@ The race is deterministic end-to-end for a fixed seed: arm order,
 grant sizes, the UCB tie-break, and every strategy's internal RNG
 stream are all pinned, so the budget ledger — one row per round with
 the strategy, spend, and yield — is bit-reproducible.
+
+:meth:`StrategyRacer.run` is the repo's one search loop: it also steps
+:class:`~repro.dse.search.ModelDSE`'s sweep and beam and every
+:class:`~repro.dse.parallel.ParallelDSE` shard as one-arm races, and
+is the only place a serial search reads the clock.
 """
 
 from __future__ import annotations
@@ -74,6 +79,7 @@ class RaceResult:
     totals: Dict[str, StepOutcome]
     top: list
     pareto: list
+    time_limited: bool = False  #: the deadline stopped it with budget left
 
     def ledger(self) -> List[Dict[str, object]]:
         return [r.to_dict() for r in self.rounds]
@@ -112,6 +118,7 @@ class RaceResult:
             pareto=self.pareto,
             strategy=arms[0] if len(arms) == 1 else "race",
             race=self.summary(),
+            time_limited=self.time_limited,
         )
 
 
@@ -215,10 +222,19 @@ class StrategyRacer:
                 best, best_score = arm, score
         return best
 
-    def run(self) -> RaceResult:
+    def run(self, deadline: Optional[float] = None) -> RaceResult:
+        """Play rounds until the budget is spent or every arm is dead.
+
+        ``deadline`` (absolute ``time.monotonic()``; None = none) is read
+        after each round that spent queries while budget is left, so a
+        finished sweep, a stalled beam, a spent budget or all arms dead
+        never counts as ``time_limited``, and the clock never changes a
+        round.
+        """
         budget = self.evaluator.budget
         rounds: List[RaceRound] = []
         start = time.monotonic()
+        time_limited = False
         while not budget.exhausted:
             arm = self._pick()
             if arm is None:
@@ -236,6 +252,14 @@ class StrategyRacer:
                     stalled=outcome.stalled,
                 )
             )
+            if (
+                deadline is not None
+                and outcome.queries
+                and not budget.exhausted
+                and time.monotonic() > deadline
+            ):
+                time_limited = True
+                break
         return RaceResult(
             kernel=self.evaluator.spec.name,
             budget=budget.limit,
@@ -245,6 +269,7 @@ class StrategyRacer:
             totals={arm.name: arm.total for arm in self.arms},
             top=list(self.evaluator.frontier.top),
             pareto=list(self.evaluator.frontier.pareto),
+            time_limited=time_limited,
         )
 
 
@@ -257,6 +282,7 @@ def run_race(
     top_m: int = 10,
     seed: int = 0,
     round_budget: int = 32,
+    time_limit_seconds: Optional[float] = None,
 ) -> RaceResult:
     """Build the shared evaluator on ``pipeline`` and race ``strategies``.
 
@@ -266,11 +292,13 @@ def run_race(
     arm runs, so baseline and race share every line of evaluation code.
     :func:`repro.dse.run.run_dse` calls this for every budgeted
     strategy and returns :meth:`RaceResult.as_dse_result`.
+    ``time_limit_seconds`` (None = none) caps the race's wall clock.
     """
+    deadline = None if time_limit_seconds is None else time.monotonic() + time_limit_seconds
     evaluator = BudgetedEvaluator(
         pipeline, spec, space, QueryBudget(budget), top_m=top_m
     )
     racer = StrategyRacer(
         evaluator, strategies, round_budget=round_budget, seed=seed
     )
-    return racer.run()
+    return racer.run(deadline)

@@ -13,6 +13,11 @@
 - ``workers > 1`` or a checkpoint runs :class:`ParallelDSE`, whose
   workers take the caller's pipeline batch size, engine and cache;
 - otherwise :class:`ModelDSE` runs on the caller's pipeline.
+
+``time_limit_seconds`` caps every searcher, the race included: each
+serial one is stepped by :meth:`~repro.dse.race.StrategyRacer.run`,
+which reads the clock between steps, and :class:`ParallelDSE` stops
+dispatching shards.
 """
 
 from __future__ import annotations
@@ -83,7 +88,8 @@ def run_dse(
     if strategy != "beam":
         arms = DEFAULT_ARMS if strategy == "race" else (strategy,)
         race = run_race(
-            pipeline, spec, space, budget=budget, strategies=arms, top_m=top_m, seed=seed
+            pipeline, spec, space, budget=budget, strategies=arms, top_m=top_m, seed=seed,
+            time_limit_seconds=time_limit_seconds,
         )
         return race.as_dse_result(stats=pipeline.stats_snapshot())
     if workers > 1 or checkpoint_path is not None:

@@ -1,12 +1,14 @@
 """Model-driven design-space exploration (Section 4.4).
 
 With the predictor answering in milliseconds, small spaces are swept
-**exhaustively**; enormous ones are searched with the paper's
-ordered-pragma beam (:class:`~repro.dse.strategies.OrderedBeamStrategy`)
-stepped on a :class:`~repro.dse.strategies.BudgetedEvaluator`, whose
-query budget is the number of distinct points a sweep is allowed.  The
-search, not the clock, decides where it stops: the paper's wall-clock
-limit (one hour for mvt/2mm) is a cap checked between batches or beam
+**exhaustively** (:class:`~repro.dse.strategies.SweepStrategy`);
+enormous ones are searched with the paper's ordered-pragma beam
+(:class:`~repro.dse.strategies.OrderedBeamStrategy`), whose query
+budget is the number of distinct points a sweep is allowed.  Both are
+stepped by the one search loop, :meth:`~repro.dse.race.StrategyRacer.run`,
+on a :class:`~repro.dse.strategies.BudgetedEvaluator`.  The search, not
+the clock, decides where it stops: the paper's wall-clock limit (one
+hour for mvt/2mm) is a cap that loop reads between batches or beam
 steps, and a result it cut short says so (``DSEResult.time_limited``).
 """
 
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -77,11 +79,11 @@ class DSEResult:
     sweep does.  ``explored`` counts the distinct points scored.
     ``time_limited`` is True when the wall-clock cap stopped the search
     before it finished (a sweep with points left, a beam that had not
-    converged, a parallel run with shards undispatched); such a result
-    depends on machine load.  ``workers``/``shards``/``shards_resumed``/
-    ``retries`` describe how :class:`~repro.dse.parallel.ParallelDSE`
-    produced the result; the serial searchers leave them at their
-    defaults.
+    converged, a race with budget left, a parallel run with shards
+    undispatched); such a result depends on machine load.
+    ``workers``/``shards``/``shards_resumed``/``retries`` describe how
+    :class:`~repro.dse.parallel.ParallelDSE` produced the result; the
+    serial searchers leave them at their defaults.
 
     ``strategy`` names the search that produced the result (``"beam"``
     for :class:`ModelDSE`'s sweep or ordered beam); when it is
@@ -109,9 +111,6 @@ class DSEResult:
     device: str = ""
     time_limited: bool = False
 
-    def top_points(self) -> List[DesignPoint]:
-        return [c.point for c in self.top]
-
     def pareto_points(self) -> List[DesignPoint]:
         return [c.point for c in self.pareto]
 
@@ -119,11 +118,12 @@ class DSEResult:
 class Frontier:
     """The running top-M list and Pareto front of one search.
 
-    This is the one place the merge policy lives; the exhaustive sweep,
-    every parallel shard and the shard merge, and the budgeted
-    strategies' shared evaluator all go through it.  ``top`` holds the
-    ``top_m`` usable candidates of lowest predicted latency, deduped by
-    :func:`point_key` in first-seen order; ``pareto`` is the
+    This is the one place the merge policy lives: every search keeps
+    its results in its :class:`~repro.dse.strategies.BudgetedEvaluator`'s
+    frontier, and the parallel shard merge folds shard results into
+    one.  ``top`` holds the ``top_m`` usable candidates of lowest
+    predicted latency, deduped by :func:`point_key` in first-seen
+    order; ``pareto`` is the
     first-seen-order non-dominated subset over ``keys``, kept row-aligned
     with a float64 objective matrix so each merge is one
     :func:`~repro.dse.pareto.pareto_merge` pass against the new
@@ -209,7 +209,7 @@ class ModelDSE:
         Number of best designs to keep (the paper evaluates the top 10
         with the real HLS tool afterwards).
     batch_size:
-        Points per pipeline call in the exhaustive sweep.
+        Points per evaluator batch in the exhaustive sweep.
     exhaustive_limit:
         Sweep the whole space when its size does not exceed this;
         otherwise run the ordered beam with this many distinct queries
@@ -251,124 +251,45 @@ class ModelDSE:
         self.device = device if device is not None else getattr(predictor, "device", None)
         self.pareto_keys = objective_keys_for(self.device)
         self.device_name = getattr(self.device, "name", "")
-        # Device-declared fit axes (None = all non-latency objectives,
-        # the reference-device behaviour).
-        self.fit_axes = getattr(self.device, "fit_axes", None)
 
     # -- public API ------------------------------------------------------------------
 
     def run(self, time_limit_seconds: float = 3600.0) -> DSEResult:
-        """Run the DSE; returns the predicted top-M designs and front."""
+        """Run the DSE; returns the predicted top-M designs and front.
+
+        A sweep (budget: the space size) or the ordered beam (budget:
+        ``exhaustive_limit``), stepped as a one-arm race one batch or
+        knob at a time, so the time limit is read between steps.
+        """
+        from .race import StrategyRacer
+        from .strategies import BudgetedEvaluator, OrderedBeamStrategy, QueryBudget, SweepStrategy
+
         size = self.space.size(exact_limit=self.exhaustive_limit)
         exhaustive = size <= self.exhaustive_limit
         start = time.monotonic()
-        deadline = start + time_limit_seconds
         stats_before = self.pipeline.stats.copy()
+        evaluator = BudgetedEvaluator(
+            self.pipeline, self.spec, self.space,
+            QueryBudget(max(size, 1) if exhaustive else self.exhaustive_limit),
+            top_m=self.top_m, fit_threshold=self.fit_threshold, device=self.device,
+        )
         if exhaustive:
-            top, pareto, explored = self.evaluate_stream(
-                self.space.enumerate(), deadline=deadline
-            )
-            time_limited = explored < size
+            strategy = SweepStrategy(evaluator, self.space.enumerate(), self.batch_size)
         else:
-            top, pareto, explored, time_limited = self._run_beam(deadline)
+            strategy = OrderedBeamStrategy(evaluator, beam_width=self.beam_width)
+        race = StrategyRacer(evaluator, [strategy], round_budget=1).run(
+            deadline=start + time_limit_seconds
+        )
         seconds = time.monotonic() - start
         return DSEResult(
             kernel=self.spec.name,
-            top=top,
-            explored=explored,
+            top=race.top,
+            explored=race.queries,
             seconds=seconds,
             exhaustive=exhaustive,
-            predictions_per_second=explored / seconds if seconds > 0 else 0.0,
+            predictions_per_second=race.queries / seconds if seconds > 0 else 0.0,
             stats=self.pipeline.stats - stats_before,
-            pareto=pareto,
+            pareto=race.pareto,
             device=self.device_name,
-            time_limited=time_limited,
+            time_limited=race.time_limited,
         )
-
-    # -- exhaustive sweep ---------------------------------------------------------------
-
-    def evaluate_stream(
-        self,
-        points: Iterable[DesignPoint],
-        deadline: Optional[float] = None,
-        on_batch: Optional[Callable[[int], None]] = None,
-    ) -> Tuple[List[DSECandidate], List[DSECandidate], int]:
-        """Score a point stream in batches; the shared exhaustive scan.
-
-        Both the serial exhaustive sweep and every parallel-DSE shard
-        (:mod:`repro.dse.parallel`) run THIS loop, so their per-batch
-        merge behaviour — and therefore their results — cannot drift
-        apart (see :class:`Frontier`).
-
-        Returns ``(top, pareto, explored)``.  ``deadline`` is an
-        absolute ``time.monotonic()`` bound checked after each full
-        batch (monotonic, so a stepped wall clock can neither cut a
-        sweep short nor extend it); ``on_batch`` (called with the
-        running explored count) is the hook parallel workers use for
-        heartbeats and tests/benchmarks use for fault and latency
-        injection.
-        """
-        frontier = Frontier(
-            self.top_m,
-            self.pareto_keys,
-            lambda c: is_usable(c, self.fit_threshold, self.fit_axes),
-        )
-        explored = 0
-        out_of_time = False
-
-        def consume(batch: List[DesignPoint]) -> None:
-            nonlocal explored
-            # The search only reads objectives of usable (valid) points,
-            # so the pipeline may skip regression for rejected ones.
-            predictions = self.pipeline.predict_batch(
-                self.spec.name, batch, objectives_for="valid"
-            )
-            frontier.add([DSECandidate(p, pred) for p, pred in zip(batch, predictions)])
-            explored += len(batch)
-            if on_batch is not None:
-                on_batch(explored)
-
-        pending: List[DesignPoint] = []
-        for point in points:
-            pending.append(point)
-            if len(pending) >= self.batch_size:
-                consume(pending)
-                pending = []
-                if deadline is not None and time.monotonic() > deadline:
-                    out_of_time = True
-                    break
-        if pending and not out_of_time and (deadline is None or time.monotonic() <= deadline):
-            consume(pending)
-        return frontier.top, frontier.pareto, explored
-
-    # -- ordered beam ------------------------------------------------------------------
-
-    def _run_beam(
-        self, deadline: float
-    ) -> Tuple[List[DSECandidate], List[DSECandidate], int, bool]:
-        """Step the ordered beam on a budgeted evaluator until it stalls.
-
-        The budget is ``exhaustive_limit`` distinct queries.  One step
-        is one knob's batch, and the clock is read between steps only,
-        so the cap can end a search early but never changes a step.
-        Returns ``(top, pareto, explored, time_limited)``.
-        """
-        from .strategies import BudgetedEvaluator, OrderedBeamStrategy, QueryBudget
-
-        evaluator = BudgetedEvaluator(
-            self.pipeline,
-            self.spec,
-            self.space,
-            QueryBudget(self.exhaustive_limit),
-            top_m=self.top_m,
-            fit_threshold=self.fit_threshold,
-            device=self.device,
-        )
-        beam = OrderedBeamStrategy(evaluator, beam_width=self.beam_width)
-        time_limited = False
-        while not beam.step(1).stalled and not evaluator.budget.exhausted:
-            if time.monotonic() > deadline:
-                time_limited = True
-                break
-        frontier = evaluator.frontier
-        return frontier.top, frontier.pareto, evaluator.queries, time_limited

@@ -1,12 +1,15 @@
 """Budgeted search strategies over one shared surrogate-query ledger.
 
-Every guided search in the repo is a :class:`SearchStrategy` stepped on
-a :class:`BudgetedEvaluator`: the meta-searcher (:mod:`repro.dse.race`)
-races simulated annealing, bottleneck-style greedy hill climbing, the
-RL policy explorer and random sampling under **one** query budget, and
-:class:`~repro.dse.search.ModelDSE` runs the paper's ordered-pragma
-beam (:class:`OrderedBeamStrategy`) the same way on spaces too large to
-sweep.  Everything they share lives here:
+Every model-driven search in the repo is a :class:`SearchStrategy`
+stepped by :meth:`~repro.dse.race.StrategyRacer.run` on a
+:class:`BudgetedEvaluator`: the meta-searcher races simulated
+annealing, bottleneck-style greedy hill climbing, the RL policy
+explorer and random sampling under **one** query budget;
+:class:`~repro.dse.search.ModelDSE` runs the exhaustive sweep
+(:class:`SweepStrategy`) or the paper's ordered-pragma beam
+(:class:`OrderedBeamStrategy`) as a one-arm race; and every
+:class:`~repro.dse.parallel.ParallelDSE` shard is a sweep over its
+points.  Everything they share lives here:
 
 - :class:`QueryBudget` — the hard cap on *distinct* design points
   pushed through the surrogate.  Revisits are served from the shared
@@ -31,10 +34,11 @@ bit-reproducible.  The beam draws nothing at random.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..designspace.space import DesignPoint, DesignSpace, point_key
 from ..errors import ReproError
@@ -51,12 +55,9 @@ __all__ = [
     "RandomStrategy",
     "SearchStrategy",
     "StepOutcome",
+    "SweepStrategy",
     "build_strategy",
 ]
-
-
-class BudgetExhausted(ReproError):
-    """Internal signal: the shared query budget is fully spent."""
 
 
 class QueryBudget:
@@ -134,14 +135,13 @@ class BudgetedEvaluator:
         both consume.
         """
         keys = [point_key(p) for p in points]
-        new_keys: List[str] = []
-        new_points: List[DesignPoint] = []
+        new: Dict[str, DesignPoint] = {}  # insertion order = first come
         for key, point in zip(keys, points):
-            if key not in self.memo and key not in new_keys:
-                new_keys.append(key)
-                new_points.append(point)
-        affordable = min(len(new_points), self.budget.remaining)
-        new_keys, new_points = new_keys[:affordable], new_points[:affordable]
+            if key not in self.memo and key not in new:
+                new[key] = point
+        affordable = min(len(new), self.budget.remaining)
+        new_keys = list(itertools.islice(new, affordable))
+        new_points = [new[key] for key in new_keys]
         fresh_flags: Dict[str, bool] = {}
         if new_points:
             self.budget.charge(len(new_points))
@@ -386,6 +386,35 @@ class AnnealingStrategy(SearchStrategy):
             if accept:
                 chain["current"], chain["score"] = point, cand_score
             chain["temperature"] *= self.cooling
+
+
+class SweepStrategy(SearchStrategy):
+    """Every point of an enumeration, ``batch_size`` at a time, in order.
+
+    The exhaustive sweep and each parallel shard; its budget is the
+    number of points.  ``on_batch`` runs after each scored batch.
+    """
+
+    name = "sweep"
+
+    def __init__(
+        self,
+        evaluator: BudgetedEvaluator,
+        points: Iterable[DesignPoint],
+        batch_size: int = 256,
+        on_batch: Optional[Callable[[], None]] = None,
+    ):
+        super().__init__(evaluator)
+        self.points = iter(points)
+        self.batch_size = batch_size
+        self.on_batch = on_batch
+
+    def propose(self) -> List[DesignPoint]:
+        return list(itertools.islice(self.points, self.batch_size))
+
+    def observe(self, points, candidates, novel) -> None:
+        if self.on_batch is not None:
+            self.on_batch()
 
 
 class OrderedBeamStrategy(SearchStrategy):

@@ -8,8 +8,6 @@ AutoDSE's 21 hours with a fixed number of parallel workers).
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
 from ..designspace.space import DesignPoint
 from ..hls.report import HLSResult
 from ..hls.tool import MerlinHLSTool
@@ -65,31 +63,6 @@ class Evaluator:
         self.database.add(record)
         return result
 
-    def evaluate_batch(
-        self,
-        spec: KernelSpec,
-        points: Sequence[DesignPoint],
-        source: str = "",
-        round: int = 0,
-        created: float = 0.0,
-    ) -> List[HLSResult]:
-        """Synthesize a batch of points, scheduled over the worker slots.
-
-        Order-preserving; equivalent to calling :meth:`evaluate` per
-        point (the greedy earliest-free-slot schedule is the same), but
-        the natural unit for DSE loops that validate a predicted top-M
-        in one parallel synthesis round.
-        """
-        return [
-            self.evaluate(spec, point, source=source, round=round, created=created)
-            for point in points
-        ]
-
     @property
     def elapsed_hours(self) -> float:
         return self.elapsed_seconds / 3600.0
-
-    def reset_clock(self) -> None:
-        self.synth_seconds_total = 0.0
-        self.elapsed_seconds = 0.0
-        self._batch_slots = [0.0] * self.parallelism

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from ..errors import LexerError
 
@@ -323,10 +323,3 @@ def _strip_comments(source: str) -> str:
 def tokenize(source: str, predefined: Optional[Dict[str, str]] = None) -> List[Token]:
     """Convenience wrapper: tokenize ``source`` and return the token list."""
     return Lexer(source, predefined).tokenize()
-
-
-def iter_pragma_tokens(tokens: List[Token]) -> Iterator[Token]:
-    """Yield only the PRAGMA tokens from a token stream."""
-    for token in tokens:
-        if token.type is TokenType.PRAGMA:
-            yield token

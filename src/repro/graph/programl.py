@@ -53,11 +53,6 @@ class GraphNode:
     #: For icmp nodes guarding a loop: the loop's trip count.
     trip_count: Optional[int] = None
 
-    @property
-    def is_pragma(self) -> bool:
-        return self.ntype == NTYPE_PRAGMA
-
-
 @dataclass
 class GraphEdge:
     """One directed edge: (src, dst, flow, position)."""

@@ -232,10 +232,6 @@ class KernelAnalysis:
     def loop(self, function: str, label: str) -> LoopInfo:
         return self.functions[function].loops[label]
 
-    def find_pragma_loop(self, pragma: Pragma) -> LoopInfo:
-        return self.loop(pragma.function, pragma.loop_label)
-
-
 # -- constant folding ----------------------------------------------------------
 
 

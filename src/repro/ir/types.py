@@ -40,10 +40,6 @@ class IRType:
         return isinstance(self, IntType)
 
     @property
-    def is_pointer(self) -> bool:
-        return isinstance(self, PointerType)
-
-    @property
     def bits(self) -> int:
         """Bit width of a value of this type (pointers count as 64)."""
         return 0

@@ -167,17 +167,6 @@ class Instruction(Value):
             return f"{self.opcode}.{self.attrs.get('predicate', 'eq')}"
         return self.opcode
 
-    def replace_operand(self, old: Value, new: Value) -> None:
-        """Replace occurrences of ``old`` in the operand list with ``new``."""
-        changed = False
-        for i, operand in enumerate(self.operands):
-            if operand is old:
-                self.operands[i] = new
-                changed = True
-        if changed:
-            old.uses = [u for u in old.uses if u is not self]
-            new.uses.append(self)
-
     def __repr__(self) -> str:
         ops = ", ".join(o.name or str(o.uid) for o in self.operands)
         lhs = f"%{self.name} = " if self.produces_value and self.name else ""

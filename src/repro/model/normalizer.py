@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, Optional
 
-import numpy as np
-
 from ..errors import ModelError
 
 __all__ = ["TargetNormalizer"]
@@ -62,13 +60,4 @@ class TargetNormalizer:
         out = dict(objectives)
         if "latency" in out:
             out["latency"] = self.inverse_latency(out["latency"])
-        return out
-
-    def transform_array(self, names, values: np.ndarray) -> np.ndarray:
-        """Columnwise transform of a (G, K) target matrix."""
-        out = np.array(values, dtype=np.float64, copy=True)
-        for j, name in enumerate(names):
-            if name == "latency":
-                factor = self._require_fit()
-                out[:, j] = np.log2(factor / np.maximum(out[:, j], 1.0))
         return out

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..designspace import DesignSpace, build_design_space
 from ..designspace.space import DesignPoint
+from ..dse.crossdevice import device_pipeline
 from ..dse.pipeline import EvaluationPipeline
 from ..dse.run import run_dse
 from ..errors import DesignSpaceError, DSEError, HLSError, ServeError
@@ -174,8 +175,9 @@ class PredictorService:
             """Pipeline serving ``device_name`` (lazily built per device).
 
             "" and the predictor's own target map to the base pipeline;
-            other registered devices get a pipeline around the predictor
-            re-bound via ``for_device`` — same weights, device-conditioned
+            other registered devices get
+            :func:`~repro.dse.crossdevice.device_pipeline`'s binding of
+            the base pipeline — same weights, device-conditioned
             encodings, capacity-rescaled utilizations.
             """
             if not device_name or device_name == home_device:
@@ -190,11 +192,8 @@ class PredictorService:
             with device_lock:
                 bound = device_pipelines.get(device_name)
                 if bound is None:
-                    bound = device_pipelines[device_name] = EvaluationPipeline(
-                        predictor.for_device(get_device(device_name)),
-                        batch_size=self._batch_size,
-                        engine=self._engine,
-                        cache=self._cache,
+                    bound = device_pipelines[device_name] = device_pipeline(
+                        pipeline, get_device(device_name)
                     )
                 return bound
 

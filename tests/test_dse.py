@@ -331,3 +331,38 @@ class TestTimeLimit:
         ).run(time_limit_seconds=0.2)
         assert cut.time_limited
         assert cut.explored < whole.explored
+
+    def test_clock_cut_race_says_so(self):
+        from repro.dse import run_dse
+
+        predictor = make_predictor()
+        spec = get_kernel("mvt")
+        result = run_dse(
+            spec, build_design_space(spec), _SlowPipeline(predictor, 0.05),
+            strategy="race", budget=600, seed=0, time_limit_seconds=0.3,
+        )
+        assert result.strategy == "race"
+        assert result.time_limited
+        assert result.explored < 600
+        assert result.race["queries"] == result.explored
+
+    def test_served_race_payload_says_cut(self):
+        from repro.serve import PredictorService
+
+        with PredictorService(make_predictor(), batch_size=8) as service:
+            payload = service.dse_top(
+                "mvt", strategy="race", budget=600, seed=0, time_limit_seconds=0.001
+            )
+        assert payload["time_limited"] is True
+        assert payload["explored"] < 600
+
+    def test_sweep_finished_by_its_only_batch_is_not_cut(self, oracle_dse):
+        spec, _, space, predictor = oracle_dse
+        size = space.size()
+        result = ModelDSE(
+            predictor, spec, space, batch_size=size,
+            pipeline=_SlowPipeline(predictor, 0.3),
+        ).run(time_limit_seconds=0.1)
+        assert result.seconds > 0.1
+        assert result.explored == size
+        assert not result.time_limited

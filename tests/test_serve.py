@@ -1359,3 +1359,30 @@ class TestDeviceServing:
         assert payload["top"]
         best = payload["top"][0]["prediction"]
         assert best["objectives"] is None or "PE" in best["objectives"]
+
+    def test_device_pipelines_follow_the_one_binding_rule(self, predictor):
+        service = PredictorService(predictor, batch_size=3, engine="reference", cache=False)
+        try:
+            pipeline_for = service._gen.pipeline_for
+            assert pipeline_for("") is service.pipeline
+            assert pipeline_for("xcvu9p") is service.pipeline  # reference device
+            bound = pipeline_for("xczu9eg")
+            assert pipeline_for("xczu9eg") is bound
+            assert bound.predictor.device.name == "xczu9eg"
+            assert (bound.batch_size, bound.engine_mode, bound.cache_enabled) == (
+                3, "reference", False,
+            )
+        finally:
+            service.close()
+
+    def test_device_needs_a_rebindable_predictor(self):
+        from repro.dse import AnalyticPredictor
+        from repro.hls.device import get_device
+
+        service = PredictorService(AnalyticPredictor(get_device("xcvu9p")), batch_size=2)
+        try:
+            assert service._gen.pipeline_for("xcvu9p") is service.pipeline  # home device
+            with pytest.raises(ServeError, match="re-binding"):
+                service._gen.pipeline_for("xczu9eg")
+        finally:
+            service.close()
