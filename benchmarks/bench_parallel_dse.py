@@ -21,6 +21,11 @@ bit-identical to the serial explorer (top-K order *and* Pareto front)
 and at least 2.5x faster than the identically-configured 1-worker run
 (1.5x in ``--smoke`` mode, which uses a smaller dispatch cost).
 
+It also gates the checkpoint journal: a 1-worker fir sweep stopped at
+shard 2 and resumed must reproduce the serial result bit for bit,
+resume exactly the two finished shards, and leave only the checkpoint
+file behind.
+
 Run standalone (no training, untrained weights)::
 
     python benchmarks/bench_parallel_dse.py --smoke   # ~30 s
@@ -31,6 +36,7 @@ import argparse
 import math
 import os
 import sys
+import tempfile
 import time
 
 try:
@@ -143,6 +149,48 @@ def bench_kernel(predictor, name: str, target_speedup: float) -> dict:
     return {"kernel": name, "speedup": speedup, "times": times, "cost": cost}
 
 
+class _Stop(Exception):
+    """Simulated kill of a checkpointed run."""
+
+
+def check_resume(predictor) -> None:
+    """Stop a checkpointed fir sweep at shard 2, resume it, and compare."""
+    spec = get_kernel("fir")
+    space = build_design_space(spec)
+    serial = ModelDSE(predictor, spec, space, top_m=10).run()
+
+    def stop_at_shard_2(worker, shard, attempt):
+        if shard == 2:
+            raise _Stop()
+
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "fir.ckpt")
+        try:
+            ParallelDSE(
+                predictor, spec, space, workers=1, top_m=10, checkpoint_path=path,
+                hooks=WorkerHooks(on_shard_start=stop_at_shard_2),
+            ).run()
+        except _Stop:
+            pass
+        else:
+            raise SystemExit("FAIL resume: the run was not stopped at shard 2")
+        resumed = ParallelDSE(
+            predictor, spec, space, workers=1, top_m=10, checkpoint_path=path,
+            resume=True,
+        ).run()
+        left = sorted(os.listdir(directory))
+    if _signature(resumed) != _signature(serial) or resumed.explored != serial.explored:
+        raise SystemExit("FAIL resume: result is not bit-identical to the serial explorer")
+    if resumed.shards_resumed != 2:
+        raise SystemExit(f"FAIL resume: {resumed.shards_resumed} shards resumed, expected 2")
+    if left != ["fir.ckpt"]:
+        raise SystemExit(f"FAIL resume: checkpoint directory holds {left}")
+    print(
+        f"resume         fir stopped at shard 2, resumed {resumed.shards_resumed}/"
+        f"{resumed.shards} shards  (bit-identical, only the checkpoint left)"
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -158,6 +206,7 @@ def main(argv=None) -> int:
         f"parallel DSE scaling — {WORKERS} workers, {NUM_SHARDS} shards, "
         f"target >= {target:.1f}x (untrained weights)"
     )
+    check_resume(predictor)
     failures = []
     for name in kernels:
         outcome = bench_kernel(predictor, name, target)

@@ -140,11 +140,11 @@ class DesignSpace:
         most ``exact_limit``; otherwise returns the product upper bound,
         mirroring how enormous spaces (e.g. 2mm's 492M) are reported.
         """
-        if self._exact_size is not None:
-            return self._exact_size
         product = self.product_size()
         if product > exact_limit:
             return product
+        if self._exact_size is not None:
+            return self._exact_size
         count = sum(1 for _ in self.enumerate())
         self._exact_size = count
         return count

@@ -37,11 +37,8 @@ reference in tests.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
 import math
-import os
 import time
 import traceback
 from collections import deque
@@ -49,6 +46,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..designspace.space import DesignSpace
+from ..durable import Journal, json_digest
 from ..errors import CheckpointError, DSEError, WorkerCrashError
 from ..explorer.database import deserialize_point, serialize_point
 from ..frontend.pragmas import PipelineOption
@@ -76,6 +74,12 @@ logger = logging.getLogger("repro.dse.parallel")
 #: Version of the checkpoint journal written by :class:`DSECheckpoint`.
 CHECKPOINT_SCHEMA_VERSION = 1
 
+#: Shards cut per worker when no ``shard_size`` is given.
+SHARDS_PER_WORKER = 4
+
+#: Evaluations of one shard before a run gives up: one retry.
+MAX_ATTEMPTS = 2
+
 # Process-wide observability instruments (see ``repro.obs``).  All
 # duration/deadline math in this module runs on monotonic clocks
 # (``time.monotonic`` / the tracer's ``perf_counter`` epoch); a stepped
@@ -94,29 +98,16 @@ _TEARDOWN_ERRORS = counter("dse.teardown_errors")
 
 def candidate_payload(candidate: DSECandidate) -> Dict[str, object]:
     """JSON form of one scored candidate (exact float round-trip)."""
-    prediction = candidate.prediction
     return {
         "point": serialize_point(candidate.point),
-        "prediction": {
-            "valid": prediction.valid,
-            "valid_prob": prediction.valid_prob,
-            "objectives": prediction.objectives,
-        },
+        "prediction": candidate.prediction.payload(),
     }
 
 
 def candidate_from_payload(raw: Dict[str, object]) -> DSECandidate:
     """Inverse of :func:`candidate_payload`."""
     try:
-        pred = raw["prediction"]
-        objectives = pred["objectives"]
-        prediction = Prediction(
-            valid=bool(pred["valid"]),
-            valid_prob=float(pred["valid_prob"]),
-            objectives=None
-            if objectives is None
-            else {str(k): float(v) for k, v in objectives.items()},
-        )
+        prediction = Prediction.from_payload(raw["prediction"])
         return DSECandidate(point=deserialize_point(raw["point"]), prediction=prediction)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed candidate payload: {exc}") from None
@@ -204,19 +195,23 @@ class WorkerHooks:
 # checkpoint journal
 
 
-class DSECheckpoint:
+class DSECheckpoint(Journal):
     """Atomic JSON journal of completed shards + the running Pareto front.
 
-    The file is rewritten atomically (``.tmp`` + ``os.replace``) after
-    every completed shard, so at any kill point it is either the old or
-    the new complete journal — never a torn write from THIS process.  A
-    truncated or hand-edited file, a schema mismatch, or a fingerprint
-    mismatch (different kernel/space/search parameters) raises
+    The file is rewritten durably (:func:`~repro.durable.atomic_write`)
+    after every completed shard, so at any kill point it is either the
+    old or the new complete journal.  A truncated or hand-edited file, a
+    schema mismatch, or a fingerprint mismatch (different
+    kernel/space/search parameters) raises
     :class:`~repro.errors.CheckpointError` on resume.
     """
 
-    def __init__(self, path: str):
-        self.path = os.fspath(path)
+    noun = "checkpoint"
+    error = CheckpointError
+    schema_version = CHECKPOINT_SCHEMA_VERSION
+    required = ("kernel", "fingerprint", "shard_size", "num_shards",
+                "total_points", "completed")
+    completed_type = dict
 
     @staticmethod
     def fingerprint(
@@ -228,7 +223,7 @@ class DSECheckpoint:
         num_shards: int,
         total_points: int,
     ) -> str:
-        signature = {
+        return json_digest({
             "kernel": kernel,
             "knobs": [
                 {
@@ -245,43 +240,7 @@ class DSECheckpoint:
             "shard_size": shard_size,
             "num_shards": num_shards,
             "total_points": total_points,
-        }
-        blob = json.dumps(signature, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
-
-    def exists(self) -> bool:
-        return os.path.exists(self.path)
-
-    def load(self) -> Dict[str, object]:
-        """Parse and structurally validate the journal (not the fingerprint)."""
-        try:
-            with open(self.path, "r") as handle:
-                raw = json.load(handle)
-        except OSError as exc:
-            raise CheckpointError(f"cannot read checkpoint {self.path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(
-                f"checkpoint {self.path} is corrupt or half-written "
-                f"(invalid JSON at line {exc.lineno}); delete it to start fresh"
-            ) from None
-        if not isinstance(raw, dict):
-            raise CheckpointError(f"checkpoint {self.path}: expected a JSON object")
-        version = raw.get("schema_version")
-        if version != CHECKPOINT_SCHEMA_VERSION:
-            raise CheckpointError(
-                f"checkpoint {self.path}: schema v{version!r} unsupported "
-                f"(this build writes v{CHECKPOINT_SCHEMA_VERSION})"
-            )
-        for key in ("kernel", "fingerprint", "shard_size", "num_shards",
-                    "total_points", "completed"):
-            if key not in raw:
-                raise CheckpointError(
-                    f"checkpoint {self.path} is corrupt or half-written "
-                    f"(missing field {key!r}); delete it to start fresh"
-                )
-        if not isinstance(raw["completed"], dict):
-            raise CheckpointError(f"checkpoint {self.path}: 'completed' must be an object")
-        return raw
+        })
 
     def write(
         self,
@@ -297,8 +256,7 @@ class DSECheckpoint:
         pareto: Sequence[DSECandidate],
         retries: int,
     ) -> None:
-        payload = {
-            "schema_version": CHECKPOINT_SCHEMA_VERSION,
+        self._write({
             "kernel": kernel,
             "fingerprint": fingerprint,
             "top_m": top_m,
@@ -312,16 +270,7 @@ class DSECheckpoint:
                 for index, result in sorted(completed.items())
             },
             "pareto": [candidate_payload(c) for c in pareto],
-        }
-        directory = os.path.dirname(self.path) or "."
-        os.makedirs(directory, exist_ok=True)
-        tmp = self.path + ".tmp"
-        with open(tmp, "w") as handle:
-            json.dump(payload, handle, indent=1)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
+        })
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +393,9 @@ class ParallelDSE:
     workers:
         Worker processes.  ``1`` evaluates shards in-process (no
         subprocesses) — the checkpointing serial mode.
-    shard_size / shards_per_worker:
+    shard_size:
         Shard granularity.  Explicit ``shard_size`` wins; otherwise the
-        space is cut into ``workers * shards_per_worker`` shards so a
+        space is cut into ``workers * SHARDS_PER_WORKER`` shards so a
         died-and-retried shard costs a fraction of the run.
     checkpoint_path / resume:
         Journal location.  With ``resume=True`` an existing journal's
@@ -459,10 +408,9 @@ class ParallelDSE:
         When set, a worker that is alive but has not heartbeat for this
         long is killed and its shard retried (same single-retry budget
         as a crash).
-    max_attempts:
-        Evaluation attempts per shard before
-        :class:`~repro.errors.WorkerCrashError` (default 2: the
-        original run plus exactly one retry).
+
+    A shard gets ``MAX_ATTEMPTS`` evaluations (the original run plus
+    exactly one retry) before :class:`~repro.errors.WorkerCrashError`.
     """
 
     def __init__(
@@ -479,18 +427,13 @@ class ParallelDSE:
         cache: bool = True,
         exhaustive_limit: int = 20_000,
         shard_size: Optional[int] = None,
-        shards_per_worker: int = 4,
         checkpoint_path: Optional[str] = None,
         resume: bool = False,
         hooks: Optional[WorkerHooks] = None,
         heartbeat_timeout_seconds: Optional[float] = None,
-        max_attempts: int = 2,
-        mp_context: str = "fork",
     ):
         if workers < 1:
             raise DSEError(f"workers must be >= 1, got {workers}")
-        if max_attempts < 1:
-            raise DSEError(f"max_attempts must be >= 1, got {max_attempts}")
         if resume and checkpoint_path is None:
             raise DSEError("resume=True requires a checkpoint_path")
         self.predictor = predictor
@@ -505,13 +448,10 @@ class ParallelDSE:
         self.cache = cache
         self.exhaustive_limit = exhaustive_limit
         self.shard_size = shard_size
-        self.shards_per_worker = max(int(shards_per_worker), 1)
         self.checkpoint = DSECheckpoint(checkpoint_path) if checkpoint_path else None
         self.resume = resume
         self.hooks = hooks
         self.heartbeat_timeout_seconds = heartbeat_timeout_seconds
-        self.max_attempts = max_attempts
-        self.mp_context = mp_context
         # The shard searchers target the predictor's bound device (they
         # are built without an explicit one), so the shard fronts and
         # their merge compare on that device's objective keys.
@@ -533,7 +473,7 @@ class ParallelDSE:
         if self.shard_size is not None:
             size = max(int(self.shard_size), 1)
         else:
-            size = max(math.ceil(total / (self.workers * self.shards_per_worker)), 1)
+            size = max(math.ceil(total / (self.workers * SHARDS_PER_WORKER)), 1)
         shards = [points[i:i + size] for i in range(0, total, size)] or [[]]
         return shards, size, total
 
@@ -717,7 +657,6 @@ class ParallelDSE:
                      shard_size, num_shards, total, prior_retries, deadline):
         supervisor = ForkSupervisor(
             _worker_main,
-            mp_context=self.mp_context,
             name_prefix="repro-dse-worker",
             worker_class=_WorkerHandle,
         )
@@ -790,7 +729,7 @@ class ParallelDSE:
             supervisor.discard(handle.worker_id)
             if index is None or index in completed:
                 return
-            if attempts.get(index, 0) >= self.max_attempts:
+            if attempts.get(index, 0) >= MAX_ATTEMPTS:
                 raise WorkerCrashError(
                     f"shard {index} of {self.spec.name} failed "
                     f"{attempts[index]} times (last worker "
@@ -801,7 +740,7 @@ class ParallelDSE:
             logger.warning(
                 "worker %d %s on shard %d (attempt %d/%d); retrying once",
                 handle.worker_id, reason, index,
-                attempts.get(index, 0), self.max_attempts,
+                attempts.get(index, 0), MAX_ATTEMPTS,
             )
             queue.appendleft(index)
 

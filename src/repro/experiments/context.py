@@ -28,6 +28,7 @@ import os
 from pathlib import Path
 from typing import Dict, Optional
 
+from ..durable import atomic_write
 from ..explorer.database import Database
 from ..explorer.runner import generate_database
 from ..hls.tool import MerlinHLSTool
@@ -129,7 +130,7 @@ class ExperimentContext:
         return None
 
     def save_result(self, name: str, payload) -> None:
-        self.result_path(name).write_text(json.dumps(payload, indent=1))
+        atomic_write(self.result_path(name), json.dumps(payload, indent=1))
 
 
 _default: Optional[ExperimentContext] = None

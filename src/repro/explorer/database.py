@@ -9,12 +9,12 @@ JSON-serialisable for persistence.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..designspace.space import DesignPoint, point_key
+from ..durable import atomic_write
 from ..errors import DatabaseError
 from ..frontend.pragmas import PipelineOption
 from ..hls.device import DEFAULT_DEVICE
@@ -195,24 +195,14 @@ class Database:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path) -> None:
-        """Atomically write the database as JSON.
+        """Atomically and durably write the database as JSON
+        (:func:`~repro.durable.atomic_write`).
 
-        The payload goes to a sibling temp file first and is moved over
-        ``path`` with ``os.replace``, so a crash mid-write (out of disk,
-        SIGKILL, power loss) can never leave a truncated database — the
-        previous file survives intact until the rename commits.
+        A crash mid-write (out of disk, SIGKILL, power loss) can never
+        leave a truncated database — the previous file survives intact
+        until the rename commits.
         """
-        path = Path(path)
-        payload = json.dumps([asdict(r) for r in self._records.values()], indent=1)
-        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-        try:
-            with open(tmp, "w") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        atomic_write(path, json.dumps([asdict(r) for r in self._records.values()], indent=1))
 
     @staticmethod
     def load(path) -> "Database":

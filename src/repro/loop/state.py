@@ -1,7 +1,8 @@
 """Resumable checkpoint for the active-learning loop.
 
-:class:`LoopState` is the loop's journal, modeled on
-:class:`~repro.dse.parallel.DSECheckpoint`: an atomically-rewritten
+:class:`LoopState` is the loop's journal, a
+:class:`~repro.durable.Journal` (the format it shares with
+:class:`~repro.dse.parallel.DSECheckpoint`): an atomically-rewritten
 JSON file recording the loop configuration fingerprint, the baseline
 evaluation, and one entry per *completed* round (selection counts,
 held-out metrics, and which artifact version ended up serving).  A
@@ -14,11 +15,9 @@ same database and artifact chain as an uninterrupted one.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from typing import Dict, List, Optional
 
+from ..durable import Journal, json_digest
 from ..errors import LoopError
 
 __all__ = ["LoopState", "LOOP_STATE_SCHEMA_VERSION"]
@@ -26,61 +25,28 @@ __all__ = ["LoopState", "LOOP_STATE_SCHEMA_VERSION"]
 #: Bump when the journal layout changes incompatibly.
 LOOP_STATE_SCHEMA_VERSION = 1
 
-_REQUIRED = ("schema_version", "fingerprint", "database_path",
-             "registry_root", "baseline", "completed")
 
-
-class LoopState:
+class LoopState(Journal):
     """Atomic JSON journal of completed active-learning rounds.
 
-    The file is rewritten atomically (``.tmp`` + ``os.replace`` +
-    fsync) after the baseline and after every completed round, so at
-    any kill point it is either the previous or the new complete
-    journal.  A truncated file, a schema mismatch, or a fingerprint
-    mismatch (different kernels/budget/seed/…) raises
+    The file is rewritten durably (:func:`~repro.durable.atomic_write`)
+    after the baseline and after every completed round, so at any kill
+    point it is either the previous or the new complete journal.  A
+    truncated file, a schema mismatch, or a fingerprint mismatch
+    (different kernels/budget/seed/…) raises
     :class:`~repro.errors.LoopError` on resume.
     """
 
-    def __init__(self, path):
-        self.path = os.fspath(path)
+    noun = "loop state"
+    error = LoopError
+    schema_version = LOOP_STATE_SCHEMA_VERSION
+    required = ("fingerprint", "database_path", "registry_root", "baseline",
+                "completed")
+    completed_type = list
 
     @staticmethod
     def fingerprint(signature: Dict[str, object]) -> str:
-        blob = json.dumps(signature, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
-
-    def exists(self) -> bool:
-        return os.path.exists(self.path)
-
-    def load(self) -> Dict[str, object]:
-        """Parse and structurally validate the journal."""
-        try:
-            with open(self.path, "r") as handle:
-                raw = json.load(handle)
-        except OSError as exc:
-            raise LoopError(f"cannot read loop state {self.path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise LoopError(
-                f"loop state {self.path} is corrupt or half-written "
-                f"(invalid JSON at line {exc.lineno}); delete it to start fresh"
-            ) from None
-        if not isinstance(raw, dict):
-            raise LoopError(f"loop state {self.path}: expected a JSON object")
-        version = raw.get("schema_version")
-        if version != LOOP_STATE_SCHEMA_VERSION:
-            raise LoopError(
-                f"loop state {self.path}: schema v{version!r} unsupported "
-                f"(this build writes v{LOOP_STATE_SCHEMA_VERSION})"
-            )
-        for key in _REQUIRED:
-            if key not in raw:
-                raise LoopError(
-                    f"loop state {self.path} is corrupt or half-written "
-                    f"(missing field {key!r}); delete it to start fresh"
-                )
-        if not isinstance(raw["completed"], list):
-            raise LoopError(f"loop state {self.path}: 'completed' must be a list")
-        return raw
+        return json_digest(signature)
 
     def validate(self, fingerprint: str) -> Dict[str, object]:
         """Load and check the journal belongs to THIS loop configuration."""
@@ -101,21 +67,10 @@ class LoopState:
         baseline: Optional[Dict[str, object]],
         completed: List[Dict[str, object]],
     ) -> None:
-        payload = {
-            "schema_version": LOOP_STATE_SCHEMA_VERSION,
+        self._write({
             "fingerprint": fingerprint,
             "database_path": str(database_path),
             "registry_root": str(registry_root),
             "baseline": baseline,
             "completed": completed,
-        }
-        tmp = f"{self.path}.tmp{os.getpid()}"
-        try:
-            with open(tmp, "w") as handle:
-                json.dump(payload, handle, indent=1)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
-        finally:
-            if os.path.exists(tmp):  # pragma: no cover - only on failed replace
-                os.unlink(tmp)
+        })

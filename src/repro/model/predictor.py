@@ -91,6 +91,30 @@ class Prediction:
             if name != "latency" and (axes is None or name in axes)
         )
 
+    def payload(self) -> Dict[str, object]:
+        """JSON form; floats round-trip exactly (shortest repr)."""
+        return {
+            "valid": self.valid,
+            "valid_prob": self.valid_prob,
+            "objectives": self.objectives,
+        }
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, object]) -> "Prediction":
+        """Inverse of :meth:`payload`.
+
+        Malformed input raises ``KeyError``, ``TypeError`` or
+        ``ValueError``; callers translate it into their own error.
+        """
+        objectives = payload["objectives"]
+        return cls(
+            valid=bool(payload["valid"]),
+            valid_prob=float(payload["valid_prob"]),
+            objectives=None
+            if objectives is None
+            else {str(k): float(v) for k, v in objectives.items()},
+        )
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Prediction):
             return NotImplemented

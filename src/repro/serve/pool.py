@@ -182,7 +182,7 @@ class WorkerPool:
         self.ready_timeout_seconds = float(ready_timeout_seconds)
         self.hooks = hooks
         self._supervisor = ForkSupervisor(
-            _worker_main, mp_context="fork",
+            _worker_main,
             name_prefix="repro-serve-worker", worker_class=_PoolWorker,
         )
         self._listener: Optional[socket.socket] = None

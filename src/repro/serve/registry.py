@@ -10,9 +10,9 @@ An *artifact* is a directory holding everything needed to reconstruct a
 
 Blobs are content-addressed: the file name embeds the SHA-256 of the
 bytes, so a blob can never silently drift from its manifest entry and
-identical weights are stored once.  The manifest is written last (via a
-temp file + ``os.replace``), so a crashed save never produces a
-loadable half-artifact.
+identical weights are stored once.  Every file is written through
+:func:`~repro.durable.atomic_write` and the manifest last, so a crashed
+save never produces a loadable half-artifact.
 
 Loads are strict: schema-version, vocabulary-fingerprint, and blob-hash
 mismatches all raise :class:`~repro.errors.ArtifactError` (a
@@ -31,8 +31,8 @@ directory with an atomic ``current`` pointer::
       current                       # symlink (or pointer file) -> versions/vNNNN
 
 ``publish`` writes the artifact completely (manifest last), verifies
-it, then flips ``current`` with a temp-link + ``os.replace`` + directory
-fsync — so a reader resolving ``current`` always sees a *complete*
+it, then flips ``current`` with :func:`~repro.durable.atomic_pointer`
+— so a reader resolving ``current`` always sees a *complete*
 artifact, before or after the swap but never in between, and a crash
 mid-swap leaves the old pointer intact.
 """
@@ -50,6 +50,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..durable import atomic_pointer, atomic_write, json_digest
 from ..errors import ArtifactError
 from ..explorer.database import Database
 from ..graph.encoding import EDGE_DIM, NODE_DIM
@@ -96,17 +97,13 @@ def vocab_fingerprint() -> str:
     Saved weights are only meaningful against the exact feature
     encoding they were trained on; the fingerprint pins it.
     """
-    payload = json.dumps(
-        {
-            "node_text": list(NODE_TEXT_VOCAB),
-            "node_types": list(NODE_TYPES),
-            "edge_flows": list(EDGE_FLOWS),
-            "node_dim": NODE_DIM,
-            "edge_dim": EDGE_DIM,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return json_digest({
+        "node_text": list(NODE_TEXT_VOCAB),
+        "node_types": list(NODE_TYPES),
+        "edge_flows": list(EDGE_FLOWS),
+        "node_dim": NODE_DIM,
+        "edge_dim": EDGE_DIM,
+    })
 
 
 def device_set_fingerprint() -> str:
@@ -117,21 +114,17 @@ def device_set_fingerprint() -> str:
     changes what the device feature block means, so the fingerprint —
     like :func:`vocab_fingerprint` — pins it.
     """
-    payload = json.dumps(
-        [
-            {
-                "name": name,
-                "kind": getattr(get_device(name), "kind", "fpga"),
-                "capacities": {
-                    axis: float(cap)
-                    for axis, cap in sorted(get_device(name).capacities().items())
-                },
-            }
-            for name in list_devices()
-        ],
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return json_digest([
+        {
+            "name": name,
+            "kind": getattr(get_device(name), "kind", "fpga"),
+            "capacities": {
+                axis: float(cap)
+                for axis, cap in sorted(get_device(name).capacities().items())
+            },
+        }
+        for name in list_devices()
+    ])
 
 
 def _device_set_payload() -> Dict[str, object]:
@@ -172,8 +165,9 @@ def save_artifact(predictor, path) -> Dict[str, object]:
 
     Returns the manifest.  Existing artifacts at ``path`` are
     overwritten atomically at the manifest level: blobs are written
-    first, the manifest last via temp file + ``os.replace``, so readers
-    either see the old complete artifact or the new one.
+    first, the manifest last, each with
+    :func:`~repro.durable.atomic_write`, so readers either see the old
+    complete artifact or the new one.
     """
     path = Path(path)
     models = {
@@ -208,9 +202,7 @@ def save_artifact(predictor, path) -> Dict[str, object]:
         blob_name = f"sha256-{digest}.npz"
         blob_path = path / _BLOB_DIR / blob_name
         if not blob_path.exists():
-            tmp = blob_path.with_name(blob_path.name + f".tmp{os.getpid()}")
-            tmp.write_bytes(blob)
-            os.replace(tmp, blob_path)
+            atomic_write(blob_path, blob)
         manifest["models"][role] = {
             "blob": f"{_BLOB_DIR}/{blob_name}",
             "sha256": digest,
@@ -218,16 +210,7 @@ def save_artifact(predictor, path) -> Dict[str, object]:
             "parameters": int(model.num_parameters()),
             "config": _config_payload(model.config),
         }
-    text = json.dumps(manifest, indent=1, sort_keys=True)
-    tmp = path / f"{_MANIFEST}.tmp{os.getpid()}"
-    try:
-        with open(tmp, "w") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path / _MANIFEST)
-    finally:
-        tmp.unlink(missing_ok=True)
+    atomic_write(path / _MANIFEST, json.dumps(manifest, indent=1, sort_keys=True))
     return manifest
 
 
@@ -365,20 +348,16 @@ def artifact_fingerprint(manifest: Dict[str, object]) -> str:
     and any weight change yields a new one.  This is the hash served in
     ``/v1/model`` and stamped on every prediction response.
     """
-    payload = json.dumps(
-        {
-            "schema_version": manifest["schema_version"],
-            "vocab_sha256": manifest["vocab_sha256"],
-            "devices_sha256": manifest.get("devices", {}).get("sha256"),
-            "normalization_factor": manifest["normalization_factor"],
-            "models": {
-                role: entry["sha256"]
-                for role, entry in manifest["models"].items()
-            },
+    return json_digest({
+        "schema_version": manifest["schema_version"],
+        "vocab_sha256": manifest["vocab_sha256"],
+        "devices_sha256": manifest.get("devices", {}).get("sha256"),
+        "normalization_factor": manifest["normalization_factor"],
+        "models": {
+            role: entry["sha256"]
+            for role, entry in manifest["models"].items()
         },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -408,18 +387,6 @@ class ArtifactVersion:
             "schema_version": self.schema_version,
             "path": str(self.path),
         }
-
-
-def _fsync_dir(path: Path) -> None:
-    """Force a directory entry update (a rename) to stable storage."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir-open
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 class ModelRegistry:
@@ -488,7 +455,7 @@ class ModelRegistry:
         if pointer.is_symlink():
             return Path(os.readlink(pointer)).name
         if pointer.is_file():
-            name = pointer.read_text().strip()
+            name = Path(pointer.read_text().strip()).name
             return name or None
         return None
 
@@ -517,33 +484,17 @@ class ModelRegistry:
         return f"v{(max(taken) + 1 if taken else 1):04d}"
 
     def set_current(self, version: str) -> None:
-        """Atomically flip ``current`` to ``version`` (symlink-or-rename).
+        """Atomically and durably flip ``current`` to ``version``
+        (:func:`~repro.durable.atomic_pointer`).
 
-        The new pointer is created under a temp name and moved over the
-        old one with ``os.replace``; the registry directory is fsynced
-        so the rename is durable.  Readers therefore observe either the
-        old pointer or the new one — never a missing or torn pointer.
+        Readers observe either the old pointer or the new one — never a
+        missing or torn pointer.
         """
         target = self.versions_dir / version
         if not (target / _MANIFEST).is_file():
             raise ArtifactError(f"registry {self.root}: no artifact at {target}")
         self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self.root / f".{_CURRENT}.tmp{os.getpid()}"
-        tmp.unlink(missing_ok=True)
-        try:
-            try:
-                os.symlink(os.path.join(_VERSIONS_DIR, version), tmp)
-            except (OSError, NotImplementedError):
-                # Filesystems without symlinks get a pointer file with
-                # identical atomic-replace semantics.
-                with open(tmp, "w") as handle:
-                    handle.write(version)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-            os.replace(tmp, self.current_pointer)
-        finally:
-            tmp.unlink(missing_ok=True)
-        _fsync_dir(self.root)
+        atomic_pointer(self.current_pointer, os.path.join(_VERSIONS_DIR, version))
 
     def publish(
         self,
@@ -567,15 +518,7 @@ class ModelRegistry:
             "created": float(created if created is not None else time.time()),
             "sha256": artifact_fingerprint(manifest),
         }
-        tmp = path / f"{_VERSION_META}.tmp{os.getpid()}"
-        try:
-            with open(tmp, "w") as handle:
-                json.dump(meta, handle, indent=1)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path / _VERSION_META)
-        finally:
-            tmp.unlink(missing_ok=True)
+        atomic_write(path / _VERSION_META, json.dumps(meta, indent=1))
         if activate:
             self.set_current(version)
         return self._version_info(path)

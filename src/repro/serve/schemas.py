@@ -33,23 +33,12 @@ DSE_RESULT_SCHEMA_VERSION = 2
 
 
 def prediction_payload(prediction: Prediction) -> Dict[str, object]:
-    return {
-        "valid": prediction.valid,
-        "valid_prob": prediction.valid_prob,
-        "objectives": prediction.objectives,
-    }
+    return prediction.payload()
 
 
 def prediction_from_payload(payload: Dict[str, object]) -> Prediction:
     try:
-        objectives = payload["objectives"]
-        return Prediction(
-            valid=bool(payload["valid"]),
-            valid_prob=float(payload["valid_prob"]),
-            objectives=None
-            if objectives is None
-            else {str(k): float(v) for k, v in objectives.items()},
-        )
+        return Prediction.from_payload(payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise ServeError(f"malformed prediction payload: {exc}") from None
 

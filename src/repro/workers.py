@@ -122,9 +122,6 @@ class ForkSupervisor:
         prepends the sequential worker id and the worker's
         :class:`Outbox`, whose messages the parent reads with
         :meth:`receive`.
-    mp_context:
-        Multiprocessing start method (``"fork"`` everywhere in this
-        repo: inherited memory, shared monotonic epoch).
     name_prefix:
         Process names become ``f"{name_prefix}-{worker_id}"``.
     worker_class:
@@ -135,12 +132,13 @@ class ForkSupervisor:
     def __init__(
         self,
         target: Callable,
-        mp_context: str = "fork",
         name_prefix: str = "repro-worker",
         worker_class=SupervisedWorker,
     ):
         self.target = target
-        self.context = multiprocessing.get_context(mp_context)
+        # Fork: workers inherit loaded predictors without pickling and
+        # share the parent's monotonic clock epoch.
+        self.context = multiprocessing.get_context("fork")
         self.name_prefix = name_prefix
         self.worker_class = worker_class
         self.workers: Dict[int, SupervisedWorker] = {}

@@ -185,3 +185,23 @@ class TestAllKernels:
     def test_2mm_space_is_enormous(self):
         space = build_design_space(get_kernel("2mm"))
         assert space.product_size() > 10**8  # paper: 492M configs
+
+
+class TestSizeLimit:
+    """``size(exact_limit)`` answers the same whatever was asked before."""
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_limit_honoured_after_exact_count(self, warm):
+        from repro.dse import ModelDSE
+
+        from tests.test_pipeline import make_predictor
+
+        space = build_design_space(get_kernel("gemm-ncubed"))
+        if warm:
+            assert space.size() == 9_886  # exact count, now cached
+        assert space.size(exact_limit=20_000) == 37_044  # product bound
+        result = ModelDSE(make_predictor(), get_kernel("gemm-ncubed"), space).run(
+            time_limit_seconds=0.0
+        )
+        assert not result.exhaustive
+        assert space.size() == 9_886
