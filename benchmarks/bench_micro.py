@@ -11,10 +11,13 @@ one whole-sweep merge into an empty front (exhaustive sweep).  The
 row-memo benchmark times the exhaustive gesummv forward with the
 pipeline's conv-row memo at its default budget and with none, the
 serve-cold replay times the repo benchmark's uncached serving traffic
-(small fused chunks, little row reuse), and the warm-up benchmark times
-a fresh pipeline's first chunks of every size up to its batch.
+(small fused chunks, little row reuse), the warm-up benchmark times
+a fresh pipeline's first chunks of every size up to its batch, and the
+cached-request benchmark times serve-hot's per-request work in the
+server: JSON body in, cache lookup, response bytes out.
 """
 
+import json
 import random
 
 import numpy as np
@@ -33,6 +36,9 @@ from repro.model.config import BRAM_OBJECTIVE, MODEL_CONFIGS, REGRESSION_OBJECTI
 from repro.model.dataset import GraphDatasetBuilder
 from repro.model.models import build_model
 from repro.model.predictor import GNNDSEPredictor, Prediction
+from repro.serve import PredictorService
+from repro.serve.http import predict_payload
+from repro.serve.schemas import point_payload, prediction_from_payload
 
 
 @pytest.fixture(scope="module")
@@ -212,3 +218,26 @@ def test_pipeline_warmup_chunk_sizes(benchmark, untrained_m7):
 
     got = benchmark(warm)
     assert got[-1] == untrained_m7.predict("mvt", points[-1])
+
+
+def test_cached_predict_request(benchmark, untrained_m7):
+    """One cached 4-point ``/v1/predict`` request through the service, from
+    JSON body to response bytes: serve-hot's path without the socket.
+    The first call misses and fills the cache through the batcher."""
+    points = build_design_space(get_kernel("atax")).sample(random.Random(0), 4)
+    body = json.dumps({"kernel": "atax", "points": [point_payload(p) for p in points]}).encode()
+    expected = EvaluationPipeline(untrained_m7).predict_batch("atax", points)
+    service = PredictorService(untrained_m7)
+
+    def request():
+        return json.dumps(predict_payload(service, json.loads(body))).encode()
+
+    try:
+        request()
+        batches = service.metrics_snapshot()["batches"]
+        reply = benchmark(request)
+        snapshot = service.metrics_snapshot()
+    finally:
+        service.close()
+    assert snapshot["batches"] == batches and snapshot["cache_served_requests"] >= 1
+    assert [prediction_from_payload(p) for p in json.loads(reply)["predictions"]] == expected

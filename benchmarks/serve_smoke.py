@@ -7,6 +7,9 @@ whole request path from the outside:
 - ``/healthz`` reports ``ok``;
 - ``/v1/predict`` answers are **bit-identical** to the in-process
   :class:`~repro.dse.pipeline.EvaluationPipeline` on the same weights;
+- a repeated ``/v1/predict`` is answered from the prediction cache,
+  with no micro-batch, for ``objectives_for`` ``"all"`` and ``"valid"``
+  (the latter on points the classifier rejected);
 - ``/v1/dse/top`` returns a well-formed ranked payload;
 - ``/v1/dse/top`` and an in-process :func:`~repro.dse.run_dse` on the
   same weights agree on ``top``, ``pareto``, ``explored`` and the
@@ -100,6 +103,26 @@ def main():
         if served != expected:
             fail("/v1/predict is not bit-identical to the in-process pipeline")
         print(f"serve-smoke: {len(served)} predictions bit-identical")
+
+        # The valid-mode points are fresh, so their first request runs
+        # only the classifier, which rejects them at this threshold.
+        rejected = space.sample(random.Random(2), POINTS)
+        for label, request_points, fields in (
+            ("all", points, {}),
+            ("valid", rejected, {"objectives_for": "valid", "valid_threshold": 0.999}),
+        ):
+            first = client.predict(KERNEL, request_points, **fields)
+            before = client.metrics()
+            again = client.predict(KERNEL, request_points, **fields)
+            after = client.metrics()
+            if again != first:
+                fail(f"repeated {label!r} request changed its answer")
+            if (
+                after["cache_served_requests"] != before["cache_served_requests"] + 1
+                or after["batches"] != before["batches"]
+            ):
+                fail(f"repeated {label!r} request was not answered from the cache")
+        print("serve-smoke: repeated requests served from the cache (all, valid)")
 
         result = client.dse_top(KERNEL, top=3, time_limit=3.0)
         ranks = [entry["rank"] for entry in result["top"]]

@@ -95,6 +95,7 @@ class DesignSpace:
         self._by_name: Dict[str, Knob] = {k.name: k for k in self.knobs}
         if len(self._by_name) != len(self.knobs):
             raise DesignSpaceError(f"{kernel_name}: duplicate knob names")
+        self._neutral: DesignPoint = {k.name: k.neutral for k in self.knobs}
         self._exact_size: Optional[int] = None
 
     # -- basic accessors --------------------------------------------------------
@@ -109,8 +110,9 @@ class DesignSpace:
             raise DesignSpaceError(f"{self.kernel_name}: unknown knob {name!r}") from None
 
     def default_point(self) -> DesignPoint:
-        """The all-neutral design point (no optimisation applied)."""
-        return {k.name: k.neutral for k in self.knobs}
+        """The all-neutral design point (no optimisation applied): a fresh
+        copy of a template built once per space."""
+        return dict(self._neutral)
 
     def validate(self, point: DesignPoint) -> None:
         """Check that a point covers exactly the knob set with candidates."""

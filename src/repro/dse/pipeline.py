@@ -1127,7 +1127,10 @@ class EvaluationPipeline:
         self._dtype: Optional[np.dtype] = None
         self._memo: Optional[_RowMemo] = None
         self._ws = _Workspace()  # forward scratch, shared by every engine
-        self._compile_failed = False
+        # Whether the predictor runs on the compiled engine: decided on
+        # the first call (:meth:`_supports_compiled`), since the models
+        # never change under a pipeline.
+        self._compiled_ok: Optional[bool] = False if engine == "reference" else None
         # One evaluation at a time: the compiled engines share workspace
         # buffers and pragma blocks, and the point caches are plain
         # dicts — neither survives concurrent mutation.  The serving
@@ -1151,19 +1154,17 @@ class EvaluationPipeline:
 
     def _supports_compiled(self) -> bool:
         """Can (and may) this predictor run on the compiled engine?"""
-        if self.engine_mode == "reference" or self._compile_failed:
-            return False
-        models = self._predictor_models()
-        if models is None or not all(
-            CompiledGNNEngine.supports(m) for m in models.values()
-        ):
-            if self.engine_mode == "compiled":
+        if self._compiled_ok is None:
+            models = self._predictor_models()
+            supported = models is not None and all(
+                CompiledGNNEngine.supports(m) for m in models.values()
+            )
+            if not supported and self.engine_mode == "compiled":
                 raise UnsupportedModelError(
                     "engine='compiled' but the predictor's models cannot be lowered"
                 )
-            self._compile_failed = True
-            return False
-        return True
+            self._compiled_ok = supported
+        return self._compiled_ok
 
     def _engines(self, kernel: str) -> Tuple[_KernelGraph, Dict[str, CompiledGNNEngine]]:
         """One kernel's graph and compiled engines (memoised).
@@ -1255,8 +1256,7 @@ class EvaluationPipeline:
             return []
         with self._lock:
             t_wall = time.perf_counter()
-            hits0, misses0 = self.stats.cache_hits, self.stats.cache_misses
-            batches0 = self.stats.batches
+            before = self.stats.cache_hits, self.stats.cache_misses, self.stats.batches
             with span(
                 "pipeline.predict_batch", kernel=kernel, points=len(points)
             ) as sp:
@@ -1267,13 +1267,19 @@ class EvaluationPipeline:
                 else:
                     out = self._reference_batch(kernel, points, valid_threshold)
                 sp.set(engine=self.stats.engine)
-            self.stats.points += len(points)
-            self.stats.wall_seconds += time.perf_counter() - t_wall
-            _OBS_POINTS.inc(len(points))
-            _OBS_BATCHES.inc(self.stats.batches - batches0)
-            _OBS_CACHE_HITS.inc(self.stats.cache_hits - hits0)
-            _OBS_CACHE_MISSES.inc(self.stats.cache_misses - misses0)
+            self._account(len(points), t_wall, before)
             return out
+
+    def _account(self, points: int, t_wall: float, before: Tuple[int, int, int]) -> None:
+        """Close one call's stats and obs counters; ``before`` holds the
+        cache hits, misses and batches at its start."""
+        hits0, misses0, batches0 = before
+        self.stats.points += points
+        self.stats.wall_seconds += time.perf_counter() - t_wall
+        _OBS_POINTS.inc(points)
+        _OBS_BATCHES.inc(self.stats.batches - batches0)
+        _OBS_CACHE_HITS.inc(self.stats.cache_hits - hits0)
+        _OBS_CACHE_MISSES.inc(self.stats.cache_misses - misses0)
 
     def predict_cached(
         self,
@@ -1284,12 +1290,16 @@ class EvaluationPipeline:
     ) -> Optional[List[Prediction]]:
         """:meth:`predict_batch` when no point needs a forward, else None.
 
-        Answers only when every point already has a complete cache
-        record (classifier logits and regression outputs), so the call
-        never runs the model.  It never waits either: when another
-        thread holds the pipeline it returns None at once, and the
-        caller takes its usual (batched) path.
+        Answers only when every point's cache record holds what this
+        call needs: classifier logits, plus regression outputs where
+        ``objectives_for`` is ``"all"`` or the point clears
+        ``valid_threshold``.  One key lookup per point, then one
+        materialisation; the call never runs the model.  It never waits
+        either: when another thread holds the pipeline it returns None
+        at once, and the caller takes its usual (batched) path.
         """
+        if objectives_for not in ("all", "valid"):
+            raise ValueError(f"unknown objectives_for {objectives_for!r}")
         if not self.cache_enabled or not points:
             return None
         if not self._lock.acquire(blocking=False):
@@ -1298,15 +1308,31 @@ class EvaluationPipeline:
             cache = self._point_cache.get(kernel)
             if cache is None:
                 return None
-            for point in points:
-                key = point_key(point)
-                record = cache.get(key)
-                complete = (
-                    record is not None and "logits" in record and "reg" in record
-                ) or (key, valid_threshold) in cache  # reference-engine entry
-                if not complete:
+            t_wall = time.perf_counter()
+            before = self.stats.cache_hits, self.stats.cache_misses, self.stats.batches
+            compiled = self._supports_compiled()
+            if compiled:
+                records = [cache.get(point_key(p)) for p in points]
+                if any(record is None or "logits" not in record for record in records):
                     return None
-            return self.predict_batch(kernel, points, valid_threshold, objectives_for)
+                logits, wants_reg = self._cascade(records, valid_threshold, objectives_for)
+                if any(w and "reg" not in r for w, r in zip(wants_reg, records)):
+                    return None
+            else:
+                out = [cache.get((point_key(p), valid_threshold)) for p in points]
+                if any(pred is None for pred in out):
+                    return None
+            self.stats.engine = "compiled" if compiled else "reference"
+            with span(
+                "pipeline.predict_batch", kernel=kernel, points=len(points),
+                engine=self.stats.engine,
+            ):
+                self.stats.cache_hits += len(points)
+                if compiled:
+                    self.stats.cascade_skipped += wants_reg.count(False)
+                    out = self._materialize(records, logits, wants_reg, valid_threshold)
+            self._account(len(points), t_wall, before)
+            return out
         finally:
             self._lock.release()
 
@@ -1443,17 +1469,11 @@ class EvaluationPipeline:
         fused = objectives_for == "all"
         self._fill_records(kernel, points, records, need_cls, _HEADS if fused else _CLASSIFIER)
 
-        logits = np.stack([record["logits"] for record in records])
-        exp = np.exp(logits - logits.max(axis=1, keepdims=True))
-        probs = exp[:, 1] / exp.sum(axis=1)
+        logits, wants_reg = self._cascade(records, valid_threshold, objectives_for)
+        self.stats.cascade_skipped += wants_reg.count(False)
 
         # Stage 2: regression for points that need objectives and have
         # none yet (a classified point the cascade skipped, when fused).
-        if fused:
-            wants_reg = [True] * len(points)
-        else:
-            wants_reg = [bool(probs[i] >= valid_threshold) for i in range(len(points))]
-            self.stats.cascade_skipped += sum(1 for w in wants_reg if not w)
         need_reg: List[int] = []
         fresh_reg = set()
         for i, record in enumerate(records):
@@ -1461,10 +1481,25 @@ class EvaluationPipeline:
                 need_reg.append(i)
                 fresh_reg.add(id(record))
         self._fill_records(kernel, points, records, need_reg, _REGRESSORS)
+        return self._materialize(records, logits, wants_reg, valid_threshold)
 
-        # Materialize through the shared reference helper.
+    @staticmethod
+    def _cascade(records, valid_threshold, objectives_for) -> Tuple[np.ndarray, List[bool]]:
+        """The classified records' stacked logits, and which of them want
+        objectives: all under ``"all"``, else those clearing the
+        threshold."""
+        logits = np.stack([record["logits"] for record in records])
+        if objectives_for == "all":
+            return logits, [True] * len(records)
+        exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = exp[:, 1] / exp.sum(axis=1)
+        return logits, [bool(prob >= valid_threshold) for prob in probs]
+
+    def _materialize(self, records, logits, wants_reg, valid_threshold) -> List[Prediction]:
+        """Predictions from complete records, through the shared reference
+        helper (:func:`predictions_from_outputs`)."""
         t0 = time.perf_counter()
-        mask = [wants_reg[i] and "reg" in records[i] for i in range(len(points))]
+        mask = [want and "reg" in record for want, record in zip(wants_reg, records)]
         reg_dim = None
         for record in records:
             if "reg" in record:
@@ -1473,8 +1508,8 @@ class EvaluationPipeline:
         if reg_dim is None:
             reg = bram = None
         else:
-            reg = np.zeros((len(points), reg_dim), dtype=logits.dtype)
-            bram = np.zeros((len(points), 1), dtype=logits.dtype)
+            reg = np.zeros((len(records), reg_dim), dtype=logits.dtype)
+            bram = np.zeros((len(records), 1), dtype=logits.dtype)
             for i, record in enumerate(records):
                 if mask[i]:
                     reg[i] = record["reg"]

@@ -25,7 +25,9 @@ Errors come back as structured JSON ``{"error": {"type", "message"}}``:
 400 for malformed requests and invalid design points, 404 for unknown
 kernels and paths, 413 for oversized bodies, 429 with a ``Retry-After``
 header when admission control sheds load (queue full or deadline
-already passed), 500 for everything unexpected.  Overload is by design
+already passed), 500 for everything unexpected.  A request line or
+headers the handler cannot read get the stdlib's plain error page: 400,
+505 for HTTP/2 and later, 431 for oversized headers.  Overload is by design
 never a 5xx: a shed request is the server *working correctly* at
 capacity, and load tests assert zero 5xx under sustained bursts.
 Shutdown is graceful: :meth:`ServeHTTPServer.stop` stops accepting
@@ -39,6 +41,7 @@ import math
 import socket
 import threading
 import time
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Optional, Tuple
 
@@ -54,13 +57,18 @@ from ..obs import is_enabled, span, trace_payload
 from .schemas import point_from_payload, prediction_payload
 from .service import PredictorService
 
-__all__ = ["ServeHTTPServer", "start_server"]
+__all__ = ["ServeHTTPServer", "predict_payload", "start_server"]
 
 #: Reject request bodies beyond this many bytes (413).
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
 #: Response write buffer; responses up to this size leave in one send.
 WRITE_BUFFER_BYTES = 64 * 1024
+
+#: Longest header line and most header lines a request may carry (the
+#: stdlib's limits); past either the answer is 431.
+MAX_LINE_BYTES = 65536
+MAX_HEADERS = 100
 
 
 class _RequestError(Exception):
@@ -131,6 +139,92 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- plumbing --------------------------------------------------------------
 
+    def parse_request(self) -> bool:
+        """Parse the request line and headers; on failure answer and
+        return False.
+
+        Answers as the stdlib handler does: 400 for a bad request line
+        or version, 505 for HTTP/2 and later, 431 for a header line past
+        :data:`MAX_LINE_BYTES` or more than :data:`MAX_HEADERS` headers.
+        The stdlib parses headers through ``email.parser``, about a
+        fifth of a cached request's handler time; this reads
+        ``name: value`` lines itself and answers 400 to a folded
+        (obs-fold) or colon-less line.  ``headers`` maps each lower-cased name to its first value.
+        """
+        self.command = None  # set in case of error on the first line
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:  # enough to determine the protocol version
+            version = words[-1]
+            number = _http_version(version)
+            if number is None:
+                self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request version ({version!r})")
+                return False
+            if number >= (2, 0):
+                self.send_error(
+                    HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                    f"Invalid HTTP version ({version[5:]})",
+                )
+                return False
+            self.close_connection = number < (1, 1)
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(
+                HTTPStatus.BAD_REQUEST, f"Bad request syntax ({self.requestline!r})"
+            )
+            return False
+        command, path = words[:2]
+        if len(words) == 2:  # HTTP/0.9
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST, f"Bad HTTP/0.9 request type ({command!r})"
+                )
+                return False
+        if path.startswith("//"):  # a client would read it as a host (gh-87389)
+            path = "/" + path.lstrip("/")
+        self.command, self.path = command, path
+
+        self.headers = headers = {}
+        count = 0
+        while True:
+            line = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if len(line) > MAX_LINE_BYTES:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Line too long", "header line"
+                )
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                break
+            count += 1
+            if count > MAX_HEADERS:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Too many headers",
+                    f"got more than {MAX_HEADERS} headers",
+                )
+                return False
+            name, colon, value = str(line, "iso-8859-1").partition(":")
+            if not colon or not name or name != name.strip():
+                self.send_error(HTTPStatus.BAD_REQUEST, "Bad header line")
+                return False
+            headers.setdefault(name.lower(), value.strip())
+
+        connection = headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (
+            headers.get("expect", "").lower() == "100-continue"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            return self.handle_expect_100()
+        return True
+
     def handle_expect_100(self) -> bool:
         # The buffered wfile would hold "100 Continue" back until the
         # final response; the client is waiting for it before the body.
@@ -151,7 +245,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_json(self) -> Dict[str, object]:
         try:
-            length = int(self.headers.get("Content-Length", "0"))
+            length = int(self.headers.get("content-length", "0"))
         except ValueError:
             raise _RequestError(400, "bad_request", "bad Content-Length") from None
         if length > MAX_BODY_BYTES:
@@ -218,47 +312,7 @@ class _Handler(BaseHTTPRequestHandler):
             )
 
     def _predict(self, service: PredictorService) -> Tuple[int, Dict[str, object]]:
-        body = self._read_json()
-        kernel = body.get("kernel")
-        if not isinstance(kernel, str):
-            raise _RequestError(400, "bad_request", "missing string field 'kernel'")
-        if ("point" in body) == ("points" in body):
-            raise _RequestError(
-                400, "bad_request", "provide exactly one of 'point' or 'points'"
-            )
-        raw_points = [body["point"]] if "point" in body else body["points"]
-        if not isinstance(raw_points, list) or not raw_points:
-            raise _RequestError(400, "bad_request", "'points' must be a non-empty list")
-        points = [point_from_payload(p) for p in raw_points]
-        try:
-            threshold = float(body.get("valid_threshold", DEFAULT_VALID_THRESHOLD))
-        except (TypeError, ValueError):
-            raise _RequestError(
-                400, "bad_request", "'valid_threshold' must be a number"
-            ) from None
-        objectives_for = body.get("objectives_for", "all")
-        device = _device_field(body)
-        deadline_seconds = None
-        if "deadline_ms" in body:
-            try:
-                deadline_ms = float(body["deadline_ms"])
-            except (TypeError, ValueError):
-                raise _RequestError(
-                    400, "bad_request", "'deadline_ms' must be a number"
-                ) from None
-            if deadline_ms <= 0:
-                raise _RequestError(400, "bad_request", "'deadline_ms' must be > 0")
-            deadline_seconds = deadline_ms / 1000.0
-        predictions, model_info = service.predict_versioned(
-            kernel, points, threshold, objectives_for,
-            deadline_seconds=deadline_seconds, device=device,
-        )
-        return 200, {
-            "kernel": kernel,
-            "device": service.resolve_device(device).name,
-            "predictions": [prediction_payload(p) for p in predictions],
-            "model": model_info,
-        }
+        return 200, predict_payload(service, self._read_json())
 
     def _dse_top(self, service: PredictorService) -> Tuple[int, Dict[str, object]]:
         body = self._read_json()
@@ -296,6 +350,66 @@ class _Handler(BaseHTTPRequestHandler):
         if swapped and callback is not None:
             callback(info)
         return 200, {"model": info, "swapped": swapped}
+
+
+def predict_payload(service: PredictorService, body: Dict[str, object]) -> Dict[str, object]:
+    """The ``/v1/predict`` response payload for a decoded request body.
+
+    A malformed request raises an error the handler maps to a 4xx.
+    """
+    kernel = body.get("kernel")
+    if not isinstance(kernel, str):
+        raise _RequestError(400, "bad_request", "missing string field 'kernel'")
+    if ("point" in body) == ("points" in body):
+        raise _RequestError(
+            400, "bad_request", "provide exactly one of 'point' or 'points'"
+        )
+    raw_points = [body["point"]] if "point" in body else body["points"]
+    if not isinstance(raw_points, list) or not raw_points:
+        raise _RequestError(400, "bad_request", "'points' must be a non-empty list")
+    points = [point_from_payload(p) for p in raw_points]
+    try:
+        threshold = float(body.get("valid_threshold", DEFAULT_VALID_THRESHOLD))
+    except (TypeError, ValueError):
+        raise _RequestError(
+            400, "bad_request", "'valid_threshold' must be a number"
+        ) from None
+    objectives_for = body.get("objectives_for", "all")
+    device = _device_field(body)
+    deadline_seconds = None
+    if "deadline_ms" in body:
+        try:
+            deadline_ms = float(body["deadline_ms"])
+        except (TypeError, ValueError):
+            raise _RequestError(
+                400, "bad_request", "'deadline_ms' must be a number"
+            ) from None
+        if deadline_ms <= 0:
+            raise _RequestError(400, "bad_request", "'deadline_ms' must be > 0")
+        deadline_seconds = deadline_ms / 1000.0
+    predictions, model_info = service.predict_versioned(
+        kernel, points, threshold, objectives_for,
+        deadline_seconds=deadline_seconds, device=device,
+    )
+    return {
+        "kernel": kernel,
+        "device": service.resolve_device(device).name,
+        "predictions": [prediction_payload(p) for p in predictions],
+        "model": model_info,
+    }
+
+
+def _http_version(version: str) -> Optional[Tuple[int, int]]:
+    """``HTTP/x.y`` as ``(x, y)``; None unless there is one dot between
+    two runs of at most 10 ASCII digits (RFC 2145)."""
+    if not version.startswith("HTTP/"):
+        return None
+    parts = version[5:].split(".")
+    if len(parts) != 2 or not all(
+        p.isascii() and p.isdigit() and len(p) <= 10 for p in parts
+    ):
+        return None
+    return int(parts[0]), int(parts[1])
 
 
 def _device_field(body: Dict[str, object]) -> str:

@@ -43,6 +43,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -475,11 +476,14 @@ class ModelRegistry:
     # -- writes ----------------------------------------------------------------
 
     def _next_version_name(self) -> str:
+        """One past the newest complete version.  A directory a failed
+        publish left without a manifest does not count, so its number
+        is reused and the numbering has no gaps."""
         taken = []
         if self.versions_dir.is_dir():
             for path in self.versions_dir.iterdir():
                 name = path.name
-                if name.startswith("v") and name[1:].isdigit():
+                if name.startswith("v") and name[1:].isdigit() and (path / _MANIFEST).is_file():
                     taken.append(int(name[1:]))
         return f"v{(max(taken) + 1 if taken else 1):04d}"
 
@@ -511,6 +515,7 @@ class ModelRegistry:
         self.versions_dir.mkdir(parents=True, exist_ok=True)
         version = self._next_version_name()
         path = self.versions_dir / version
+        shutil.rmtree(path, ignore_errors=True)  # what a failed publish left
         manifest = save_artifact(predictor, path)
         verify_artifact(path)
         meta = {

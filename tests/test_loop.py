@@ -94,6 +94,27 @@ class TestModelRegistry:
         assert v1.sha256 != v2.sha256
         assert v2.created == 2.0
 
+    def test_failed_publish_leaves_no_gap_in_version_numbers(
+        self, tmp_path, predictor, predictor_b, monkeypatch
+    ):
+        import repro.durable
+
+        registry = ModelRegistry(tmp_path / "reg")
+        registry.publish(predictor, created=1.0)
+        real_replace = os.replace
+
+        def crash(src, dst):
+            raise OSError("disk gone mid-publish")
+
+        monkeypatch.setattr(repro.durable.os, "replace", crash)
+        with pytest.raises(OSError, match="mid-publish"):
+            registry.publish(predictor_b, created=2.0)
+        monkeypatch.setattr(repro.durable.os, "replace", real_replace)
+        v2 = registry.publish(predictor_b, created=3.0)
+        assert [v.version for v in registry.versions()] == ["v0001", "v0002"]
+        assert registry.current_version_name() == v2.version == "v0002"
+        assert sorted(p.name for p in registry.versions_dir.iterdir()) == ["v0001", "v0002"]
+
     def test_publish_without_activate_keeps_pointer(self, tmp_path, predictor, predictor_b):
         registry = ModelRegistry(tmp_path / "reg")
         registry.publish(predictor, created=1.0)

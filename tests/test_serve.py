@@ -20,6 +20,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
+from repro.designspace import build_design_space
 from repro.designspace.space import point_key
 from repro.dse import EvaluationPipeline
 from repro.errors import (
@@ -28,6 +29,7 @@ from repro.errors import (
     DesignSpaceError,
     ServeError,
 )
+from repro.kernels import get_kernel
 from repro.model.predictor import Prediction
 from repro.nn.tensor import set_default_dtype
 from repro.serve import (
@@ -38,6 +40,7 @@ from repro.serve import (
     ServeMetrics,
     start_server,
 )
+from repro.serve.schemas import prediction_from_payload
 
 from tests.test_pipeline import make_predictor, sample_points
 
@@ -354,6 +357,53 @@ class TestCachedServing:
         assert snapshot["cache_served_requests"] == 1
         assert snapshot["cache_served_points"] == 2
 
+    def test_cached_valid_request_of_rejected_points_skips_the_batcher(self, predictor):
+        """A "valid" request needs no regression record for a point the
+        classifier rejected, so once classified it is answered from the
+        cache instead of waiting on the micro-batcher."""
+        points = sample_points("atax", 4, seed=5)
+        kwargs = {"valid_threshold": 0.999, "objectives_for": "valid"}
+        with PredictorService(predictor, batch_size=4) as service:
+            first = service.predict("atax", points, **kwargs)
+            assert all(p.objectives is None for p in first)  # every point rejected
+            batches = service.metrics_snapshot()["batches"]
+            assert service.pipeline.predict_cached("atax", points, **kwargs) == first
+            assert service.predict("atax", points, **kwargs) == first
+            snapshot = service.metrics_snapshot()
+        assert snapshot["batches"] == batches
+        assert snapshot["cache_served_requests"] == 1
+
+    @pytest.mark.parametrize("kwargs", [{}, {"valid_threshold": 0.99, "objectives_for": "valid"}])
+    def test_cached_request_keys_each_point_once(self, predictor, monkeypatch, kwargs):
+        """One key and one materialisation per point: no second pass
+        through predict_batch, and the stats move as predict_batch's do."""
+        import repro.dse.pipeline as pipeline_module
+
+        points = sample_points("fir", 4, seed=27)
+        batched = EvaluationPipeline(predictor, batch_size=4)
+        cached = EvaluationPipeline(predictor, batch_size=4)
+        batched.predict_batch("fir", points, **kwargs)
+        cached.predict_batch("fir", points, **kwargs)
+        expected = batched.predict_batch("fir", points, **kwargs)
+        keyed = []
+        real_point_key = pipeline_module.point_key
+        monkeypatch.setattr(
+            pipeline_module, "point_key", lambda p: keyed.append(p) or real_point_key(p)
+        )
+
+        def second_pass(*args, **kw):
+            raise AssertionError("predict_cached re-entered predict_batch")
+
+        monkeypatch.setattr(cached, "predict_batch", second_pass)
+        assert cached.predict_cached("fir", points, **kwargs) == expected
+        assert len(keyed) == len(points)
+        timed = ("wall_seconds", "encode_seconds", "inference_seconds",
+                 "materialize_seconds", "points_per_second")
+        got, want = cached.stats.to_dict(), batched.stats.to_dict()
+        for name in timed:
+            del got[name], want[name]
+        assert got == want
+
     def test_cache_path_follows_a_hot_swap(self, predictor):
         """A point cached on v1 is recomputed by v2 and stamped with v2."""
         points = sample_points("fir", 2, seed=25)
@@ -432,6 +482,32 @@ def server(predictor):
 @pytest.fixture(scope="module")
 def client(server):
     return ServeClient(server.url)
+
+
+def _read_response(reply):
+    """Status, lower-cased headers and JSON body of one HTTP response."""
+    status = int(reply.readline().split()[1])
+    headers = {}
+    while True:
+        line = reply.readline()
+        if line in (b"\r\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = reply.read(int(headers.get("content-length", 0)))
+    return status, headers, json.loads(body) if headers.get("content-type") == "application/json" else body
+
+
+def _exchange(server, data: bytes):
+    """Send raw request bytes on a fresh connection; read one response.
+
+    Requests the server rejects end right where it stops reading, so no
+    unread bytes turn its close into a reset that loses the reply.
+    """
+    host, port = server.server_address[:2]
+    with socket.create_connection((host, port), timeout=5) as sock:
+        sock.sendall(data)
+        return _read_response(sock.makefile("rb"))
 
 
 class TestHTTPServer:
@@ -514,6 +590,64 @@ class TestHTTPServer:
             assert reply.readline() == b"\r\n"
             sock.sendall(body)
             assert reply.readline().startswith(b"HTTP/1.1 200")
+
+    def test_header_names_match_case_insensitively(self, server, predictor):
+        body = json.dumps({"kernel": "fir", "point": {}}).encode()
+        status, _, reply = _exchange(server, (
+            "POST /v1/predict HTTP/1.1\r\nhOsT: test\r\n"
+            f"content-TYPE: application/json\r\nCONTENT-LENGTH: {len(body)}\r\n\r\n"
+        ).encode() + body)
+        point = build_design_space(get_kernel("fir")).default_point()
+        expected = EvaluationPipeline(predictor, batch_size=4).predict_batch("fir", [point])
+        assert status == 200
+        assert [prediction_from_payload(p) for p in reply["predictions"]] == expected
+
+    def test_header_limits_answer_431(self, server):
+        line = b"X-Long: " + b"a" * (65537 - len(b"X-Long: "))  # one byte past the limit
+        status, _, _ = _exchange(server, b"GET /healthz HTTP/1.1\r\n" + line)
+        assert status == 431
+        many = "".join(f"X-H{i}: v\r\n" for i in range(100))
+        status, _, _ = _exchange(server, f"GET /healthz HTTP/1.1\r\n{many}\r\n".encode())
+        assert status == 200  # 100 headers is the limit, not past it
+        status, _, _ = _exchange(
+            server, f"GET /healthz HTTP/1.1\r\n{many}X-H100: v\r\n".encode()
+        )
+        assert status == 431
+
+    @pytest.mark.parametrize("head", [
+        "GET /healthz HTTP/1.1\r\nX-Folded: a\r\n b\r\n",  # obs-fold
+        "GET /healthz HTTP/1.1\r\nno colon here\r\n",
+        "GET /healthz HTTP/1.1\r\nX-Space : a\r\n",
+    ])
+    def test_malformed_header_lines_are_400(self, server, head):
+        status, _, _ = _exchange(server, head.encode())
+        assert status == 400
+
+    @pytest.mark.parametrize("line,status", [
+        ("GET /healthz HTTP/2.0", 505),
+        ("GET /healthz HTTP/1.1.1", 400),
+        ("GET /healthz FTP/1.1", 400),
+        ("POST /healthz", 400),  # HTTP/0.9 knows only GET
+        ("GET /healthz HTTP/1.1 extra", 400),
+    ])
+    def test_bad_request_lines_keep_the_stdlib_answers(self, server, line, status):
+        # Before the version is known the stdlib answers HTTP/0.9 style,
+        # a bare error page, so read to the close and look for the code.
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(f"{line}\r\n".encode())
+            reply = sock.makefile("rb").read()
+        assert f"Error code: {status}".encode() in reply
+
+    def test_connection_close_closes_the_socket(self, server):
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=5) as sock:
+            reply = sock.makefile("rb")
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            assert _read_response(reply)[0] == 200  # keep-alive: still open
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+            assert _read_response(reply)[0] == 200
+            assert reply.read(1) == b""  # the server closed the connection
 
     def test_unknown_route_is_404(self, client):
         with pytest.raises(ServeClientError) as info:
