@@ -11,8 +11,11 @@ one whole-sweep merge into an empty front (exhaustive sweep).  The
 row-memo benchmark times the exhaustive gesummv forward with the
 pipeline's conv-row memo at its default budget and with none, the
 serve-cold replay times the repo benchmark's uncached serving traffic
-(small fused chunks, little row reuse), the warm-up benchmark times
-a fresh pipeline's first chunks of every size up to its batch, and the
+(small fused chunks, little row reuse), the race-shape benchmark times
+dse-race's stream of small cascade calls (the classifier stage, then
+the regressor stage) with an occasional fused one, the warm-up
+benchmark times a fresh pipeline's first chunks of every size up to
+its batch, and the
 cached-request benchmark times serve-hot's per-request work in the
 server: JSON body in, cache lookup, response bytes out.
 """
@@ -201,6 +204,35 @@ def test_serve_cold_replay_forward(benchmark, untrained_m7):
     assert benchmark(replay) == expected
     kernel, points = requests[-1]
     assert expected[-1] == [untrained_m7.predict(kernel, p) for p in points]
+
+
+def test_race_shape_forward(benchmark, untrained_m7):
+    """dse-race's traffic through ``predict_batch``: 300 seeded calls of
+    1 to 8 points from a 400-point mvt pool on one pipeline at batch 8,
+    every tenth wanting objectives for every point (all three models as
+    one fused chunk) and the rest for valid points only (the classifier,
+    then both regressors on the points it accepts).  Each round starts
+    from a cleared cache."""
+    pool = build_design_space(get_kernel("mvt")).sample(random.Random(0), 400)
+    rng = random.Random(1)
+    calls = []
+    for i in range(300):
+        calls.append((rng.sample(pool, rng.randint(1, 8)), "all" if i % 10 == 0 else "valid"))
+    pipeline = EvaluationPipeline(untrained_m7, batch_size=8)
+
+    def race():
+        pipeline.clear_cache()
+        return [pipeline.predict_batch("mvt", pts, objectives_for=mode) for pts, mode in calls]
+
+    expected = race()  # compile and warm
+    assert benchmark(race) == expected
+    for (points, mode), preds in list(zip(calls, expected))[::25]:
+        for point, pred in zip(points, preds):
+            eager = untrained_m7.predict("mvt", point)
+            if mode == "all" or eager.valid:
+                assert pred == eager
+            else:
+                assert pred.objectives is None and pred.valid_prob == eager.valid_prob
 
 
 def test_pipeline_warmup_chunk_sizes(benchmark, untrained_m7):

@@ -16,32 +16,40 @@ module turns the point-by-point reference path into a pipeline:
    the reference summation order), replacing thousands of small
    autograd ``Tensor`` ops per point with a handful of large array
    operations per chunk.  The pipeline compiles one engine per kernel,
-   device and model, whatever the chunk sizes.  Only pragma rows differ
-   between candidates, and each conv layer spreads a change one hop, so
-   the kernel graph's receptive-field plan lists, per layer, the rows
-   (and their in-edges) a candidate can change; every other row reuses
-   base activations computed once per engine.  On gesummv the plan keeps
-   6/15/25/49/89/117 of 131 rows across the six layers.  A planned
-   row's output depends only on the pragma values inside its receptive
-   field, so a pipeline-wide row memo (:class:`_RowMemo`) keyed by
-   (kernel, device, layer, row, those values) lets a chunk compute only
-   the rows no earlier point of the pipeline's life computed: on an
-   exhaustive gesummv sweep that is 54% of them.  One memo slot per key
-   holds all three models' output rows side by side, with a mask of the
-   models filled so far; jumping knowledge is taken per chunk from the
-   rows, so a slot stores outputs only.  The memo holds at most :data:`ROW_MEMO_BYTES`
-   with least-recently-used eviction, and lives until
+   device and model, whatever the chunk sizes, and stacks a kernel's
+   three engines on one model axis (:class:`_HeadStack`): projection
+   and edge tables hold every model's values side by side, once.  Only
+   pragma rows differ between candidates, and each conv layer spreads a
+   change one hop, so the kernel graph's receptive-field plan lists, per
+   layer, the rows (and their in-edges) a candidate can change; every
+   other row reuses base activations computed once per engine.  On
+   gesummv the plan keeps 6/15/25/49/89/117 of 131 rows across the six
+   layers.  A planned row's output depends only on the pragma values
+   inside its receptive field, so a pipeline-wide row memo
+   (:class:`_RowMemo`) keyed by (kernel, device, layer, row, those
+   values) lets a chunk compute only the rows no earlier point of the
+   pipeline's life computed: on an exhaustive gesummv sweep that is 54%
+   of them.  One memo slot per key holds all three models' output rows
+   side by side, with a mask of the models filled so far; jumping
+   knowledge is taken per chunk from the rows, so a slot stores outputs
+   only.  The memo holds at most :data:`ROW_MEMO_BYTES` with
+   least-recently-used eviction, and lives until
    :meth:`EvaluationPipeline.clear_cache` or the pipeline does.  Its
    exactness leans on the three BLAS rules of :class:`CompiledGNNEngine`.
-3. **One fused forward, or a classifier-first cascade** — a call that
-   wants objectives for every point (``objectives_for="all"``: serving,
-   the beam's full re-score) runs the classifier and both regressors as
-   one forward per chunk (:func:`_forward_group`): one set of row keys,
-   and per layer one memo lookup, one slot claim and one set of ragged
-   tables.  Searches only consume regression objectives of *valid*
-   candidates, so ``objectives_for="valid"`` runs the classifier first
-   and the two regressors only on points it accepts; the regression
-   stage fills the memo slots its classifier stage wrote.
+3. **One op stream per chunk, fused or cascaded** — a chunk runs a
+   contiguous range of the models on the model axis
+   (:func:`_forward_group`): one set of row keys, and per layer one memo
+   lookup, one slot claim, one set of ragged tables and one conv layer
+   (:func:`_conv_layer`) whose every gather, product, softmax and CSR
+   sum covers the whole range; the jumping-knowledge fold and the
+   attention pooling run on the same axis, and only the output MLPs
+   run per model.  A call that wants objectives for every point
+   (``objectives_for="all"``: serving, the beam's full re-score) runs
+   all three models as one range.  Searches only consume regression
+   objectives of *valid* candidates, so ``objectives_for="valid"`` runs
+   the classifier first and the two regressors, one range, only on
+   points it accepts; the regression stage fills the memo slots its
+   classifier stage wrote.
 4. **Pipeline statistics** — :class:`PipelineStats` tracks points/sec,
    cache hits, batch counts and per-stage wall time; searchers thread
    it through :class:`~repro.dse.search.DSEResult` and the CLI prints
@@ -61,6 +69,7 @@ non-transformer configs) transparently fall back to their own
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, fields
@@ -113,9 +122,10 @@ _OBS_ROWS_REUSED = counter("pipeline.rows_reused")
 #: is 768 bytes, so this holds 10,922 rows.
 ROW_MEMO_BYTES = 8 << 20
 
-#: The models in memo-slot order: a slot holds each one's values at a
-#: fixed offset (:attr:`_RowMemo.offsets`), and mask bit ``1 << i``
-#: says whether model ``i``'s are filled.
+#: The models in model-axis order: the compiled stack (:class:`_HeadStack`)
+#: and a memo slot (:attr:`_RowMemo.cells`) hold model ``i``'s values at
+#: position ``i``, and mask bit ``1 << i`` says whether a slot's are
+#: filled.  A cascade stage runs a contiguous range of them.
 _HEADS = ("classifier", "regressor", "bram_regressor")
 _CLASSIFIER, _REGRESSORS = _HEADS[:1], _HEADS[1:]
 #: Where each model's outputs go in a point-cache record.
@@ -247,12 +257,16 @@ class _LayerPlan:
         )
         self.rf = np.empty((n_out, 0), dtype=np.int64)
 
-    def ragged(self, copies, pos, in_map, num_nodes: int) -> "_Ragged":
-        """Index tables for computing planned rows ``pos`` of ``copies``.
+    def ragged(self, copies, pos, in_map, num_nodes: int, heads: range, models: int) -> "_Ragged":
+        """Index tables for computing planned rows ``pos`` of ``copies``
+        for the models ``heads`` of a ``models``-wide stack.
 
         ``in_map[copy, p]`` is the projected input row of position
         ``p < n_in``.  A projection table holds the ``num_nodes`` base
-        rows first, then the projected input rows.
+        rows first, then the projected input rows, each row one value
+        block per model.  The gather tables index it in blocks of
+        ``unit`` models: the whole head range where each row splits into
+        blocks of its size, the range among them, else one model.
         """
         r = _Ragged()
         r.S = pos.size
@@ -267,9 +281,14 @@ class _LayerPlan:
         table = np.empty((in_map.shape[0], self.n_in + num_nodes), dtype=np.int64)
         np.add(in_map, num_nodes, out=table[:, : self.n_in])
         table[:, self.n_in:] = np.arange(num_nodes)
+        G = len(heads)
+        r.unit = unit = G if heads.start % G == 0 and models % G == 0 else 1
+        hs = np.arange(heads.start // unit, heads.stop // unit)
+        table = table[:, :, None] * (models // unit) + hs
         r.self_t = table[copies, self.self_col[pos]]
         r.src_t = table[copies[r.seg], self.src_col[r.edges]]
         r.q_t = r.self_t[r.seg]
+        r.edge_t = r.edges[:, None] * (models // unit) + hs
         r.csr = sp.csr_matrix(
             (np.ones(E, dtype=np.float32), np.arange(E, dtype=np.int32), r.indptr),
             shape=(r.S, E),
@@ -278,8 +297,7 @@ class _LayerPlan:
         gated = np.zeros(in_map.shape[0], dtype=bool)
         gated[copies] = True
         r.gated = int(np.count_nonzero(gated))
-        r.gate_copy = (np.cumsum(gated) - 1)[copies]
-        r.node = self.rows[pos]
+        r.gate_row = (np.cumsum(gated) - 1)[copies] * num_nodes + self.rows[pos]
         return r
 
 
@@ -413,8 +431,9 @@ class _RowMemo:
     Entries live in one preallocated slab of ``budget // slot bytes``
     slots shared by every kernel and device of the pipeline.  One slot
     per (kernel, device, layer, row key) holds every model's output
-    row, model ``i`` of :data:`_HEADS` at ``offsets[i]``, and ``filled``
-    keeps a bit per model whose row the slot holds: a lookup hits only
+    row (the models share one width), model ``i`` of :data:`_HEADS` at
+    ``cells[slot, i]``, and ``filled`` keeps a bit per model whose row
+    the slot holds: a lookup hits only
     where every requested model is filled, and a later cascade stage
     fills its models into the slot an earlier one took
     (:meth:`claim`).  Each layer of a (kernel, device) has a sorted key
@@ -428,10 +447,10 @@ class _RowMemo:
 
     def __init__(self, budget: int, widths: Sequence[int], dtype):
         dtype = np.dtype(dtype)
-        self.offsets = np.cumsum([0, *widths])[:-1].tolist()
         self.slot_bytes = sum(widths) * dtype.itemsize
         slots = min(max(int(budget), 0) // self.slot_bytes, _SLOT_MASK + 1)
         self.slab = np.empty((slots, sum(widths)), dtype=dtype)
+        self.cells = self.slab.reshape(slots, len(widths), widths[0])  # (slot, model, value)
         self.filled = np.zeros(slots, dtype=np.uint8)  # a bit per model held
         self.stamp = np.full(slots, -1, dtype=np.int64)  # last use; -1: free
         self.gen = np.zeros(slots, dtype=np.int64)
@@ -594,6 +613,8 @@ def _mlp_weights(mlp, dtype) -> List[Tuple[np.ndarray, Optional[np.ndarray]]]:
 
 
 def _run_mlp(weights, x: np.ndarray) -> np.ndarray:
+    """An MLP on ``x``; with weights ``(models, in, out)`` and biases
+    ``(models, 1, out)``, one product per leading index and model."""
     for i, (W, b) in enumerate(weights):
         x = x @ W
         if b is not None:
@@ -620,21 +641,148 @@ def _elu(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 class _Workspace:
     """Reusable scratch buffers keyed by (tag, trailing shape, dtype).
 
-    A chunk's ragged shapes vary in their leading (row) dimension only,
-    so each key keeps one buffer, grown to the most rows any chunk has
-    asked for, and hands out its leading rows.  Kernels of different
-    sizes (the gate's per-copy rows) keep one buffer each.
+    :meth:`get` folds a buffer's ``lead`` leading dimensions into its
+    rows: those vary with the chunk and the head range, the trailing
+    ones with neither, so each key keeps one buffer, grown to the most
+    rows any call has asked for, and hands out its leading rows.
+    Kernels of different sizes (the gate's per-copy rows) keep one
+    buffer each.
     """
 
     def __init__(self):
         self._bufs: Dict[tuple, np.ndarray] = {}
 
-    def get(self, tag, shape, dtype) -> np.ndarray:
-        key = (tag, tuple(shape[1:]), np.dtype(dtype))
+    def get(self, tag, shape, dtype, lead: int = 1) -> np.ndarray:
+        rows, tail = math.prod(shape[:lead]), tuple(shape[lead:])
+        key = (tag, tail, np.dtype(dtype))
         buf = self._bufs.get(key)
-        if buf is None or buf.shape[0] < shape[0]:
-            buf = self._bufs[key] = np.zeros(shape, dtype=dtype)
-        return buf[: shape[0]]
+        if buf is None or buf.shape[0] < rows:
+            buf = self._bufs[key] = np.zeros((rows,) + tail, dtype=dtype)
+        return buf[:rows].reshape(shape)
+
+
+def _gather(table: np.ndarray, index: np.ndarray, unit: int, out: np.ndarray) -> np.ndarray:
+    """Rows of ``table`` ``(rows, models, width)`` into ``out``
+    ``(len(index), heads, width)``; ``index`` numbers blocks of ``unit``
+    models (:meth:`_LayerPlan.ragged`)."""
+    blocks = table.reshape(-1, unit * table.shape[2])
+    np.take(blocks, index, axis=0, out=out.reshape(index.shape + blocks.shape[1:]), mode="clip")
+    return out
+
+
+def _conv_layer(L, base, heads: range, inp: np.ndarray, rag: _Ragged, ws: _Workspace,
+                num_nodes: int) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+    """One conv layer of the models ``heads`` on the rows of ``rag``.
+
+    ``L`` holds the layer's weights, each with a leading model axis, and
+    ``base`` its per-kernel tables, ``(rows, models, out_dim)``: the
+    ``num_nodes`` base rows of the query, key, value and root
+    projections, and the planned edges' edge-feature projections ``e``.
+    ``inp`` holds the input rows, ``(rows, heads, K)``, or ``(rows, K)``
+    when every model reads the same ones.  Their projections go into
+    workspace tables after a copy of the base rows, so every kernel
+    shares one set of chunk-sized tables.  Every step but the gate's
+    product runs once for the whole head range, and two per-edge buffers
+    serve every per-edge array in turn.  Returns the rows' outputs,
+    ``(rows, heads, out_dim)``, and the projection tables, both in
+    workspace memory.
+    """
+    N, G = num_nodes, len(heads)
+    hs = slice(heads.start, heads.stop)
+    dt = base["e"].dtype
+    H, D, od = L["heads"], L["head_dim"], L["out"]
+    S, E, seg, u = rag.S, rag.E, rag.seg, rag.unit
+    # The input rows go through the projections in blocks of ``blk``
+    # rows: at least 2 (rule 1), and few enough that each product
+    # stays single-threaded in BLAS, as the eager path's are.
+    M, K = inp.shape[0], inp.shape[-1]
+    Gi = 1 if inp.ndim == 2 else inp.shape[1]
+    blk = _MAX_BLOCK
+    while blk > 2 and blk * K * 2 * od > _BLOCK_WORK:
+        blk //= 2
+    nb = -(-M // blk)
+    h = ws.get(("h",), (nb * blk, Gi, K), dt, lead=2)
+    h[:M] = inp.reshape(M, Gi, K)
+    h = h.reshape(nb, blk, Gi, K).transpose(2, 0, 1, 3)  # one matrix per (head, block)
+    rows = N + nb * blk
+    tab = {"e": base["e"]}
+    for name in ("q", "k", "v", "r"):
+        W, b = L["W" + name], L["b" + name]
+        tab[name] = table = ws.get(("proj", name), (rows,) + W.shape[::2], dt)
+        table[:N, hs] = base[name][:, hs]
+        out = table[N:rows].reshape(nb, blk, *table.shape[1:])[:, :, hs].transpose(2, 0, 1, 3)
+        np.matmul(h, W[hs, None], out=out)
+        out += b[hs, None, None]
+    a = ws.get(("edge_a",), (E, G, od), dt, lead=2)
+    b = ws.get(("edge_b",), (E, G, od), dt, lead=2)
+    k = _gather(tab["k"], rag.src_t, u, a)
+    k += _gather(tab["e"], rag.edge_t, u, b)
+    # (q · k) per head via multiply + pairwise sum, matching the
+    # reference ``(q * k).sum(axis=2)`` bit-for-bit (einsum uses a
+    # different accumulation order and drifts by ulps at float32).
+    prod = _gather(tab["q"], rag.q_t, u, b)
+    prod *= k
+    scores = prod.reshape(E, G, H, D).sum(axis=3, out=ws.get(("scores",), (E, G, H), dt, lead=2))
+    scores *= 1.0 / np.sqrt(D)
+    # Self-loop contributions on row-aligned arrays (self-loop edge
+    # features are exactly zero, so k/v are the projections themselves).
+    q_s = _gather(tab["q"], rag.self_t, u, ws.get(("row_a",), (S, G, od), dt, lead=2))
+    k_s = _gather(tab["k"], rag.self_t, u, ws.get(("row_b",), (S, G, od), dt, lead=2))
+    q_s *= k_s
+    s_self = q_s.reshape(S, G, H, D).sum(axis=3, out=ws.get(("s_self",), (S, G, H), dt, lead=2))
+    s_self *= 1.0 / np.sqrt(D)
+    m = ws.get(("m",), (S, G, H), dt, lead=2)
+    m[:] = -np.inf
+    if E:
+        m[rag.nonempty] = np.maximum.reduceat(scores, rag.starts, axis=0)
+    np.maximum(m, s_self, out=m)
+    scores -= m[seg]
+    np.clip(scores, -60.0, 60.0, out=scores)
+    np.exp(scores, out=scores)
+    s_self -= m
+    np.clip(s_self, -60.0, 60.0, out=s_self)
+    np.exp(s_self, out=s_self)
+    denom = rag.csr @ scores.reshape(E, G * H)
+    denom += s_self.reshape(S, G * H)
+    denom += 1e-16
+    np.power(denom, -1.0, out=denom)
+    denom = denom.reshape(S, G, H)
+    scores *= denom[seg]
+    s_self *= denom
+    # α·v, contiguous: the CSR product's input layout.
+    v = _gather(tab["v"], rag.src_t, u, a)
+    v += _gather(tab["e"], rag.edge_t, u, b)
+    v.reshape(E, G, H, D).__imul__(scores.reshape(E, G, H, 1))
+    agg = (rag.csr @ v.reshape(E, G * od)).reshape(S, G, od)
+    v_s = _gather(tab["v"], rag.self_t, u, k_s)
+    v_s.reshape(S, G, H, D).__imul__(s_self.reshape(S, G, H, 1))
+    agg += v_s
+    root = _gather(tab["r"], rag.self_t, u, ws.get(("root",), (S, G, od), dt, lead=2))
+    diff = np.subtract(agg, root, out=q_s)
+    # Rule 2: the gate's single-column product runs over every row of
+    # each copy with a computed row, one model at a time; only those
+    # rows' inputs and outputs are used (a gemv row reads no other row).
+    gi = ws.get(("gi",), (rag.gated, N, 3 * od), dt).reshape(-1, 3 * od)
+    gate_all = ws.get(("gate",), (rag.gated, N, 1), dt).reshape(-1)
+    gate = ws.get(("gate_s",), (S, G, 1), dt, lead=2)
+    for j, model in enumerate(heads):
+        gi[rag.gate_row, :od] = agg[:, j]
+        gi[rag.gate_row, od:2 * od] = root[:, j]
+        gi[rag.gate_row, 2 * od:] = diff[:, j]
+        np.matmul(gi.reshape(rag.gated, N, 3 * od), L["Wb"][model],
+                  out=gate_all.reshape(rag.gated, N, 1))
+        gate[:, j, 0] = gate_all[rag.gate_row]
+    gate += L["bb"][hs]
+    np.clip(gate, -60.0, 60.0, out=gate)
+    np.negative(gate, out=gate)
+    np.exp(gate, out=gate)
+    gate += 1.0
+    np.divide(1.0, gate, out=gate)
+    out = np.multiply(root, gate, out=q_s)
+    np.subtract(1.0, gate, out=gate)
+    agg *= gate
+    out += agg
+    return _elu(out, k_s), tab
 
 
 class CompiledGNNEngine:
@@ -651,45 +799,53 @@ class CompiledGNNEngine:
     graph's :class:`_Plan` (the ``l``-hop out-neighbourhood of the
     pragma rows) can differ from their *base* activation, which is the
     same in every copy and for every point.  The base arrays come from
-    one all-rows forward of one copy on the neutral features: its
-    projections become the base rows at the head of each layer's
-    projection table, and its layer outputs the unplanned rows of the
-    jumping-knowledge and pooling input.  Nothing here is sized by a
-    chunk: the projection tables and the jumping-knowledge rows grow to
-    the largest chunk run so far, and a chunk uses their leading rows.
+    one all-rows forward of one copy on the neutral features (the conv
+    layers, :func:`_conv_layer`, on a one-model axis): its projections
+    become the base rows at the head of each layer's projection table,
+    and its layer outputs the unplanned rows of the jumping-knowledge
+    and pooling input.
 
-    A planned row's output after layer ``l`` depends only on the pragma
+    An engine compiles its model's weights and base arrays with a
+    leading model axis of one; the pipeline stacks the classifier's, the
+    regressor's and the BRAM regressor's engines of a kernel into one
+    :class:`_HeadStack` and runs a chunk's models on that axis.  A
+    planned row's output after layer ``l`` depends only on the pragma
     values in its receptive field, so :func:`_forward_group` computes a
     layer only for the distinct (layer, row, receptive-field values)
     keys the pipeline's :class:`_RowMemo` does not hold: their in-edges'
-    attention and aggregation (:meth:`_layer`), over the projections of
-    the chunk's input rows (computed or memoised one layer down).  An
-    entry holds the row's output; the jumping-knowledge max of a planned
-    row is taken per chunk over its outputs at every layer
-    (:meth:`_jk_rows`).  The memo is the pipeline's: at most
+    attention and aggregation, over the projections of the chunk's input
+    rows (computed or memoised one layer down).  An entry holds the
+    row's outputs; the jumping-knowledge max of a planned row is taken
+    per chunk over its outputs at every layer
+    (:meth:`_HeadStack.jk_rows`).  The memo is the pipeline's: at most
     :data:`ROW_MEMO_BYTES`, least recently used out first, shared by
-    every engine of the pipeline, and emptied by
+    every kernel of the pipeline, and emptied by
     :meth:`EvaluationPipeline.clear_cache`.  Pooling and heads run per
-    point (:meth:`_readout`).
+    point (:meth:`_HeadStack.readout`).
 
     Bit-identity with the eager per-point path rests on three rules
-    about BLAS (OpenBLAS, measured):
+    about BLAS (OpenBLAS, measured), which the model axis leaves as they
+    are: a stacked product is one BLAS call per (head, matrix) at the
+    shape a single model's would have.
 
     1. A gemm output row does not depend on the row count when the
        product has at least 2 rows; a 1-row product takes the gemv path
        and differs.  So the projections of a chunk's input rows run as
-       products over padded row blocks of 2 to ``_MAX_BLOCK`` rows.
+       products over padded row blocks of 2 to ``_MAX_BLOCK`` rows, one
+       per (head, block).
     2. Products with a single output column (the beta gate, the last
        layer of the pooling and head MLPs) do depend on the row count and
-       on the row's position, so they run at the full per-copy shape: the
-       gate of every copy with a missed row covers all of its rows.
+       on the row's position, so they run at the full per-copy shape, one
+       gemv per (copy, head): the gate of every copy with a missed row
+       covers all of its rows.
     3. The segment max and the CSR sums reduce the same segments in the
-       same order, whatever other segments are present, so the ragged
-       per-chunk edge tables leave each row's reductions unchanged.
+       same order, whatever other segments are present, and each value
+       column on its own, so neither the ragged per-chunk edge tables nor
+       the heads' columns side by side change a row's reductions.
 
     Together they make a row's output independent of the batch, the
-    slot and the other rows computed with it, so a memoised row is the
-    row the eager path computes.
+    slot, the head range and the other rows computed with it, so a
+    memoised row is the row the eager path computes.
     """
 
     def __init__(self, model, graph: _KernelGraph):
@@ -715,14 +871,21 @@ class CompiledGNNEngine:
             "regression",
         )
 
-    @property
-    def num_layers(self) -> int:
-        return len(self._layers)
-
-    @property
-    def entry_width(self) -> int:
-        """Values per memo entry (the widest layer's output)."""
-        return max(L["out"] for L in self._layers)
+    @staticmethod
+    def stack_shape(model) -> tuple:
+        """What the models of one :class:`_HeadStack` must share (for a
+        model :meth:`supports`): each conv layer's weight shape and
+        attention heads, the jumping-knowledge mode, and the pooling
+        kind and its MLPs' shapes.  Only the output MLPs may differ."""
+        convs = tuple((c.lin_query.weight.shape, c.heads) for c in model.convs)
+        jkn = model.jkn.mode if model.jkn is not None else "last"
+        pool = model.pool
+        mlps = (pool.score_mlp, pool.value_mlp) if isinstance(pool, NodeAttentionPool) else ()
+        layers = tuple(
+            (layer.weight.shape, layer.bias is None)
+            for mlp in mlps for layer in mlp.net.layers if hasattr(layer, "weight")
+        )
+        return convs, jkn, type(pool).__name__, layers
 
     def _compile(self, model) -> None:
         if not self.supports(model):
@@ -749,38 +912,29 @@ class CompiledGNNEngine:
         for conv in model.convs:
             od = conv.out_dim
             edge_proj = (eattr_ref @ conv.lin_edge.weight.data.astype(dtype))[real_rows]
-            Wb = conv.lin_beta.weight.data.astype(dtype)
-            layers.append(dict(
-                Wq=np.ascontiguousarray(conv.lin_query.weight.data.astype(dtype)),
-                bq=conv.lin_query.bias.data.astype(dtype),
-                Wkv=np.ascontiguousarray(
-                    np.hstack([conv.lin_key.weight.data, conv.lin_value.weight.data])
-                ).astype(dtype),
-                bkv=np.hstack(
-                    [conv.lin_key.bias.data, conv.lin_value.bias.data]
-                ).astype(dtype),
-                Wr=np.ascontiguousarray(conv.lin_root.weight.data.astype(dtype)),
-                br=conv.lin_root.bias.data.astype(dtype),
+            # Every array gets a leading model axis (of one model here).
+            lins = dict(q=conv.lin_query, k=conv.lin_key, v=conv.lin_value, r=conv.lin_root)
+            L = {f"W{n}": lin.weight.data.astype(dtype)[None] for n, lin in lins.items()}
+            L.update({f"b{n}": lin.bias.data.astype(dtype)[None] for n, lin in lins.items()})
+            L.update(
                 # lin_beta acts on concat([agg, root, agg - root]); keep the
                 # single gemm over the concatenated input so the gate is
                 # bit-identical to the reference at any dtype (splitting the
                 # matrix re-associates the dot products and drifts by ulps).
-                Wb=np.ascontiguousarray(Wb),
-                bb=conv.lin_beta.bias.data.astype(dtype),
-                edge_kv=np.hstack([edge_proj, edge_proj]),
+                Wb=conv.lin_beta.weight.data.astype(dtype)[None],
+                bb=conv.lin_beta.bias.data.astype(dtype)[None],
+                e=edge_proj[:, None],
                 heads=conv.heads, head_dim=conv.head_dim, out=od,
-            ))
+            )
+            layers.append(L)
         self._layers = layers
         self._jkn_mode = model.jkn.mode if model.jkn is not None else "last"
         pool = model.pool
-        if isinstance(pool, NodeAttentionPool):
-            self._pool = dict(
-                kind="attention",
-                score=_mlp_weights(pool.score_mlp, dtype),
-                value=_mlp_weights(pool.value_mlp, dtype),
-            )
-        else:
-            self._pool = dict(kind="sum")
+        self._pool_kind = "attention" if isinstance(pool, NodeAttentionPool) else "sum"
+        self._pool = [
+            [(W[None], None if b is None else b[None, None]) for W, b in _mlp_weights(mlp, dtype)]
+            for mlp in ((pool.score_mlp, pool.value_mlp) if self._pool_kind == "attention" else ())
+        ]
         heads = model.heads
         if heads.task == "classification":
             self._heads = [_mlp_weights(heads.classifier, dtype)]
@@ -793,26 +947,30 @@ class CompiledGNNEngine:
         graph, dt = self.graph, self.dtype
         plan, N = graph.plan, graph.num_nodes
         full = _Plan(graph.src, graph.dst, N, np.arange(N))
-        ws, every = _Workspace(), np.arange(N)
+        ws, every, one = _Workspace(), np.arange(N), range(1)
         h, outs = graph.enc.x_base.astype(dt), []
         self._tabs = []
         for li, L in enumerate(self._layers):
-            tab = {"ekv": L.pop("edge_kv")}
-            rag = full.layer(li).ragged(np.zeros(N, np.int64), every, every[None], N)
-            h = self._layer(li, tab, h, rag, ws).copy()
+            # No base row is read: every row is an input row here.
+            unread = {k: np.empty((N,) + L["W" + k].shape[::2], dt) for k in "qkvr"}
+            unread["e"] = L.pop("e")
+            rag = full.layer(li).ragged(np.zeros(N, np.int64), every, every[None], N, one, 1)
+            h, tab = _conv_layer(L, unread, one, h, rag, ws, N)
+            h = h.copy()
             outs.append(h)
             # An all-rows plan keeps node order, so its projected rows are
             # the base rows themselves.  Only the planned edges' edge-feature
             # projections are kept.
-            base = {k: tab[k][N:2 * N].copy() for k in ("pq", "pkv", "pr")}
-            base["ekv"] = tab["ekv"][plan.layer(li).edges]
+            base = {k: tab[k][N:2 * N].copy() for k in "qkvr"}
+            base["e"] = tab["e"][plan.layer(li).edges]
             self._tabs.append(base)
+        self._jk_first = None
         if self._jkn_mode == "max":
             self._base_jk = np.maximum.reduce(outs)
             # Per row the last layer plans, the JK max over the layers
             # before the row is first planned (-inf where there are none).
             lp = plan.layer(len(self._layers) - 1)
-            self._jk_first = np.full((lp.n_out, outs[0].shape[1]), -np.inf, dtype=dt)
+            self._jk_first = np.full((lp.n_out,) + outs[0].shape[1:], -np.inf, dtype=dt)
             for li in range(len(self._layers)):
                 lp = plan.layer(li)
                 first = self._jk_first[lp.n_in:lp.n_out]
@@ -820,220 +978,169 @@ class CompiledGNNEngine:
                     np.maximum(first, o[lp.rows[lp.n_in:]], out=first)
         else:
             self._base_jk = outs[-1]
-        self._jk = self._base_jk[:0]
 
-    # -- forward ----------------------------------------------------------------
 
-    @staticmethod
-    def _proj(h: np.ndarray, W: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``h @ W + b`` into ``out``; a 3-D ``h`` runs one product per copy."""
-        np.matmul(h, W, out=out.reshape(h.shape[:-1] + (W.shape[1],)))
-        out += b
-        return out
+class _HeadStack:
+    """One kernel graph's compiled models on one model axis.
 
-    def _layer(self, li: int, tab, inp: np.ndarray, rag: _Ragged, ws: _Workspace) -> np.ndarray:
-        """Conv layer ``li`` on the rows of ``rag``, reading the input
-        rows ``inp`` (projection-table rows ``N..N + len(inp)``, after the
-        ``N`` base rows).  Returns the rows' outputs, ``(rows, out_dim)``,
-        in workspace memory."""
-        L = self._layers[li]
-        dt = self.dtype
-        N = self.graph.num_nodes
-        H, D, od = L["heads"], L["head_dim"], L["out"]
-        S, E, seg = rag.S, rag.E, rag.seg
-        # The input rows go through the projections in blocks of ``blk``
-        # rows: at least 2 (rule 1), and few enough that each product
-        # stays single-threaded in BLAS, as the eager path's are.
-        M, K = inp.shape
-        blk = _MAX_BLOCK
-        while blk > 2 and blk * K * 2 * od > _BLOCK_WORK:
-            blk //= 2
-        nb = -(-M // blk)
-        h = ws.get(("h",), (nb * blk, K), dt)
-        h[:M] = inp
-        h = h.reshape(nb, blk, K)
-        rows = N + nb * blk
-        for name, W, b in (("pq", "Wq", "bq"), ("pkv", "Wkv", "bkv"), ("pr", "Wr", "br")):
-            table = tab.get(name, np.empty((0, L[W].shape[1]), dt))
-            if table.shape[0] < rows:
-                tab[name] = table = np.resize(table, (rows, table.shape[1]))  # keeps the base rows
-            self._proj(h, L[W], L[b], table[N:rows])
-        pq, pkv, pr = tab["pq"], tab["pkv"], tab["pr"]
-        q = np.take(pq, rag.q_t, axis=0, out=ws.get(("q",), (E, od), dt), mode="clip")
-        kv = np.take(pkv, rag.src_t, axis=0, out=ws.get(("kv",), (E, 2 * od), dt), mode="clip")
-        kv += np.take(
-            tab["ekv"], rag.edges, axis=0, out=ws.get(("ekv",), (E, 2 * od), dt), mode="clip"
-        )
-        k = kv[:, :od]
-        v = kv[:, od:]
-        # (q · k) per head via multiply + pairwise sum, matching the
-        # reference ``(q * k).sum(axis=2)`` bit-for-bit (einsum uses a
-        # different accumulation order and drifts by ulps at float32).
-        prod = np.multiply(
-            q.reshape(E, H, D), k.reshape(E, H, D),
-            out=ws.get(("prod",), (E, H, D), dt),
-        )
-        scores = prod.sum(axis=2, out=ws.get(("scores",), (E, H), dt))
-        scores *= 1.0 / np.sqrt(D)
-        # Self-loop contributions on row-aligned arrays (self-loop edge
-        # features are exactly zero, so k/v are the projections themselves).
-        q_s, kv_s, root = (
-            np.take(proj, rag.self_t, axis=0, out=ws.get((name,), (S, proj.shape[1]), dt),
-                    mode="clip")
-            for name, proj in (("q_s", pq), ("kv_s", pkv), ("root", pr))
-        )
-        prod_s = np.multiply(
-            q_s.reshape(S, H, D), kv_s[:, :od].reshape(S, H, D),
-            out=ws.get(("prod_s",), (S, H, D), dt),
-        )
-        s_self = prod_s.sum(axis=2, out=ws.get(("s_self",), (S, H), dt))
-        s_self *= 1.0 / np.sqrt(D)
-        m = ws.get(("m",), (S, H), dt)
-        m[:] = -np.inf
-        if E:
-            m[rag.nonempty] = np.maximum.reduceat(scores, rag.starts, axis=0)
-        np.maximum(m, s_self, out=m)
-        scores -= m[seg]
-        np.clip(scores, -60.0, 60.0, out=scores)
-        np.exp(scores, out=scores)
-        s_self -= m
-        np.clip(s_self, -60.0, 60.0, out=s_self)
-        np.exp(s_self, out=s_self)
-        denom = rag.csr @ scores
-        denom += s_self
-        denom += 1e-16
-        np.power(denom, -1.0, out=denom)
-        scores *= denom[seg]
-        s_self *= denom
-        v.reshape(E, H, D).__imul__(scores.reshape(E, H, 1))
-        agg = rag.csr @ v
-        agg.reshape(S, H, D).__iadd__(
-            s_self.reshape(S, H, 1) * kv_s[:, od:].reshape(S, H, D)
-        )
-        # Rule 2: the gate's single-column product runs over every row of
-        # each copy with a computed row; only those rows' inputs and
-        # outputs are used (a gemv row reads no other row).
-        gi_s = ws.get(("gi_s",), (S, 3 * od), dt)
-        gi_s[:, :od] = agg
-        gi_s[:, od:2 * od] = root
-        np.subtract(agg, root, out=gi_s[:, 2 * od:])
-        gi = ws.get(("gi",), (rag.gated, N, 3 * od), dt)
-        at = (rag.gate_copy, rag.node)
-        gi[at] = gi_s
-        gate = self._proj(gi, L["Wb"], L["bb"], ws.get(("gate",), (rag.gated, N, 1), dt))[at]
-        np.clip(gate, -60.0, 60.0, out=gate)
-        np.negative(gate, out=gate)
-        np.exp(gate, out=gate)
-        gate += 1.0
-        np.divide(1.0, gate, out=gate)
-        out = ws.get(("out",), (S, od), dt)
-        np.multiply(root, gate, out=out)
-        np.subtract(1.0, gate, out=gate)
-        agg *= gate
-        out += agg
-        return _elu(out, ws.get(("neg",), (S, od), dt))
+    Assembled from one :class:`CompiledGNNEngine` per model of
+    :data:`_HEADS`, in that order, which it leaves behind: every weight
+    and base array is the engines' stacked along the model axis, so the
+    base projection and edge tables and the jumping-knowledge rows are
+    ``(rows, models, width)``.  A chunk runs a contiguous head range of
+    the models (a cascade stage, or all of them) through one op stream:
+    one :func:`_conv_layer` per layer, one jumping-knowledge fold, one
+    pooling; only the output MLPs, whose widths differ, run per model.
+    A range reads and writes a slice of the tables, never a copy of its
+    own.  The chunk's projected rows go into workspace tables that every
+    kernel shares; the jumping-knowledge rows grow to the largest chunk
+    run so far, and a chunk uses their leading rows.
+    """
 
-    def _jk_rows(self, vals: Sequence[np.ndarray], keys, copies: int) -> np.ndarray:
-        """The last layer's planned jumping-knowledge rows, ``(copies,
-        n_out, out_dim)``: ``vals[l]`` holds layer ``l``'s output per row
-        key of the chunk (``keys``, from :meth:`_RowMemo.keys`).  A max
-        row folds its outputs in layer order from the max over the layers
-        before it is planned, as the eager running max does."""
+    def __init__(self, engines: Sequence[CompiledGNNEngine]):
+        first = engines[0]
+        self.graph, self.dtype = first.graph, first.dtype
+        self.models = len(engines)
+        self.layers = [
+            {k: np.concatenate([e._layers[li][k] for e in engines])
+             if isinstance(v, np.ndarray) else v for k, v in L.items()}
+            for li, L in enumerate(first._layers)
+        ]
+        self.tabs = [
+            {k: np.concatenate([e._tabs[li][k] for e in engines], axis=1) for k in tab}
+            for li, tab in enumerate(first._tabs)
+        ]
+        self.jkn_mode = first._jkn_mode
+        self.base_jk = np.concatenate([e._base_jk for e in engines], axis=1)
+        if self.jkn_mode == "max":
+            self.jk_first = np.concatenate([e._jk_first for e in engines], axis=1)
+        self.pool_kind = first._pool_kind
+        # The pooling MLPs (score, value), layer by layer, each layer's
+        # weights and biases stacked on the model axis.
+        self.pool = []
+        for mlps in zip(*(e._pool for e in engines)):
+            layers = []
+            for params in zip(*mlps):
+                Ws, bs = zip(*params)
+                layers.append((np.concatenate(Ws), None if bs[0] is None else np.concatenate(bs)))
+            self.pool.append(layers)
+        self.out_mlps = [(e._heads, e._task) for e in engines]
+        self._jk = self.base_jk[:0]
+
+    @property
+    def num_layers(self) -> int:
+        return len(self.layers)
+
+    @property
+    def entry_width(self) -> int:
+        """Values per model in a memo entry (the widest layer's output)."""
+        return max(L["out"] for L in self.layers)
+
+    def jk_rows(self, vals: Sequence[np.ndarray], keys, copies: int, heads: range,
+                ws: _Workspace) -> np.ndarray:
+        """The last layer's planned jumping-knowledge rows of ``heads``,
+        ``(copies, n_out, heads, out_dim)``: ``vals[l]`` holds layer
+        ``l``'s outputs per row key of the chunk (``keys``, from
+        :meth:`_RowMemo.keys`).  A max row folds its outputs in layer
+        order from the max over the layers before it is planned, as the
+        eager running max does."""
         plan = self.graph.plan
         last = len(vals) - 1
-        if self._jkn_mode != "max":
+        if self.jkn_mode != "max":
             return vals[last][keys[last][2].reshape(copies, -1)]
-        jk = np.empty((copies,) + self._jk_first.shape, dtype=self.dtype)
-        jk[:] = self._jk_first
+        first = self.jk_first[:, heads.start:heads.stop]
+        jk = ws.get(("jk",), (copies,) + first.shape, self.dtype, lead=3)
+        jk[:] = first
         for li, v in enumerate(vals):
             rows = jk[:, : plan.layer(li).n_out]
             np.maximum(rows, v[keys[li][2].reshape(copies, -1)], out=rows)
         return jk
 
-    def _readout(self, pool: sp.csr_matrix, jk_rows: np.ndarray) -> np.ndarray:
-        """Pooling and heads, per point, from the last layer's planned JK
-        rows ``(copies, n_out, out_dim)``; ``pool`` sums each copy's rows
-        (:meth:`_KernelGraph.pooling`)."""
+    def readout(self, jk_rows: np.ndarray, heads: range) -> List[np.ndarray]:
+        """Pooling and output MLPs, per point, from the last layer's
+        planned JK rows ``(copies, n_out, heads, out_dim)``: each model of
+        ``heads``'s outputs, ``(copies, outputs)``."""
         B, N = jk_rows.shape[0], self.graph.num_nodes
+        G, hs = len(heads), slice(heads.start, heads.stop)
         NT = B * N
         if self._jk.shape[0] < NT:
-            self._jk = np.tile(self._base_jk, (B, 1))
-        jk = self._jk[:NT]
-        jk3 = jk.reshape(B, N, -1)
-        jk3[:, self.graph.plan.layer(len(self._layers) - 1).rows] = jk_rows
-        if self._pool["kind"] == "attention":
-            s3 = _run_mlp(self._pool["score"], jk3)
-            s3 -= s3.max(axis=1, keepdims=True)  # max is exact in any order
-            np.clip(s3, -60.0, 60.0, out=s3)
-            np.exp(s3, out=s3)
-            s = s3.reshape(NT, -1)
-            denom = pool @ s
+            self._jk = np.tile(self.base_jk, (B, 1, 1))
+        jk = self._jk[:NT].reshape(B, N, self.models, -1)
+        jk[:, self.graph.plan.layer(self.num_layers - 1).rows, hs] = jk_rows
+        if self.pool_kind == "attention":
+            score, value = (
+                [(W[hs], None if b is None else b[hs]) for W, b in mlp] for mlp in self.pool
+            )
+            x = jk[:, :, hs].transpose(0, 2, 1, 3)  # one (N, width) matrix per (copy, head)
+            pool = self.graph.pooling(B * G)
+            s = _run_mlp(score, x)
+            s -= s.max(axis=2, keepdims=True)  # max is exact in any order
+            np.clip(s, -60.0, 60.0, out=s)
+            np.exp(s, out=s)
+            denom = pool @ s.reshape(B * G * N, -1)
             denom += 1e-16
             np.power(denom, -1.0, out=denom)
-            s3 *= denom[:, None]
-            vals = _run_mlp(self._pool["value"], jk3).reshape(NT, -1)
+            s *= denom.reshape(B, G, 1, 1)
+            vals = _run_mlp(value, x)
             vals *= s
-            pooled = pool @ vals
+            pooled = pool @ vals.reshape(B * G * N, -1)
         else:
-            pooled = pool @ jk
-        pooled3 = pooled.reshape(B, 1, pooled.shape[1])
-        cols = [_run_mlp(w, pooled3).reshape(B, -1) for w in self._heads]
-        return cols[0] if self._task == "classification" else np.concatenate(cols, axis=1)
+            pooled = self.graph.pooling(B) @ jk[:, :, hs].reshape(NT, -1)
+        pooled = pooled.reshape(B, G, -1)
+        outputs = []
+        for g, (mlps, task) in enumerate(self.out_mlps[hs]):
+            cols = [_run_mlp(w, pooled[:, g:g + 1]).reshape(B, -1) for w in mlps]
+            outputs.append(cols[0] if task == "classification" else np.concatenate(cols, axis=1))
+        return outputs
 
 
 def _forward_group(
-    engines, heads: Sequence[int], block: np.ndarray, memo: _RowMemo, kid: tuple, keys,
+    stack: _HeadStack, heads: range, block: np.ndarray, memo: _RowMemo, kid: tuple, keys,
     ws: _Workspace,
 ) -> Tuple[List[np.ndarray], int, int]:
-    """Run ``engines`` (sharing one graph) over a chunk's pragma block.
+    """Run the models ``heads`` of ``stack`` over a chunk's pragma block.
 
-    ``heads`` gives each engine's model position in :data:`_HEADS` (its
-    place in a memo slot), and ``keys`` are the chunk's row keys from
-    :meth:`_RowMemo.keys`.  The engines share one memo lookup, one set
-    of ragged tables and one claim of slots per layer: a row is reused
-    only where its slot holds every engine's output, else every engine
-    computes it and stores its output into the row's slot.  Scratch
-    comes from ``ws``, which every engine shares.  Returns each engine's
-    outputs and the (computed, reused) row counts, once per engine.
+    ``heads`` is a range of model positions in :data:`_HEADS` (a memo
+    slot's models), and ``keys`` are the chunk's row keys from
+    :meth:`_RowMemo.keys`.  Per layer, one memo lookup, one set of
+    ragged tables, one slot claim and one :func:`_conv_layer` serve
+    every model of the range: a row is reused only where its slot holds
+    every model's output, else it is computed for every model and stored
+    into its slot.  Scratch comes from ``ws``.  Returns each model's
+    outputs and the (computed, reused) row counts, once per model.
     """
-    graph = engines[0].graph
+    graph = stack.graph
     plan, N = graph.plan, graph.num_nodes
     B = block.shape[0]
+    G, hs = len(heads), slice(heads.start, heads.stop)
     mask = sum(1 << h for h in heads)
     memo.tick += 1
-    vals: List[List[np.ndarray]] = [[] for _ in engines]  # per engine, per layer
+    vals: List[np.ndarray] = []  # per layer, (keys, heads, out_dim)
+    inp = block.reshape(B * plan.seeds.size, -1)
     in_map = np.arange(B * plan.seeds.size).reshape(B, -1)
     computed = reused = 0
-    for li in range(max(e.num_layers for e in engines)):
+    for li in range(stack.num_layers):
         lp = plan.layer(li)
         index, first, inverse = keys[li]
         slots, hit = memo.lookup((kid, li), index, mask)
         miss = np.flatnonzero(~hit)
+        od = stack.layers[li]["out"]
+        v = ws.get(("vals", li), (index.size, G, od), stack.dtype, lead=2)
+        v[hit] = memo.cells[slots[hit], hs, :od]
         if miss.size:
             copies, pos = np.divmod(first[miss], lp.n_out)
-            rag = lp.ragged(copies, pos, in_map, N)
+            rag = lp.ragged(copies, pos, in_map, N, heads, stack.models)
             stored = memo.claim((kid, li), index[miss], slots[miss], mask)
+            v[miss] = _conv_layer(stack.layers[li], stack.tabs[li], heads, inp, rag, ws, N)[0]
             kept = stored >= 0
-            stored, written = stored[kept], miss[kept]
-        for engine, h, v_e in zip(engines, heads, vals):
-            if li >= engine.num_layers:
-                continue
-            od = engine._layers[li]["out"]
-            off = memo.offsets[h]
-            v = ws.get(("vals", h, li), (index.size, od), engine.dtype)
-            v[hit] = memo.slab[slots[hit], off:off + od]
-            if miss.size:
-                inp = v_e[-1] if li else block.reshape(B * plan.seeds.size, -1)
-                v[miss] = engine._layer(li, engine._tabs[li], inp, rag, ws)
-                memo.slab[stored, off:off + od] = v[written]
-            computed += miss.size
-            reused += B * lp.n_out - miss.size
-            v_e.append(v)
+            memo.cells[stored[kept], hs, :od] = v[miss[kept]]
+        computed += G * miss.size
+        reused += G * (B * lp.n_out - miss.size)
+        vals.append(v)
+        inp = v
         in_map = inverse.reshape(B, lp.n_out)
-    pool = graph.pooling(B)
-    outputs = [engine._readout(pool, engine._jk_rows(v_e, keys, B))
-               for engine, v_e in zip(engines, vals)]
-    return outputs, computed, reused
+    jk_rows = stack.jk_rows(vals, keys, B, heads, ws)
+    return stack.readout(jk_rows, heads), computed, reused
 
 
 # ---------------------------------------------------------------------------
@@ -1123,7 +1230,7 @@ class EvaluationPipeline:
         self._device = getattr(predictor, "device", None)
         self._device_name = getattr(self._device, "name", None)
         self._point_cache: Dict[str, Dict] = {}
-        self._compiled: Dict[tuple, Tuple[_KernelGraph, Dict[str, CompiledGNNEngine]]] = {}
+        self._compiled: Dict[tuple, Tuple[_KernelGraph, _HeadStack]] = {}
         self._dtype: Optional[np.dtype] = None
         self._memo: Optional[_RowMemo] = None
         self._ws = _Workspace()  # forward scratch, shared by every engine
@@ -1153,25 +1260,33 @@ class EvaluationPipeline:
         }
 
     def _supports_compiled(self) -> bool:
-        """Can (and may) this predictor run on the compiled engine?"""
+        """Can (and may) this predictor run on the compiled engine?  Its
+        three models must each lower, and stack on one model axis
+        (:meth:`CompiledGNNEngine.stack_shape`): every
+        :data:`~repro.model.config.MODEL_CONFIGS` predictor does, since
+        its models differ only in task and objectives."""
         if self._compiled_ok is None:
             models = self._predictor_models()
-            supported = models is not None and all(
-                CompiledGNNEngine.supports(m) for m in models.values()
+            supported = (
+                models is not None
+                and all(CompiledGNNEngine.supports(m) for m in models.values())
+                and len({CompiledGNNEngine.stack_shape(m) for m in models.values()}) == 1
             )
             if not supported and self.engine_mode == "compiled":
                 raise UnsupportedModelError(
-                    "engine='compiled' but the predictor's models cannot be lowered"
+                    "engine='compiled' but the predictor's models cannot be lowered "
+                    "onto one model axis"
                 )
             self._compiled_ok = supported
         return self._compiled_ok
 
-    def _engines(self, kernel: str) -> Tuple[_KernelGraph, Dict[str, CompiledGNNEngine]]:
-        """One kernel's graph and compiled engines (memoised).
+    def _engines(self, kernel: str) -> Tuple[_KernelGraph, _HeadStack]:
+        """One kernel's graph and its models' stack (memoised), assembled
+        from one compiled engine per model.
 
-        One engine per model serves every chunk size: its chunk-sized
-        buffers grow to the largest chunk run, and a row's output does
-        not depend on the chunk, so chunk sizing never changes results.
+        One stack serves every chunk size and head range: its chunk-sized
+        buffers grow to the largest chunk run, and a row's output depends
+        on neither, so chunk sizing never changes results.
         """
         kid = (kernel, self._device_name)
         entry = self._compiled.get(kid)
@@ -1194,11 +1309,10 @@ class EvaluationPipeline:
         for model in models.values():
             model.eval()
         graph = _KernelGraph(self.encodings.get(kernel, self._device), self._dtype)
-        engines = {name: CompiledGNNEngine(model, graph) for name, model in models.items()}
+        stack = _HeadStack([CompiledGNNEngine(models[name], graph) for name in _HEADS])
         if self._memo is None:
-            widths = [engines[name].entry_width for name in _HEADS]
-            self._memo = _RowMemo(ROW_MEMO_BYTES, widths, self._dtype)
-        entry = self._compiled[kid] = (graph, engines)
+            self._memo = _RowMemo(ROW_MEMO_BYTES, [stack.entry_width] * len(_HEADS), self._dtype)
+        entry = self._compiled[kid] = (graph, stack)
         return entry
 
     # -- cache ------------------------------------------------------------------
@@ -1380,20 +1494,19 @@ class EvaluationPipeline:
         points: Sequence[DesignPoint],
         engine_names: Sequence[str],
     ) -> Dict[str, np.ndarray]:
-        """Run selected engines over ``points`` in chunks of at most
-        ``batch_size``; a partial chunk (the tail of a sweep, or a
-        lightly-filled micro-batch from the server) runs at its own size,
-        so no forward pays for padded slots.  Each chunk is one
-        :func:`_forward_group` of every selected engine over row keys
-        built once.
+        """Run the named models, a contiguous range of :data:`_HEADS`, over
+        ``points`` in chunks of at most ``batch_size``; a partial chunk
+        (the tail of a sweep, or a lightly-filled micro-batch from the
+        server) runs at its own size, so no forward pays for padded
+        slots.  Each chunk is one :func:`_forward_group` of the range
+        over row keys built once.
         """
         kid = (kernel, self._device_name)
-        graph, compiled = self._engines(kernel)
-        engines = [compiled[name] for name in engine_names]
-        heads = [_HEADS.index(name) for name in engine_names]
+        graph, stack = self._engines(kernel)
+        start = _HEADS.index(engine_names[0])
+        heads = range(start, start + len(engine_names))
         # Cascade stages each point passes: the classifier, the regressors.
         stages = (_CLASSIFIER[0] in engine_names) + any(n in _REGRESSORS for n in engine_names)
-        layers = max(e.num_layers for e in engines)
         outputs: Dict[str, List[np.ndarray]] = {name: [] for name in engine_names}
         with no_grad():
             for start in range(0, len(points), self.batch_size):
@@ -1406,9 +1519,9 @@ class EvaluationPipeline:
                     block = graph.fill(chunk)
                     self.stats.encode_seconds += time.perf_counter() - t0
                     t0 = time.perf_counter()
-                    keys = self._memo.keys(kid, graph.plan, block, layers)
+                    keys = self._memo.keys(kid, graph.plan, block, stack.num_layers)
                     results, computed, reused = _forward_group(
-                        engines, heads, block, self._memo, kid, keys, self._ws
+                        stack, heads, block, self._memo, kid, keys, self._ws
                     )
                     for name, result in zip(engine_names, results):
                         outputs[name].append(result)

@@ -12,6 +12,7 @@ path, which is the one sensitive to BLAS accumulation order.
 import json
 import os
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -349,20 +350,32 @@ class TestFusedForward:
 
     KERNELS = TestBatchCompositionInvariance.SAMPLED_KERNELS + ("mvt",)  # mvt: byte-string keys
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_fused_equals_staged_and_eager(self, f32_predictor, one_pragma, kernel):
-        set_default_dtype(np.float32)
+    @staticmethod
+    def _check_head_ranges(predictor, kernel):
+        """All three models as one head range give each model the bytes
+        the classifier and regressor ranges give it, and eager's
+        predictions."""
         points = sample_points(kernel, 8, seed=29)
-        fused = EvaluationPipeline(f32_predictor, batch_size=5, cache=False)
-        staged = EvaluationPipeline(f32_predictor, batch_size=5, cache=False)
+        fused = EvaluationPipeline(predictor, batch_size=5, cache=False)
+        staged = EvaluationPipeline(predictor, batch_size=5, cache=False)
         got = fused._forward_chunks(kernel, points, pipeline_module._HEADS)
         want = staged._forward_chunks(kernel, points, pipeline_module._CLASSIFIER)
         want.update(staged._forward_chunks(kernel, points, pipeline_module._REGRESSORS))
         for name in pipeline_module._HEADS:
+            assert got[name].dtype == want[name].dtype == get_default_dtype()
             assert got[name].tobytes() == want[name].tobytes()
         assert fused.predict_batch(kernel, points) == [
-            f32_predictor.predict(kernel, p) for p in points
+            predictor.predict(kernel, p) for p in points
         ]
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_fused_equals_staged_and_eager(self, f32_predictor, one_pragma, kernel):
+        set_default_dtype(np.float32)
+        self._check_head_ranges(f32_predictor, kernel)
+
+    @pytest.mark.parametrize("kernel", ["mvt", "gesummv"])
+    def test_head_ranges_agree_at_float64(self, predictor, kernel):
+        self._check_head_ranges(predictor, kernel)
 
     @staticmethod
     def _median_threshold(predictor, kernel, points) -> float:
@@ -502,6 +515,32 @@ class TestEluAndWorkspace:
                 assert pipeline._ws._bufs.keys() == buffers.keys()
                 assert all(pipeline._ws._bufs[key] is buf for key, buf in buffers.items())
 
+    def test_chunk_size_cycle_stops_allocating(self, f32_predictor, monkeypatch):
+        """Cascade and fused calls at every chunk size up to the batch
+        allocate each scratch buffer in their first cycle only: no
+        buffer is keyed by a size that varies with the chunk or the
+        head range."""
+        set_default_dtype(np.float32)
+        monkeypatch.setattr(pipeline_module, "ROW_MEMO_BYTES", 0)  # every chunk computes
+        points = sample_points("mvt", 8, seed=43)
+        pipeline = EvaluationPipeline(f32_predictor, batch_size=8, cache=False)
+
+        def cycle():
+            for size in range(1, len(points) + 1):
+                for mode in ("valid", "all"):
+                    pipeline.predict_batch("mvt", points[:size], objectives_for=mode)
+
+        cycle()
+        buffers = dict(pipeline._ws._bufs)
+        cycle()
+        assert pipeline._ws._bufs.keys() == buffers.keys()
+        assert all(pipeline._ws._bufs[key] is buf for key, buf in buffers.items())
+        # No key depends on the chunk size: full chunks alone make the same keys.
+        full = EvaluationPipeline(f32_predictor, batch_size=8, cache=False)
+        for mode in ("valid", "all"):
+            full.predict_batch("mvt", points, objectives_for=mode)
+        assert full._ws._bufs.keys() == buffers.keys()
+
 
 class TestCache:
     def test_second_call_hits_cache(self, predictor):
@@ -590,6 +629,26 @@ class TestEngineSelection:
         pipeline = EvaluationPipeline(Stub(), engine="compiled")
         with pytest.raises(UnsupportedModelError):
             pipeline.predict_batch("fir", sample_points("fir", 1))
+
+    def test_models_that_cannot_stack_run_on_reference(self, predictor):
+        """The compiled engine runs a predictor's three models on one
+        model axis, so they must agree in shape: a regressor of another
+        width sends the predictor to the reference engine under "auto"
+        and is refused under "compiled"."""
+        config = replace(MODEL_CONFIGS["M7"], hidden=32)
+        narrow = build_model(
+            config.for_task("regression", REGRESSION_OBJECTIVES), NODE_DIM, EDGE_DIM, seed=1
+        )
+        mixed = GNNDSEPredictor(
+            predictor.classifier, narrow, predictor.bram_regressor,
+            predictor.normalizer, predictor.builder,
+        )
+        points = sample_points("fir", 3, seed=2)
+        pipeline = EvaluationPipeline(mixed, batch_size=4)
+        assert pipeline.predict_batch("fir", points) == [mixed.predict("fir", p) for p in points]
+        assert pipeline.stats.engine == "reference"
+        with pytest.raises(UnsupportedModelError):
+            EvaluationPipeline(mixed, engine="compiled").predict_batch("fir", points)
 
     @pytest.mark.parametrize("mode", ["fused", "bogus"])
     def test_unknown_engine_rejected(self, predictor, mode):
