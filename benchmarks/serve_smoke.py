@@ -15,7 +15,9 @@ whole request path from the outside:
   same weights agree on ``top``, ``pareto``, ``explored`` and the
   ``race`` ledger, for the beam and for a seeded race on fir (one
   request path: the server and ``repro dse`` share ``run_dse``);
-- ``/metrics`` accounts for every request we sent.
+- ``/metrics`` accounts for every request we sent;
+- no ``scipy`` module was loaded: scipy serves only the eager and
+  training path, and the compiled engine sums in numpy.
 
 Exits non-zero on any mismatch, so it can gate CI.
 """
@@ -163,6 +165,10 @@ def main():
         )
     finally:
         server.stop()
+    loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+    if loaded:
+        fail(f"serving loaded scipy: {', '.join(loaded)}")
+    print("serve-smoke: no scipy module loaded")
     print("serve-smoke: PASS")
 
 

@@ -12,19 +12,22 @@ module turns the point-by-point reference path into a pipeline:
    the full feature matrix per point.
 2. **Compiled batched inference** — :class:`CompiledGNNEngine` lowers
    the transformer-conv GNN stack to flat numpy kernels (fused
-   projections, CSR segment reductions, a self-loop split that keeps
-   the reference summation order), replacing thousands of small
-   autograd ``Tensor`` ops per point with a handful of large array
-   operations per chunk.  The pipeline compiles one engine per kernel,
-   device and model, whatever the chunk sizes, and stacks a kernel's
-   three engines on one model axis (:class:`_HeadStack`): projection
-   and edge tables hold every model's values side by side, once.  Only
-   pragma rows differ between candidates, and each conv layer spreads a
-   change one hop, so the kernel graph's receptive-field plan lists, per
-   layer, the rows (and their in-edges) a candidate can change; every
-   other row reuses base activations computed once per engine.  On
-   gesummv the plan keeps 6/15/25/49/89/117 of 131 rows across the six
-   layers.  A planned row's output depends only on the pragma values
+   projections, segment reductions over a jagged-diagonal edge layout,
+   a self-loop split that keeps the reference summation order),
+   replacing thousands of small autograd ``Tensor`` ops per point with
+   a handful of large array operations per chunk.  The models' weights
+   are stacked on one model axis once per pipeline (:class:`_Weights`);
+   per kernel and device, one engine per model computes base tables,
+   whatever the chunk sizes, and a kernel's :class:`_HeadStack` holds
+   the three models' tables side by side, once, beside the shared
+   weights.  Only pragma rows differ between candidates, and each conv
+   layer spreads a change one hop, so the kernel graph's
+   receptive-field plan lists, per layer, the rows (and their in-edges)
+   a candidate can change; every other row reuses base activations
+   computed once per engine, and a layer's base tables keep only the
+   rows its planned rows read.  No scipy: every sum is a numpy sum in
+   the reference's order.  On gesummv the plan keeps
+   6/15/25/49/89/117 of 131 rows across the six layers.  A planned row's output depends only on the pragma values
    inside its receptive field, so a pipeline-wide row memo
    (:class:`_RowMemo`) keyed by (kernel, device, layer, row, those
    values) lets a chunk compute only the rows no earlier point of the
@@ -40,8 +43,8 @@ module turns the point-by-point reference path into a pipeline:
    contiguous range of the models on the model axis
    (:func:`_forward_group`): one set of row keys, and per layer one memo
    lookup, one slot claim, one set of ragged tables and one conv layer
-   (:func:`_conv_layer`) whose every gather, product, softmax and CSR
-   sum covers the whole range; the jumping-knowledge fold and the
+   (:func:`_conv_layer`) whose every gather, product, softmax and
+   segment sum covers the whole range; the jumping-knowledge fold and the
    attention pooling run on the same axis, and only the output MLPs
    run per model.  A call that wants objectives for every point
    (``objectives_for="all"``: serving, the beam's full re-score) runs
@@ -76,7 +79,6 @@ from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..designspace.space import DesignPoint, point_key
 from ..graph import EncodedGraph, encode_kernel
@@ -233,15 +235,19 @@ class _LayerPlan:
     changed output rows (``rows``: a prefix of the plan order).
     ``edges`` lists the planned rows' in-edges, grouped by row in plan
     order (``degree`` edges from ``edge_start``) and kept in the
-    dst-sorted (reference) order within each row.  An input *column* is
-    a plan position ``< n_in`` (a changed row) or ``n_in + node`` (an
-    unchanged base row): ``self_col`` per planned row, ``src_col`` per
-    edge source.  ``rf`` lists, per planned row, the pragma columns
-    inside its receptive field, padded with the column count.
+    dst-sorted (reference) order within each row.  Unchanged rows are
+    read from base tables that hold only ``base_rows``: the own rows of
+    the rows new at this layer and the unchanged in-neighbours of every
+    planned row.  An input *column* is a plan position ``< n_in`` (a
+    changed row) or ``n_in + i`` (base row ``base_rows[i]``):
+    ``self_col`` per planned row, ``src_col`` per edge source.  ``rf``
+    lists, per planned row, the pragma columns inside its receptive
+    field, padded with the column count.
     """
 
     def __init__(self, plan: "_Plan", n_in: int, n_out: int):
         self.n_in, self.n_out = n_in, n_out
+        self.num_nodes = plan.num_nodes
         self.rows = plan.order[:n_out]
         starts = plan.indptr[self.rows]
         self.degree = plan.indptr[self.rows + 1] - starts
@@ -249,60 +255,104 @@ class _LayerPlan:
         self.edges = np.repeat(starts - self.edge_start, self.degree) + np.arange(
             self.degree.sum()
         )
-        self.src_pos = plan.pos[plan.src[self.edges]]
+        src = plan.src[self.edges]
+        self.src_pos = plan.pos[src]
         planned = np.arange(n_out)
-        self.self_col = np.where(planned < n_in, planned, n_in + self.rows)
-        self.src_col = np.where(
-            self.src_pos < n_in, self.src_pos, n_in + plan.src[self.edges]
+        self.base_rows = np.unique(
+            np.concatenate([self.rows[n_in:], src[self.src_pos >= n_in]])
         )
+        base_col = np.zeros(plan.num_nodes, dtype=np.int64)
+        base_col[self.base_rows] = n_in + np.arange(self.base_rows.size)
+        self.self_col = np.where(planned < n_in, planned, base_col[self.rows])
+        self.src_col = np.where(self.src_pos < n_in, self.src_pos, base_col[src])
         self.rf = np.empty((n_out, 0), dtype=np.int64)
 
-    def ragged(self, copies, pos, in_map, num_nodes: int, heads: range, models: int) -> "_Ragged":
+    def ragged(self, copies, pos, in_map, heads: range, models: int) -> "_Ragged":
         """Index tables for computing planned rows ``pos`` of ``copies``
         for the models ``heads`` of a ``models``-wide stack.
 
-        ``in_map[copy, p]`` is the projected input row of position
-        ``p < n_in``.  A projection table holds the ``num_nodes`` base
-        rows first, then the projected input rows, each row one value
-        block per model.  The gather tables index it in blocks of
-        ``unit`` models: the whole head range where each row splits into
-        blocks of its size, the range among them, else one model.
+        The rows are sorted by descending in-degree (stably; ``order``
+        lists each sorted row's place in ``pos``), and their in-edges are
+        laid out diagonal by diagonal (:func:`_jagged`), so every segment
+        reduction is a few in-place updates of leading rows.  Every
+        row-aligned table, and so the conv layer's output, is in sorted
+        order.  ``in_map[copy, p]`` is the projected input row of position
+        ``p < n_in``.  A projection table holds the layer's base rows
+        first, then the projected input rows, each row one value block
+        per model.  The gather tables index it in blocks of ``unit``
+        models: the whole head range where each row splits into blocks of
+        its size, the range among them, else one model.
         """
         r = _Ragged()
-        r.S = pos.size
-        degree = self.degree[pos]
-        r.indptr = np.zeros(r.S + 1, dtype=np.int32)
-        np.cumsum(degree, out=r.indptr[1:])
-        r.E = E = int(r.indptr[-1])
-        r.seg = np.repeat(np.arange(r.S), degree)
-        r.edges = np.arange(E) + np.repeat(self.edge_start[pos] - r.indptr[:-1], degree)
-        r.nonempty = degree > 0
-        r.starts = r.indptr[:-1][r.nonempty]
-        table = np.empty((in_map.shape[0], self.n_in + num_nodes), dtype=np.int64)
-        np.add(in_map, num_nodes, out=table[:, : self.n_in])
-        table[:, self.n_in:] = np.arange(num_nodes)
+        r.order, r.seg, nth, r.diagonals = _jagged(self.degree[pos])
+        copies, pos = copies[r.order], pos[r.order]
+        r.S, r.E, r.base = pos.size, r.seg.size, self.base_rows.size
+        edges = self.edge_start[pos][r.seg] + nth
+        table = np.empty((in_map.shape[0], self.n_in + r.base), dtype=np.int64)
+        np.add(in_map, r.base, out=table[:, : self.n_in])
+        table[:, self.n_in:] = np.arange(r.base)
         G = len(heads)
         r.unit = unit = G if heads.start % G == 0 and models % G == 0 else 1
         hs = np.arange(heads.start // unit, heads.stop // unit)
         table = table[:, :, None] * (models // unit) + hs
         r.self_t = table[copies, self.self_col[pos]]
-        r.src_t = table[copies[r.seg], self.src_col[r.edges]]
+        r.src_t = table[copies[r.seg], self.src_col[edges]]
         r.q_t = r.self_t[r.seg]
-        r.edge_t = r.edges[:, None] * (models // unit) + hs
-        r.csr = sp.csr_matrix(
-            (np.ones(E, dtype=np.float32), np.arange(E, dtype=np.int32), r.indptr),
-            shape=(r.S, E),
-        )
+        r.edge_t = edges[:, None] * (models // unit) + hs
         # Rule 2: the gate runs per copy that has a computed row.
         gated = np.zeros(in_map.shape[0], dtype=bool)
         gated[copies] = True
         r.gated = int(np.count_nonzero(gated))
-        r.gate_row = (np.cumsum(gated) - 1)[copies] * num_nodes + self.rows[pos]
+        r.gate_row = (np.cumsum(gated) - 1)[copies] * self.num_nodes + self.rows[pos]
         return r
 
 
 class _Ragged:
     """Per-chunk index tables of one layer (see :meth:`_LayerPlan.ragged`)."""
+
+
+def _jagged(degree: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[int]]:
+    """The jagged-diagonal layout of segments of ``degree`` elements each.
+
+    The segments are sorted by descending degree, stably: ``order`` lists
+    the original segment of each sorted one.  Diagonal ``d`` holds the
+    ``d``-th element of every segment longer than ``d``, which is a
+    prefix of the sorted segments; the elements are listed diagonal by
+    diagonal, each with its sorted segment (``seg``) and its place in it
+    (``nth``).  ``diagonals`` lists the diagonal lengths.
+    """
+    order = np.argsort(-degree, kind="stable")
+    ranked = -degree[order]  # ascending
+    longest = -int(ranked[0]) if ranked.size else 0
+    lengths = np.searchsorted(ranked, -np.arange(longest), side="left")
+    nth = np.repeat(np.arange(longest), lengths)
+    seg = np.arange(nth.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return order, seg, nth, lengths.tolist()
+
+
+def _fold_diagonals(ufunc, values: np.ndarray, diagonals: Sequence[int],
+                    out: np.ndarray) -> np.ndarray:
+    """Fold jagged-diagonal ``values`` (:func:`_jagged`) into ``out``, one
+    row per sorted segment, in place: ``out = ufunc(out, value)`` for
+    each segment's values in order.  Started from ``0.0``, ``np.add``
+    computes ``0.0 + x0 + x1 + ...``, the sum the eager path's CSR
+    product takes (``np.add.reduceat`` adds pairwise and differs);
+    started from ``-inf``, ``np.maximum`` is the eager running max."""
+    start = 0
+    for n in diagonals:
+        rows = out[:n]
+        ufunc(rows, values[start:start + n], out=rows)
+        start += n
+    return out
+
+
+def _sum_rows(x: np.ndarray, axis: int) -> np.ndarray:
+    """Sum of ``x`` over ``axis`` in row order, as the eager path's CSR
+    product takes it: a running sum, whose last row adds the values one
+    by one, plus ``0.0`` (a sum of only ``-0.0`` values is ``+0.0``)."""
+    total = np.add.accumulate(x, axis=axis).take(-1, axis=axis)
+    total += 0.0
+    return total
 
 
 class _Plan:
@@ -370,9 +420,8 @@ class _KernelGraph:
     A chunk of design points differs from the base graph only in its
     pragma rows, so a chunk is its pragma block (:meth:`fill`): the
     pragma rows' features, one ``(pragmas, features)`` slab per point.
-    The block and the pooling CSR's index arrays (:meth:`pooling`) keep
-    room for the largest chunk seen so far and hand out their leading
-    copies.
+    The block keeps room for the largest chunk seen so far and hands
+    out its leading copies.
     """
 
     def __init__(self, enc: EncodedGraph, dtype):
@@ -386,7 +435,6 @@ class _KernelGraph:
         pragma_rows = enc.pragma_row_order  # sorted and distinct: the plan's seeds
         self.plan = _Plan(self.src, self.dst, N, pragma_rows, pragma_rows)
         self.pragmas = enc.x_base[pragma_rows].astype(self.dtype)[None]
-        self._cols = np.empty(0, dtype=np.int64)
 
     def fill(self, points: Sequence[DesignPoint]) -> np.ndarray:
         """The chunk's pragma block, ``(len(points), pragmas, features)``."""
@@ -399,17 +447,6 @@ class _KernelGraph:
     def set_point(self, slot: int, point: DesignPoint) -> None:
         """Write one candidate's pragma features into a block slot."""
         self.pragmas[slot, :, PRAGMA_FEATURE_SLICE] = self.enc.pragma_patch(point)[1]
-
-    def pooling(self, copies: int) -> sp.csr_matrix:
-        """The CSR summing each of ``copies`` stacked copies' rows."""
-        total = copies * self.num_nodes
-        if self._cols.size < total:
-            self._cols = np.arange(total)
-            self._indptr = np.arange(copies + 1) * self.num_nodes
-        ones = np.ones(total, dtype=np.float32)
-        return sp.csr_matrix(
-            (ones, self._cols[:total], self._indptr[: copies + 1]), shape=(copies, total)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -676,22 +713,22 @@ def _conv_layer(L, base, heads: range, inp: np.ndarray, rag: _Ragged, ws: _Works
 
     ``L`` holds the layer's weights, each with a leading model axis, and
     ``base`` its per-kernel tables, ``(rows, models, out_dim)``: the
-    ``num_nodes`` base rows of the query, key, value and root
-    projections, and the planned edges' edge-feature projections ``e``.
-    ``inp`` holds the input rows, ``(rows, heads, K)``, or ``(rows, K)``
-    when every model reads the same ones.  Their projections go into
-    workspace tables after a copy of the base rows, so every kernel
-    shares one set of chunk-sized tables.  Every step but the gate's
-    product runs once for the whole head range, and two per-edge buffers
-    serve every per-edge array in turn.  Returns the rows' outputs,
-    ``(rows, heads, out_dim)``, and the projection tables, both in
-    workspace memory.
+    layer's base rows (:attr:`_LayerPlan.base_rows`) of the query, key,
+    value and root projections, and the planned edges' edge-feature
+    projections ``e``.  ``inp`` holds the input rows, ``(rows, heads,
+    K)``, or ``(rows, K)`` when every model reads the same ones.  Their
+    projections go into workspace tables after a copy of the base rows,
+    so every kernel shares one set of chunk-sized tables.  Every step
+    but the gate's product runs once for the whole head range, and two
+    per-edge buffers serve every per-edge array in turn.  Returns the
+    rows' outputs, ``(rows, heads, out_dim)`` in ``rag``'s sorted row
+    order, and the projection tables, both in workspace memory.
     """
-    N, G = num_nodes, len(heads)
+    N, R, G = num_nodes, rag.base, len(heads)
     hs = slice(heads.start, heads.stop)
     dt = base["e"].dtype
     H, D, od = L["heads"], L["head_dim"], L["out"]
-    S, E, seg, u = rag.S, rag.E, rag.seg, rag.unit
+    S, E, seg, u, diagonals = rag.S, rag.E, rag.seg, rag.unit, rag.diagonals
     # The input rows go through the projections in blocks of ``blk``
     # rows: at least 2 (rule 1), and few enough that each product
     # stays single-threaded in BLAS, as the eager path's are.
@@ -704,13 +741,13 @@ def _conv_layer(L, base, heads: range, inp: np.ndarray, rag: _Ragged, ws: _Works
     h = ws.get(("h",), (nb * blk, Gi, K), dt, lead=2)
     h[:M] = inp.reshape(M, Gi, K)
     h = h.reshape(nb, blk, Gi, K).transpose(2, 0, 1, 3)  # one matrix per (head, block)
-    rows = N + nb * blk
+    rows = R + nb * blk
     tab = {"e": base["e"]}
     for name in ("q", "k", "v", "r"):
         W, b = L["W" + name], L["b" + name]
         tab[name] = table = ws.get(("proj", name), (rows,) + W.shape[::2], dt)
-        table[:N, hs] = base[name][:, hs]
-        out = table[N:rows].reshape(nb, blk, *table.shape[1:])[:, :, hs].transpose(2, 0, 1, 3)
+        table[:R, hs] = base[name][:, hs]
+        out = table[R:rows].reshape(nb, blk, *table.shape[1:])[:, :, hs].transpose(2, 0, 1, 3)
         np.matmul(h, W[hs, None], out=out)
         out += b[hs, None, None]
     a = ws.get(("edge_a",), (E, G, od), dt, lead=2)
@@ -731,10 +768,11 @@ def _conv_layer(L, base, heads: range, inp: np.ndarray, rag: _Ragged, ws: _Works
     q_s *= k_s
     s_self = q_s.reshape(S, G, H, D).sum(axis=3, out=ws.get(("s_self",), (S, G, H), dt, lead=2))
     s_self *= 1.0 / np.sqrt(D)
+    # Rule 3: each segment reduction takes the eager order, the real
+    # in-edges first, then the self-loop.
     m = ws.get(("m",), (S, G, H), dt, lead=2)
     m[:] = -np.inf
-    if E:
-        m[rag.nonempty] = np.maximum.reduceat(scores, rag.starts, axis=0)
+    _fold_diagonals(np.maximum, scores, diagonals, m)
     np.maximum(m, s_self, out=m)
     scores -= m[seg]
     np.clip(scores, -60.0, 60.0, out=scores)
@@ -742,18 +780,20 @@ def _conv_layer(L, base, heads: range, inp: np.ndarray, rag: _Ragged, ws: _Works
     s_self -= m
     np.clip(s_self, -60.0, 60.0, out=s_self)
     np.exp(s_self, out=s_self)
-    denom = rag.csr @ scores.reshape(E, G * H)
-    denom += s_self.reshape(S, G * H)
+    denom = m
+    denom[:] = 0.0
+    _fold_diagonals(np.add, scores, diagonals, denom)
+    denom += s_self
     denom += 1e-16
     np.power(denom, -1.0, out=denom)
-    denom = denom.reshape(S, G, H)
     scores *= denom[seg]
     s_self *= denom
-    # α·v, contiguous: the CSR product's input layout.
     v = _gather(tab["v"], rag.src_t, u, a)
     v += _gather(tab["e"], rag.edge_t, u, b)
     v.reshape(E, G, H, D).__imul__(scores.reshape(E, G, H, 1))
-    agg = (rag.csr @ v.reshape(E, G * od)).reshape(S, G, od)
+    agg = ws.get(("agg",), (S, G, od), dt, lead=2)
+    agg[:] = 0.0
+    _fold_diagonals(np.add, v, diagonals, agg)
     v_s = _gather(tab["v"], rag.self_t, u, k_s)
     v_s.reshape(S, G, H, D).__imul__(s_self.reshape(S, G, H, 1))
     agg += v_s
@@ -786,13 +826,14 @@ def _conv_layer(L, base, heads: range, inp: np.ndarray, rag: _Ragged, ws: _Works
 
 
 class CompiledGNNEngine:
-    """One GNN model lowered onto one kernel's :class:`_KernelGraph`.
+    """One GNN model's base arrays on one kernel's :class:`_KernelGraph`.
 
     Supports the paper's architecture family: a stack of
-    :class:`~repro.nn.conv.TransformerConv` layers with ELU, optional
-    jumping knowledge (``max``/``last``), attention or sum pooling, and
-    MLP heads.  Anything else raises :class:`UnsupportedModelError` so
-    the pipeline can fall back to the reference path.
+    :class:`~repro.nn.conv.TransformerConv` layers with edge features
+    and a gate, ELU, optional jumping knowledge (``max``/``last``),
+    attention or sum pooling, and MLP heads.  Anything else raises
+    :class:`UnsupportedModelError` so the pipeline can fall back to the
+    reference path.
 
     A design point changes only its pragma rows, and each conv layer
     spreads a change by one hop, so at layer ``l`` only the rows of the
@@ -800,15 +841,15 @@ class CompiledGNNEngine:
     pragma rows) can differ from their *base* activation, which is the
     same in every copy and for every point.  The base arrays come from
     one all-rows forward of one copy on the neutral features (the conv
-    layers, :func:`_conv_layer`, on a one-model axis): its projections
-    become the base rows at the head of each layer's projection table,
-    and its layer outputs the unplanned rows of the jumping-knowledge
-    and pooling input.
+    layers, :func:`_conv_layer`, on a one-model view of the pipeline's
+    :class:`_Weights`): the projections of each layer's base rows
+    (:attr:`_LayerPlan.base_rows`) head that layer's projection tables,
+    and the layer outputs give the unplanned rows of the
+    jumping-knowledge and pooling input.
 
-    An engine compiles its model's weights and base arrays with a
-    leading model axis of one; the pipeline stacks the classifier's, the
-    regressor's and the BRAM regressor's engines of a kernel into one
-    :class:`_HeadStack` and runs a chunk's models on that axis.  A
+    The pipeline builds one engine per model of :data:`_HEADS` for each
+    kernel and stacks their base arrays on the model axis of a
+    :class:`_HeadStack`, beside the weights every kernel shares.  A
     planned row's output after layer ``l`` depends only on the pragma
     values in its receptive field, so :func:`_forward_group` computes a
     layer only for the distinct (layer, row, receptive-field values)
@@ -824,9 +865,9 @@ class CompiledGNNEngine:
     point (:meth:`_HeadStack.readout`).
 
     Bit-identity with the eager per-point path rests on three rules
-    about BLAS (OpenBLAS, measured), which the model axis leaves as they
-    are: a stacked product is one BLAS call per (head, matrix) at the
-    shape a single model's would have.
+    about BLAS (OpenBLAS, measured) and numpy sums, which the model axis
+    leaves as they are: a stacked product is one BLAS call per (head,
+    matrix) at the shape a single model's would have.
 
     1. A gemm output row does not depend on the row count when the
        product has at least 2 rows; a 1-row product takes the gemv path
@@ -838,26 +879,36 @@ class CompiledGNNEngine:
        on the row's position, so they run at the full per-copy shape, one
        gemv per (copy, head): the gate of every copy with a missed row
        covers all of its rows.
-    3. The segment max and the CSR sums reduce the same segments in the
-       same order, whatever other segments are present, and each value
-       column on its own, so neither the ragged per-chunk edge tables nor
-       the heads' columns side by side change a row's reductions.
+    3. A segment reduction adds (or maxes) a row's values one at a
+       time, in the eager order, from ``0.0`` (or ``-inf``): the eager
+       CSR product computes ``0.0 + x0 + x1 + ...`` per row.  The
+       in-edges are laid out in jagged-diagonal order (:func:`_jagged`),
+       so a layer's reductions are at most max-degree in-place updates
+       of leading rows (:func:`_fold_diagonals`), and pooling is a
+       running sum over a copy's rows (:func:`_sum_rows`).
+       ``np.add.reduceat`` and ``np.sum`` add pairwise and differ.  Each
+       value column reduces on its own, so neither the ragged per-chunk
+       edge tables nor the heads' columns side by side change a row's
+       reductions.
 
     Together they make a row's output independent of the batch, the
     slot, the head range and the other rows computed with it, so a
     memoised row is the row the eager path computes.
     """
 
-    def __init__(self, model, graph: _KernelGraph):
+    def __init__(self, weights: "_Weights", index: int, graph: _KernelGraph):
         self.graph = graph
-        self.dtype = graph.dtype
-        self._compile(model)
-        self._fill_base()
+        self.dtype = weights.dtype
+        self.jkn_mode = weights.jkn_mode
+        self._fill_base(weights.model(index))
 
     @staticmethod
     def supports(model) -> bool:
         convs = getattr(model, "convs", None)
-        if not convs or not all(isinstance(c, TransformerConv) for c in convs):
+        if not convs or not all(
+            isinstance(c, TransformerConv) and c.lin_edge is not None and c.lin_beta is not None
+            for c in convs
+        ):
             return False
         jkn = getattr(model, "jkn", None)
         if jkn is not None and jkn.mode not in ("max", "last"):
@@ -873,8 +924,8 @@ class CompiledGNNEngine:
 
     @staticmethod
     def stack_shape(model) -> tuple:
-        """What the models of one :class:`_HeadStack` must share (for a
-        model :meth:`supports`): each conv layer's weight shape and
+        """What the models of one :class:`_Weights` stack must share (for
+        a model :meth:`supports`): each conv layer's weight shape and
         attention heads, the jumping-knowledge mode, and the pooling
         kind and its MLPs' shapes.  Only the output MLPs may differ."""
         convs = tuple((c.lin_query.weight.shape, c.heads) for c in model.convs)
@@ -887,154 +938,165 @@ class CompiledGNNEngine:
         )
         return convs, jkn, type(pool).__name__, layers
 
-    def _compile(self, model) -> None:
-        if not self.supports(model):
-            raise UnsupportedModelError(
-                f"compiled engine cannot lower {type(model).__name__}"
-            )
-        dtype = self.dtype
+    def _fill_base(self, layers: Sequence[Dict]) -> None:
+        """Base arrays from one all-rows forward of one copy (see class
+        doc); ``layers`` is the model's one-model view (:meth:`_Weights.model`)."""
+        graph, dt = self.graph, self.dtype
+        plan, N = graph.plan, graph.num_nodes
         # Edge features in the exact shape the reference Batch lowers them:
         # real edges plus zero-feature self-loops, stably sorted by dst.
         # Projecting THIS matrix (and then selecting the real-edge rows,
         # which stay in the engine's sorted order) keeps every row
         # bit-identical to the per-point path — BLAS results can depend on
         # the row count of the gemm, so the input shape must match too.
-        enc = self.graph.enc
-        N = enc.num_nodes
+        enc = graph.enc
         E_real = enc.edge_index.shape[1]
         ref_dst = np.concatenate([enc.edge_index[1], np.arange(N, dtype=np.int64)])
         ref_order = np.argsort(ref_dst, kind="stable")
         eattr_ref = np.vstack(
             [enc.edge_attr, np.zeros((N, enc.edge_attr.shape[1]), dtype=np.float32)]
-        )[ref_order].astype(dtype)
+        )[ref_order].astype(dt)
         real_rows = np.nonzero(ref_order < E_real)[0]
-        layers = []
-        for conv in model.convs:
-            od = conv.out_dim
-            edge_proj = (eattr_ref @ conv.lin_edge.weight.data.astype(dtype))[real_rows]
-            # Every array gets a leading model axis (of one model here).
-            lins = dict(q=conv.lin_query, k=conv.lin_key, v=conv.lin_value, r=conv.lin_root)
-            L = {f"W{n}": lin.weight.data.astype(dtype)[None] for n, lin in lins.items()}
-            L.update({f"b{n}": lin.bias.data.astype(dtype)[None] for n, lin in lins.items()})
-            L.update(
-                # lin_beta acts on concat([agg, root, agg - root]); keep the
-                # single gemm over the concatenated input so the gate is
-                # bit-identical to the reference at any dtype (splitting the
-                # matrix re-associates the dot products and drifts by ulps).
-                Wb=conv.lin_beta.weight.data.astype(dtype)[None],
-                bb=conv.lin_beta.bias.data.astype(dtype)[None],
-                e=edge_proj[:, None],
-                heads=conv.heads, head_dim=conv.head_dim, out=od,
-            )
-            layers.append(L)
-        self._layers = layers
-        self._jkn_mode = model.jkn.mode if model.jkn is not None else "last"
-        pool = model.pool
-        self._pool_kind = "attention" if isinstance(pool, NodeAttentionPool) else "sum"
-        self._pool = [
-            [(W[None], None if b is None else b[None, None]) for W, b in _mlp_weights(mlp, dtype)]
-            for mlp in ((pool.score_mlp, pool.value_mlp) if self._pool_kind == "attention" else ())
-        ]
-        heads = model.heads
-        if heads.task == "classification":
-            self._heads = [_mlp_weights(heads.classifier, dtype)]
-        else:
-            self._heads = [_mlp_weights(h, dtype) for h in heads.heads]
-        self._task = heads.task
-
-    def _fill_base(self) -> None:
-        """Base arrays from one all-rows forward of one copy (see class doc)."""
-        graph, dt = self.graph, self.dtype
-        plan, N = graph.plan, graph.num_nodes
         full = _Plan(graph.src, graph.dst, N, np.arange(N))
         ws, every, one = _Workspace(), np.arange(N), range(1)
-        h, outs = graph.enc.x_base.astype(dt), []
-        self._tabs = []
-        for li, L in enumerate(self._layers):
-            # No base row is read: every row is an input row here.
-            unread = {k: np.empty((N,) + L["W" + k].shape[::2], dt) for k in "qkvr"}
-            unread["e"] = L.pop("e")
-            rag = full.layer(li).ragged(np.zeros(N, np.int64), every, every[None], N, one, 1)
-            h, tab = _conv_layer(L, unread, one, h, rag, ws, N)
-            h = h.copy()
+        h, outs = enc.x_base.astype(dt), []
+        self.tabs = []
+        for li, L in enumerate(layers):
+            e = (eattr_ref @ L["We"][0])[real_rows][:, None]
+            # No base row is read: every row is an input row here, in
+            # node order, so the projected rows are the node rows.
+            unread = {k: np.empty((0,) + L["W" + k].shape[::2], dt) for k in "qkvr"}
+            rag = full.layer(li).ragged(np.zeros(N, np.int64), every, every[None], one, 1)
+            out, tab = _conv_layer(L, dict(unread, e=e), one, h, rag, ws, N)
+            h = np.empty_like(out)
+            h[rag.order] = out
             outs.append(h)
-            # An all-rows plan keeps node order, so its projected rows are
-            # the base rows themselves.  Only the planned edges' edge-feature
-            # projections are kept.
-            base = {k: tab[k][N:2 * N].copy() for k in "qkvr"}
-            base["e"] = tab["e"][plan.layer(li).edges]
-            self._tabs.append(base)
-        self._jk_first = None
-        if self._jkn_mode == "max":
-            self._base_jk = np.maximum.reduce(outs)
+            lp = plan.layer(li)
+            base = {k: tab[k][lp.base_rows] for k in "qkvr"}
+            base["e"] = e[lp.edges]
+            self.tabs.append(base)
+        self.jk_first = None
+        if self.jkn_mode == "max":
+            self.base_jk = np.maximum.reduce(outs)
             # Per row the last layer plans, the JK max over the layers
             # before the row is first planned (-inf where there are none).
-            lp = plan.layer(len(self._layers) - 1)
-            self._jk_first = np.full((lp.n_out,) + outs[0].shape[1:], -np.inf, dtype=dt)
-            for li in range(len(self._layers)):
+            lp = plan.layer(len(layers) - 1)
+            self.jk_first = np.full((lp.n_out,) + outs[0].shape[1:], -np.inf, dtype=dt)
+            for li in range(len(layers)):
                 lp = plan.layer(li)
-                first = self._jk_first[lp.n_in:lp.n_out]
+                first = self.jk_first[lp.n_in:lp.n_out]
                 for o in outs[:li]:
                     np.maximum(first, o[lp.rows[lp.n_in:]], out=first)
         else:
-            self._base_jk = outs[-1]
+            self.base_jk = outs[-1]
 
 
-class _HeadStack:
-    """One kernel graph's compiled models on one model axis.
+class _Weights:
+    """A predictor's models compiled onto one model axis, once per pipeline.
 
-    Assembled from one :class:`CompiledGNNEngine` per model of
-    :data:`_HEADS`, in that order, which it leaves behind: every weight
-    and base array is the engines' stacked along the model axis, so the
-    base projection and edge tables and the jumping-knowledge rows are
-    ``(rows, models, width)``.  A chunk runs a contiguous head range of
-    the models (a cascade stage, or all of them) through one op stream:
-    one :func:`_conv_layer` per layer, one jumping-knowledge fold, one
-    pooling; only the output MLPs, whose widths differ, run per model.
-    A range reads and writes a slice of the tables, never a copy of its
-    own.  The chunk's projected rows go into workspace tables that every
-    kernel shares; the jumping-knowledge rows grow to the largest chunk
-    run so far, and a chunk uses their leading rows.
+    Model ``i`` of :data:`_HEADS` sits at position ``i`` of each array's
+    leading model axis.  Per conv layer: the query, key, value and root
+    projections (``W*`` ``(models, in, out)``, ``b*`` ``(models, out)``),
+    the edge-feature projection ``We`` and the gate ``Wb``/``bb``; per
+    pooling MLP (score, value), each layer's weights and biases.  The
+    output MLPs, whose widths differ, stay one list per model.  Every
+    kernel's :class:`CompiledGNNEngine` and :class:`_HeadStack` reads
+    these arrays and none copies them, so a kernel adds only its base
+    tables.  The models must each :meth:`~CompiledGNNEngine.supports` and
+    share one :meth:`~CompiledGNNEngine.stack_shape`.
     """
 
-    def __init__(self, engines: Sequence[CompiledGNNEngine]):
-        first = engines[0]
-        self.graph, self.dtype = first.graph, first.dtype
-        self.models = len(engines)
-        self.layers = [
-            {k: np.concatenate([e._layers[li][k] for e in engines])
-             if isinstance(v, np.ndarray) else v for k, v in L.items()}
-            for li, L in enumerate(first._layers)
-        ]
-        self.tabs = [
-            {k: np.concatenate([e._tabs[li][k] for e in engines], axis=1) for k in tab}
-            for li, tab in enumerate(first._tabs)
-        ]
-        self.jkn_mode = first._jkn_mode
-        self.base_jk = np.concatenate([e._base_jk for e in engines], axis=1)
-        if self.jkn_mode == "max":
-            self.jk_first = np.concatenate([e._jk_first for e in engines], axis=1)
-        self.pool_kind = first._pool_kind
-        # The pooling MLPs (score, value), layer by layer, each layer's
-        # weights and biases stacked on the model axis.
-        self.pool = []
-        for mlps in zip(*(e._pool for e in engines)):
-            layers = []
-            for params in zip(*mlps):
-                Ws, bs = zip(*params)
-                layers.append((np.concatenate(Ws), None if bs[0] is None else np.concatenate(bs)))
-            self.pool.append(layers)
-        self.out_mlps = [(e._heads, e._task) for e in engines]
-        self._jk = self.base_jk[:0]
+    _LINEARS = (("q", "lin_query"), ("k", "lin_key"), ("v", "lin_value"),
+                ("r", "lin_root"), ("b", "lin_beta"))
 
-    @property
-    def num_layers(self) -> int:
-        return len(self.layers)
+    def __init__(self, models: Sequence, dtype):
+        self.dtype = dtype = np.dtype(dtype)
+        self.models = len(models)
+        for model in models:
+            if not CompiledGNNEngine.supports(model):
+                raise UnsupportedModelError(
+                    f"compiled engine cannot lower {type(model).__name__}"
+                )
+        self.layers = []
+        for convs in zip(*(model.convs for model in models)):
+            # lin_beta acts on concat([agg, root, agg - root]); keep the
+            # single gemm over the concatenated input so the gate is
+            # bit-identical to the reference at any dtype (splitting the
+            # matrix re-associates the dot products and drifts by ulps).
+            L = {}
+            for n, attr in self._LINEARS:
+                lins = [getattr(conv, attr) for conv in convs]
+                L["W" + n] = np.stack([lin.weight.data.astype(dtype) for lin in lins])
+                L["b" + n] = np.stack([lin.bias.data.astype(dtype) for lin in lins])
+            L["We"] = np.stack([conv.lin_edge.weight.data.astype(dtype) for conv in convs])
+            conv = convs[0]
+            L.update(heads=conv.heads, head_dim=conv.head_dim, out=conv.out_dim)
+            self.layers.append(L)
+        first = models[0]
+        self.jkn_mode = first.jkn.mode if first.jkn is not None else "last"
+        attention = isinstance(first.pool, NodeAttentionPool)
+        self.pool_kind = "attention" if attention else "sum"
+        self.pool = []
+        for name in ("score_mlp", "value_mlp") if attention else ():
+            mlps = zip(*(_mlp_weights(getattr(model.pool, name), dtype) for model in models))
+            self.pool.append([
+                (np.stack([W for W, _ in layer]),
+                 None if layer[0][1] is None else np.stack([b for _, b in layer])[:, None])
+                for layer in mlps
+            ])
+        self.out_mlps = []
+        for model in models:
+            heads = model.heads
+            mlps = [heads.classifier] if heads.task == "classification" else heads.heads
+            self.out_mlps.append(([_mlp_weights(mlp, dtype) for mlp in mlps], heads.task))
 
     @property
     def entry_width(self) -> int:
         """Values per model in a memo entry (the widest layer's output)."""
         return max(L["out"] for L in self.layers)
+
+    def model(self, index: int) -> List[Dict]:
+        """Model ``index``'s conv layers on a one-model axis (views)."""
+        return [
+            {k: v[index:index + 1] if isinstance(v, np.ndarray) else v for k, v in L.items()}
+            for L in self.layers
+        ]
+
+
+class _HeadStack:
+    """One kernel graph's compiled models on one model axis.
+
+    Holds the pipeline's :class:`_Weights` and the kernel's data only:
+    one :class:`CompiledGNNEngine` per model of :data:`_HEADS`, in that
+    order, leaves its base arrays, stacked here along the model axis, so
+    the base projection and edge tables and the jumping-knowledge rows
+    are ``(rows, models, width)``.  A chunk runs a contiguous head range
+    of the models (a cascade stage, or all of them) through one op
+    stream: one :func:`_conv_layer` per layer, one jumping-knowledge
+    fold, one pooling; only the output MLPs, whose widths differ, run
+    per model.  A range reads and writes a slice of the tables, never a
+    copy of its own.  The chunk's projected rows go into workspace
+    tables that every kernel shares; the jumping-knowledge rows grow to
+    the largest chunk run so far, and a chunk uses their leading rows.
+    """
+
+    def __init__(self, weights: _Weights, engines: Sequence[CompiledGNNEngine]):
+        self.weights = weights
+        self.graph, self.dtype = engines[0].graph, weights.dtype
+        self.models = weights.models
+        self.tabs = [
+            {k: np.concatenate([e.tabs[li][k] for e in engines], axis=1) for k in tab}
+            for li, tab in enumerate(engines[0].tabs)
+        ]
+        self.jkn_mode = weights.jkn_mode
+        self.base_jk = np.concatenate([e.base_jk for e in engines], axis=1)
+        if self.jkn_mode == "max":
+            self.jk_first = np.concatenate([e.jk_first for e in engines], axis=1)
+        self._jk = self.base_jk[:0]
+
+    @property
+    def num_layers(self) -> int:
+        return len(self.weights.layers)
 
     def jk_rows(self, vals: Sequence[np.ndarray], keys, copies: int, heads: range,
                 ws: _Workspace) -> np.ndarray:
@@ -1067,28 +1129,27 @@ class _HeadStack:
             self._jk = np.tile(self.base_jk, (B, 1, 1))
         jk = self._jk[:NT].reshape(B, N, self.models, -1)
         jk[:, self.graph.plan.layer(self.num_layers - 1).rows, hs] = jk_rows
-        if self.pool_kind == "attention":
+        weights = self.weights
+        if weights.pool_kind == "attention":
             score, value = (
-                [(W[hs], None if b is None else b[hs]) for W, b in mlp] for mlp in self.pool
+                [(W[hs], None if b is None else b[hs]) for W, b in mlp] for mlp in weights.pool
             )
             x = jk[:, :, hs].transpose(0, 2, 1, 3)  # one (N, width) matrix per (copy, head)
-            pool = self.graph.pooling(B * G)
             s = _run_mlp(score, x)
             s -= s.max(axis=2, keepdims=True)  # max is exact in any order
             np.clip(s, -60.0, 60.0, out=s)
             np.exp(s, out=s)
-            denom = pool @ s.reshape(B * G * N, -1)
+            denom = _sum_rows(s, axis=2)
             denom += 1e-16
             np.power(denom, -1.0, out=denom)
-            s *= denom.reshape(B, G, 1, 1)
+            s *= denom[:, :, None]
             vals = _run_mlp(value, x)
             vals *= s
-            pooled = pool @ vals.reshape(B * G * N, -1)
+            pooled = _sum_rows(vals, axis=2)
         else:
-            pooled = self.graph.pooling(B) @ jk[:, :, hs].reshape(NT, -1)
-        pooled = pooled.reshape(B, G, -1)
+            pooled = _sum_rows(jk[:, :, hs], axis=1)
         outputs = []
-        for g, (mlps, task) in enumerate(self.out_mlps[hs]):
+        for g, (mlps, task) in enumerate(weights.out_mlps[hs]):
             cols = [_run_mlp(w, pooled[:, g:g + 1]).reshape(B, -1) for w in mlps]
             outputs.append(cols[0] if task == "classification" else np.concatenate(cols, axis=1))
         return outputs
@@ -1124,14 +1185,15 @@ def _forward_group(
         index, first, inverse = keys[li]
         slots, hit = memo.lookup((kid, li), index, mask)
         miss = np.flatnonzero(~hit)
-        od = stack.layers[li]["out"]
+        L = stack.weights.layers[li]
+        od = L["out"]
         v = ws.get(("vals", li), (index.size, G, od), stack.dtype, lead=2)
         v[hit] = memo.cells[slots[hit], hs, :od]
         if miss.size:
             copies, pos = np.divmod(first[miss], lp.n_out)
-            rag = lp.ragged(copies, pos, in_map, N, heads, stack.models)
+            rag = lp.ragged(copies, pos, in_map, heads, stack.models)
             stored = memo.claim((kid, li), index[miss], slots[miss], mask)
-            v[miss] = _conv_layer(stack.layers[li], stack.tabs[li], heads, inp, rag, ws, N)[0]
+            v[miss[rag.order]] = _conv_layer(L, stack.tabs[li], heads, inp, rag, ws, N)[0]
             kept = stored >= 0
             memo.cells[stored[kept], hs, :od] = v[miss[kept]]
         computed += G * miss.size
@@ -1231,7 +1293,7 @@ class EvaluationPipeline:
         self._device_name = getattr(self._device, "name", None)
         self._point_cache: Dict[str, Dict] = {}
         self._compiled: Dict[tuple, Tuple[_KernelGraph, _HeadStack]] = {}
-        self._dtype: Optional[np.dtype] = None
+        self._weights: Optional[_Weights] = None
         self._memo: Optional[_RowMemo] = None
         self._ws = _Workspace()  # forward scratch, shared by every engine
         # Whether the predictor runs on the compiled engine: decided on
@@ -1292,26 +1354,30 @@ class EvaluationPipeline:
         entry = self._compiled.get(kid)
         if entry is not None:
             return entry
-        models = self._predictor_models()
-        if self._dtype is None:
+        if self._weights is None:
+            models = self._predictor_models()
             # Compile at the dtype the reference forward actually computes
             # in: float32 graph features promoted by the parameter dtype.
             # ``load_state_dict`` keeps each parameter's own dtype, so
             # float64 weights come only from a float64 artifact or a
             # float64 engine default; the promotion is exact, so matching
             # it keeps the compiled path bit-identical.  The models never
-            # change under a pipeline (a new predictor gets a new one).
+            # change under a pipeline (a new predictor gets a new one), so
+            # one weight stack serves every kernel.
             dtype = np.dtype(get_default_dtype())
             for model in models.values():
+                model.eval()
                 for param in model.parameters():
                     dtype = np.promote_types(dtype, param.data.dtype)
-            self._dtype = dtype
-        for model in models.values():
-            model.eval()
-        graph = _KernelGraph(self.encodings.get(kernel, self._device), self._dtype)
-        stack = _HeadStack([CompiledGNNEngine(models[name], graph) for name in _HEADS])
-        if self._memo is None:
-            self._memo = _RowMemo(ROW_MEMO_BYTES, [stack.entry_width] * len(_HEADS), self._dtype)
+            self._weights = _Weights([models[name] for name in _HEADS], dtype)
+            self._memo = _RowMemo(
+                ROW_MEMO_BYTES, [self._weights.entry_width] * len(_HEADS), dtype
+            )
+        weights = self._weights
+        graph = _KernelGraph(self.encodings.get(kernel, self._device), weights.dtype)
+        stack = _HeadStack(
+            weights, [CompiledGNNEngine(weights, i, graph) for i in range(len(_HEADS))]
+        )
         entry = self._compiled[kid] = (graph, stack)
         return entry
 

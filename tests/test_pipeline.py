@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import repro.dse.pipeline as pipeline_module
 from repro.designspace import build_design_space, point_key
@@ -39,7 +40,7 @@ from repro.model.predictor import (
     Prediction,
     predictions_from_outputs,
 )
-from repro.nn.tensor import Tensor, get_default_dtype, set_default_dtype
+from repro.nn.tensor import Segments, Tensor, get_default_dtype, set_default_dtype
 
 
 def make_predictor(seed: int = 0, config_name: str = "M7") -> GNNDSEPredictor:
@@ -477,6 +478,114 @@ class TestMemoSlots:
             assert entry.keys.size <= 2 * 4 + 3
 
 
+class TestJaggedReductions:
+    """The compiled engine's segment reductions over a jagged-diagonal
+    edge layout, and its pooling sum, equal the eager :class:`Segments`
+    reductions bit for bit, signed zeros, subnormals and overflow
+    included."""
+
+    @staticmethod
+    def draw_values(data, dtype, shape):
+        info = np.finfo(dtype)
+        special = st.sampled_from([0.0, -0.0, float(info.tiny), -float(info.tiny),
+                                   float(info.smallest_subnormal), float(info.max) / 2,
+                                   -float(info.max) / 2, 1.0, -1.0])
+        finite = st.floats(width=info.bits, allow_nan=False, allow_infinity=False)
+        return data.draw(hnp.arrays(dtype, shape, elements=st.one_of(special, finite)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_segment_max_and_sum_match_eager(self, dtype, data):
+        """A conv layer's reductions: each row's in-edges in order, then
+        its self-loop, as the eager segment of that row holds them.  Rows
+        are at least 2 columns wide, as the attention heads' are: numpy
+        maxes a lone contiguous column across SIMD lanes, where a tie of
+        -0.0 and +0.0 may come out either way (harmless where the engine
+        uses the max, in ``exp(score - max)``)."""
+        degree = np.array(data.draw(st.lists(st.integers(0, 16), min_size=1, max_size=10)))
+        width = data.draw(st.integers(2, 4))
+        S, E = degree.size, int(degree.sum())
+        edges = self.draw_values(data, dtype, (E, width))
+        own = self.draw_values(data, dtype, (S, width))
+        # Eager: one segment per row, its edges followed by its self-loop.
+        starts = np.cumsum(degree) - degree
+        rows = np.concatenate(
+            [np.concatenate([edges[a:a + d], own[i:i + 1]]) for i, (a, d) in
+             enumerate(zip(starts, degree))]
+        )
+        segments = Segments(np.repeat(np.arange(S), degree + 1), S)
+        order, seg, nth, diagonals = pipeline_module._jagged(degree)
+        assert sum(diagonals) == E and list(diagonals) == sorted(diagonals, reverse=True)
+        jagged = edges[starts[order][seg] + nth]
+        fold = pipeline_module._fold_diagonals
+        for ufunc, start, eager in ((np.maximum, -np.inf, segments.max),
+                                    (np.add, 0.0, segments.sum)):
+            out = np.full((S, width), start, dtype=dtype)
+            with np.errstate(over="ignore", invalid="ignore"):  # large values overflow
+                fold(ufunc, jagged, diagonals, out)
+                ufunc(out, own[order], out=out)
+                want = eager(rows)
+            got = np.empty_like(out)
+            got[order] = out
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pooling_sum_matches_eager(self, dtype, data):
+        copies, nodes = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 16))
+        x = self.draw_values(data, dtype, (copies, nodes, data.draw(st.integers(1, 3))))
+        with np.errstate(over="ignore", invalid="ignore"):  # large values overflow
+            got = pipeline_module._sum_rows(x, axis=1)
+            want = Segments(np.repeat(np.arange(copies), nodes), copies).sum(
+                x.reshape(copies * nodes, -1)
+            )
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+class TestHeldOnce:
+    """Every compiled array is held once: the weights once per pipeline,
+    and per kernel layer only the base rows its planned rows read."""
+
+    KERNELS = ("stencil", "atax", "gemm-blocked")
+
+    @pytest.fixture(scope="class")
+    def stacks(self, f32_predictor):
+        set_default_dtype(np.float32)
+        pipeline = EvaluationPipeline(f32_predictor, batch_size=4, cache=False)
+        for kernel in self.KERNELS:
+            pipeline.predict_batch(kernel, sample_points(kernel, 2, seed=3))
+        return [pipeline._compiled[(kernel, None)][1] for kernel in self.KERNELS]
+
+    def test_kernels_share_the_weight_arrays(self, stacks):
+        first, second = stacks[:2]
+        for L, L0 in zip(second.weights.layers, first.weights.layers):
+            assert all(L[key] is value for key, value in L0.items()
+                       if isinstance(value, np.ndarray))
+        for mlp, mlp0 in zip(second.weights.pool, first.weights.pool):
+            assert all(W is W0 and b is b0 for (W, b), (W0, b0) in zip(mlp, mlp0))
+        for (mlps, _), (mlps0, _) in zip(second.weights.out_mlps, first.weights.out_mlps):
+            assert all(W is W0 for mlp, mlp0 in zip(mlps, mlps0)
+                       for (W, _), (W0, _) in zip(mlp, mlp0))
+
+    def test_base_tables_hold_the_rows_the_plan_reads(self, stacks):
+        for stack in stacks:
+            plan = stack.graph.plan
+            for li, tab in enumerate(stack.tabs):
+                lp = plan.layer(li)
+                R = lp.base_rows.size
+                assert 0 < R < stack.graph.num_nodes
+                assert all(tab[k].shape[0] == R for k in "qkvr")
+                assert tab["e"].shape[0] == lp.edges.size
+                rag = lp.ragged(np.zeros(lp.n_out, dtype=np.int64), np.arange(lp.n_out),
+                                np.arange(lp.n_in)[None], range(stack.models), stack.models)
+                read = np.concatenate([rag.self_t.ravel(), rag.src_t.ravel()])
+                assert np.array_equal(np.unique(read[read < R]), np.arange(R))
+
+
 class TestEluAndWorkspace:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_elu_matches_tensor_elu(self, dtype):
@@ -649,6 +758,29 @@ class TestEngineSelection:
         assert pipeline.stats.engine == "reference"
         with pytest.raises(UnsupportedModelError):
             EvaluationPipeline(mixed, engine="compiled").predict_batch("fir", points)
+
+    @pytest.mark.parametrize("missing", ["lin_edge", "lin_beta"])
+    def test_convs_without_edge_features_or_gate_run_on_reference(self, predictor, missing):
+        """A transformer conv without edge features (``use_edge_attr=False``)
+        or without its gate is not lowered: "auto" answers on the reference
+        engine, "compiled" refuses."""
+        config = replace(MODEL_CONFIGS["M7"], use_edge_attr=missing != "lin_edge")
+        tasks = [
+            config.for_task("classification"),
+            config.for_task("regression", REGRESSION_OBJECTIVES),
+            config.for_task("regression", BRAM_OBJECTIVE),
+        ]
+        models = [build_model(task, NODE_DIM, EDGE_DIM, seed=s) for s, task in enumerate(tasks)]
+        for model in models:
+            for conv in model.convs:
+                setattr(conv, missing, None)
+        stack = GNNDSEPredictor(*models, predictor.normalizer, predictor.builder)
+        points = sample_points("fir", 2, seed=2)
+        pipeline = EvaluationPipeline(stack, batch_size=4)
+        assert pipeline.predict_batch("fir", points) == [stack.predict("fir", p) for p in points]
+        assert pipeline.stats.engine == "reference"
+        with pytest.raises(UnsupportedModelError):
+            EvaluationPipeline(stack, engine="compiled").predict_batch("fir", points)
 
     @pytest.mark.parametrize("mode", ["fused", "bogus"])
     def test_unknown_engine_rejected(self, predictor, mode):

@@ -8,14 +8,19 @@ JSON transport must round-trip every float exactly.
 """
 
 import json
+import os
 import random
 import socket
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 import urllib.error
 import urllib.request
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,6 +294,46 @@ class TestPredictorService:
             service.predict("fir", [{}])
         with pytest.raises(ServeError):
             service.dse_top("fir")
+
+    def test_serving_loads_no_scipy(self):
+        """scipy serves only the eager and training path: a fresh process
+        that boots a service and predicts on the compiled engine never
+        imports it."""
+        script = textwrap.dedent("""
+            import random, sys
+            from repro.designspace import build_design_space
+            from repro.explorer.database import Database
+            from repro.graph.encoding import EDGE_DIM, NODE_DIM
+            from repro.kernels import get_kernel
+            from repro.model.config import BRAM_OBJECTIVE, MODEL_CONFIGS, REGRESSION_OBJECTIVES
+            from repro.model.dataset import GraphDatasetBuilder
+            from repro.model.models import build_model
+            from repro.model.predictor import GNNDSEPredictor
+            from repro.serve import PredictorService
+
+            builder = GraphDatasetBuilder(Database())
+            config = MODEL_CONFIGS["M7"]
+            tasks = [config.for_task("classification"),
+                     config.for_task("regression", REGRESSION_OBJECTIVES),
+                     config.for_task("regression", BRAM_OBJECTIVE)]
+            models = [build_model(task, NODE_DIM, EDGE_DIM, seed=s) for s, task in enumerate(tasks)]
+            predictor = GNNDSEPredictor(*models, builder.normalizer, builder)
+            with PredictorService(predictor, batch_size=4) as service:
+                for kernel in ("stencil", "atax", "gemm-blocked"):
+                    points = build_design_space(get_kernel(kernel)).sample(random.Random(0), 4)
+                    assert len(service.predict(kernel, points)) == 4
+                assert service.pipeline.stats.engine == "compiled"
+            print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        ))
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.strip().splitlines()[-1] == "[]"
 
 
 # ---------------------------------------------------------------------------
