@@ -5,7 +5,10 @@ the trained predictor stack) are produced once and cached on disk under
 ``.repro_cache/`` so every table/figure experiment — and repeated
 benchmark runs — reuse them.  Predictors are cached as artifact
 directories (:mod:`repro.serve.registry`), so a reload is bit-identical
-to the stack that was trained.
+to the stack that was trained.  Every cached name carries the scale,
+the database generator's revision
+(:data:`~repro.explorer.runner.GENERATOR_REVISION`) and the seed, so a
+cache written by an older generator is never read back.
 
 Environment knobs (all optional):
 
@@ -30,7 +33,7 @@ from typing import Dict, Optional
 
 from ..durable import atomic_write
 from ..explorer.database import Database
-from ..explorer.runner import generate_database
+from ..explorer.runner import GENERATOR_REVISION, generate_database
 from ..hls.tool import MerlinHLSTool
 from ..model.predictor import GNNDSEPredictor, train_predictor
 from ..model.trainer import TrainConfig
@@ -77,8 +80,13 @@ class ExperimentContext:
     # -- database -------------------------------------------------------------
 
     @property
+    def _tag(self) -> str:
+        """Scale and generator revision: what every cached name depends on."""
+        return f"s{self.scale:g}_g{GENERATOR_REVISION}"
+
+    @property
     def database_path(self) -> Path:
-        return self.cache_dir / f"database_s{self.scale:g}_r{self.seed}.json"
+        return self.cache_dir / f"database_{self._tag}_r{self.seed}.json"
 
     def database(self, refresh: bool = False) -> Database:
         """The initial training database (Table 1's, scaled)."""
@@ -97,7 +105,7 @@ class ExperimentContext:
 
     def _predictor_path(self, config_name: str) -> Path:
         return self.cache_dir / (
-            f"predictor_{config_name}_s{self.scale:g}_e{self.epochs}_r{self.seed}"
+            f"predictor_{config_name}_{self._tag}_e{self.epochs}_r{self.seed}"
         )
 
     def predictor(self, config_name: str = "M7", refresh: bool = False) -> GNNDSEPredictor:
@@ -121,7 +129,7 @@ class ExperimentContext:
     # -- results persistence ---------------------------------------------------------
 
     def result_path(self, name: str) -> Path:
-        return self.cache_dir / f"{name}_s{self.scale:g}_e{self.epochs}_r{self.seed}.json"
+        return self.cache_dir / f"{name}_{self._tag}_e{self.epochs}_r{self.seed}.json"
 
     def load_result(self, name: str):
         path = self.result_path(name)

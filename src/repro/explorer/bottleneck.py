@@ -120,9 +120,11 @@ class BottleneckExplorer:
     # -- improvement hook (overridden by the hybrid explorer) ---------------------------
 
     def _on_improvement(
-        self, point: DesignPoint, before: float, after: float, round: int
+        self, point: DesignPoint, before: float, after: float, round: int, out_of_budget
     ) -> Optional[Tuple[DesignPoint, HLSResult]]:
-        """Called after each committed improvement; may return a better point."""
+        """Called after each committed improvement; may return a better point.
+
+        ``out_of_budget()`` must be checked before each evaluation."""
         return None
 
     # -- main loop ------------------------------------------------------------------
@@ -182,7 +184,9 @@ class BottleneckExplorer:
                         best_point, best_result = best_cand
                         best_score = self._score(best_result)
                         trajectory.append((point_key(best_point), best_result.latency))
-                        extra = self._on_improvement(best_point, before, best_score, round)
+                        extra = self._on_improvement(
+                            best_point, before, best_score, round, out_of_budget
+                        )
                         if extra is not None and self._score(extra[1]) < best_score:
                             best_point, best_result = extra
                             best_score = self._score(best_result)

@@ -40,7 +40,7 @@ class HybridExplorer(BottleneckExplorer):
         self.neighbor_budget = neighbor_budget
 
     def _on_improvement(
-        self, point: DesignPoint, before: float, after: float, round: int
+        self, point: DesignPoint, before: float, after: float, round: int, out_of_budget
     ) -> Optional[Tuple[DesignPoint, HLSResult]]:
         # Relative quality improvement (scores are latencies; inf = unusable).
         if before != float("inf"):
@@ -51,6 +51,8 @@ class HybridExplorer(BottleneckExplorer):
         self.rng.shuffle(neighbors)
         best: Optional[Tuple[DesignPoint, HLSResult]] = None
         for neighbor in neighbors[: self.neighbor_budget]:
+            if out_of_budget():
+                break
             result = self._evaluate(neighbor, round)
             if result is None:
                 continue

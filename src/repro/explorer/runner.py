@@ -19,7 +19,12 @@ from .evaluator import Evaluator
 from .hybrid import HybridExplorer
 from .random_explorer import RandomExplorer
 
-__all__ = ["DEFAULT_TARGETS", "generate_database"]
+__all__ = ["DEFAULT_TARGETS", "GENERATOR_REVISION", "generate_database"]
+
+#: Bumped whenever :func:`generate_database` would write other records
+#: for the same arguments, so caches keyed on it are rebuilt.
+#: 2: the hybrid's neighbour step stops when the budget runs out.
+GENERATOR_REVISION = 2
 
 #: Target evaluated-design counts per kernel, from Table 1's initial DB.
 DEFAULT_TARGETS: Dict[str, int] = {

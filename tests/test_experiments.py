@@ -92,6 +92,15 @@ class TestContextPaths:
         path = ctx._predictor_path("M7")
         assert "M7" in path.name and "e7" in path.name
 
+    def test_cache_paths_encode_generator_revision(self, tmp_path):
+        from repro.experiments import ExperimentContext
+        from repro.explorer.runner import GENERATOR_REVISION
+
+        ctx = ExperimentContext(cache_dir=tmp_path, scale=0.25, epochs=7, seed=3)
+        tag = f"_g{GENERATOR_REVISION}_"
+        for path in (ctx.database_path, ctx._predictor_path("M7"), ctx.result_path("t")):
+            assert tag in path.name
+
     def test_result_roundtrip(self, tmp_path):
         from repro.experiments import ExperimentContext
 

@@ -201,6 +201,19 @@ class TestGenerateDatabase:
         sources = {r.source for r in db}
         assert "random" in sources
 
+    def test_directed_phases_respect_budget(self):
+        """The hybrid's neighbour step stops when the budget runs out.
+
+        atax at scale 0.05 targets 30 designs; the bottleneck and hybrid
+        phases together may spend 7 + 9 of them.
+        """
+        db = generate_database(kernels=["atax", "spmv-crs"], scale=0.05, seed=1)
+        directed = [
+            r for r in db
+            if r.kernel == "atax" and r.source in ("bottleneck", "hybrid")
+        ]
+        assert len(directed) <= 16
+
 
 class TestConflictSemantics:
     """`add`/`merge` when the same point arrives from different rounds."""
