@@ -1,8 +1,11 @@
 """Tests for the database, evaluator, and the three explorers."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.designspace import build_design_space
+from repro.durable import json_digest
 from repro.errors import DatabaseError
 from repro.explorer import (
     BottleneckExplorer,
@@ -213,6 +216,43 @@ class TestGenerateDatabase:
             if r.kernel == "atax" and r.source in ("bottleneck", "hybrid")
         ]
         assert len(directed) <= 16
+
+
+class TestPinnedOutcomes:
+    """Exact outcomes of the HLS-in-the-loop searches, pinned so that a
+    change to the search core shows up as a changed record or row."""
+
+    @pytest.mark.parametrize(
+        "scale, digest",
+        [
+            (0.3, "e3387876b2db27f5ce0ab34fc46c514473f04d2f1f7cd1b4dc80d11c3943727e"),
+            (0.1, "efb009900b7719b4f579ee85d5d0a8108a2d2e6c0764813c44350cdb26bdc866"),
+        ],
+    )
+    def test_generated_database_digest(self, scale, digest):
+        db = generate_database(scale=scale, seed=0)
+        assert json_digest([asdict(r) for r in db]) == digest
+
+    @pytest.mark.parametrize(
+        "kernel, latency, evaluations, hours",
+        [
+            ("bicg", 1136, 34, "13.024"),
+            ("doitgen", 3325, 19, "4.328"),
+            ("gesummv", 1717, 17, "8.000"),
+            ("2mm", 45708, 74, "21.607"),
+        ],
+    )
+    def test_table3_autodse_rows(self, kernel, latency, evaluations, hours):
+        """Table 3's AutoDSE baseline: 163 evaluations or 21 simulated
+        hours on 8 workers, seed 0."""
+        spec = get_kernel(kernel)
+        evaluator = Evaluator(MerlinHLSTool(), Database(), parallelism=8)
+        result = BottleneckExplorer(
+            spec, build_design_space(spec), evaluator, seed=0
+        ).run(max_evals=163, max_hours=21.0)
+        assert result.best_latency == latency
+        assert result.evaluations == evaluations
+        assert f"{result.elapsed_hours:.3f}" == hours
 
 
 class TestConflictSemantics:
