@@ -91,9 +91,10 @@ bench-repo-smoke:
 	sys.exit('bench: failed checks in %s' % bad if bad else 0)"
 
 # Everything CI runs, in the same order: lint, the tier-1 suite, and
-# the ten smoke gates.  `make ci` green locally = workflow green.
+# the eleven smoke gates.  `make ci` green locally = workflow green.
 ci: lint
 	$(PY) -m pytest tests/ -x -q
+	$(MAKE) examples
 	$(MAKE) bench-smoke
 	$(MAKE) bench-micro-smoke
 	$(MAKE) serve-smoke
@@ -111,6 +112,7 @@ bench-fast:
 	REPRO_FIG7_ROUNDS=2 REPRO_FIG7_EPOCHS=2 REPRO_ABLATION_EPOCHS=2 \
 	$(PY) -m pytest benchmarks/ --benchmark-only
 
+# The training-free walk-throughs, run end to end (~1 s).
 examples:
 	$(PY) examples/quickstart.py
 	$(PY) examples/explore_design_space.py

@@ -4,21 +4,17 @@
 Compares the three database-generation explorers of Section 4.1 —
 bottleneck-based, hybrid (bottleneck + local search), and random — on
 the same evaluation budget, then prints the Pareto frontier of all
-evaluated designs.  This is the "slow path" GNN-DSE exists to replace:
-note the simulated tool-hours each explorer consumes.
+evaluated designs.  Each explorer is a budgeted search strategy
+stepped by the same racer the surrogate-driven DSE uses; here the HLS
+tool scores every point.  This is the "slow path" GNN-DSE exists to
+replace: note the simulated tool-hours each explorer consumes.
 
 Run:  python examples/explore_design_space.py
 """
 
 from repro.designspace import build_design_space
-from repro.dse import pareto_front
-from repro.explorer import (
-    BottleneckExplorer,
-    Database,
-    Evaluator,
-    HybridExplorer,
-    RandomExplorer,
-)
+from repro.dse import BudgetedEvaluator, QueryBudget, StrategyRacer, pareto_front
+from repro.explorer import Database, Evaluator
 from repro.hls import MerlinHLSTool
 from repro.kernels import get_kernel
 
@@ -36,23 +32,17 @@ def main() -> None:
     print(f"unoptimised design: {baseline.latency:,} cycles\n")
 
     database = Database()
-    for explorer_cls, name in (
-        (BottleneckExplorer, "bottleneck"),
-        (HybridExplorer, "hybrid"),
-        (RandomExplorer, "random"),
-    ):
+    for name in ("bottleneck", "hybrid", "random"):
         evaluator = Evaluator(tool, database, parallelism=8)
-        explorer = explorer_cls(spec, space, evaluator)
-        result = explorer.run(max_evals=BUDGET)
-        best = f"{result.best_latency:,}" if result.best_latency else "none found"
-        speedup = (
-            f"{baseline.latency / result.best_latency:.1f}x"
-            if result.best_latency
-            else "-"
-        )
+        evaluator.source = name  # the tag its records carry
+        search = BudgetedEvaluator(evaluator, spec, space, QueryBudget(BUDGET))
+        result = StrategyRacer(search, [name]).run()
+        best_latency = result.top[0].prediction.latency if result.top else None
+        best = f"{best_latency:,}" if best_latency else "none found"
+        speedup = f"{baseline.latency / best_latency:.1f}x" if best_latency else "-"
         print(
-            f"{name:10s}: {result.evaluations:3d} evals, "
-            f"{result.elapsed_hours:5.1f} simulated tool-hours, "
+            f"{name:10s}: {result.queries:3d} evals, "
+            f"{evaluator.elapsed_hours:5.1f} simulated tool-hours, "
             f"best latency {best} ({speedup} vs unoptimised)"
         )
 

@@ -15,9 +15,9 @@ Run:  python examples/optimize_unseen_kernel.py
 """
 
 from repro.designspace import build_design_space
-from repro.dse import ModelDSE
+from repro.dse import BudgetedEvaluator, ModelDSE, QueryBudget, StrategyRacer
 from repro.experiments import default_context
-from repro.explorer import BottleneckExplorer, Database, Evaluator
+from repro.explorer import Database, Evaluator
 from repro.kernels import get_kernel
 
 KERNEL = "gesummv"
@@ -67,17 +67,19 @@ def main() -> None:
 
     print("\nAutoDSE baseline (HLS in the loop) ...")
     evaluator = Evaluator(ctx.tool, Database(), parallelism=8)
-    autodse = BottleneckExplorer(spec, space, evaluator).run(
-        max_evals=163, max_hours=21.0
-    )
+    budget = QueryBudget(163, max_hours=21.0)
+    search = BudgetedEvaluator(evaluator, spec, space, budget)
+    autodse = StrategyRacer(search, ["bottleneck"]).run()
+    autodse_latency = autodse.top[0].prediction.latency if autodse.top else None
+    autodse_hours = evaluator.elapsed_hours
     print(
-        f"AutoDSE: {autodse.evaluations} designs in "
-        f"{autodse.elapsed_hours:.1f} simulated hours, "
-        f"best {autodse.best_latency:,} cycles"
+        f"AutoDSE: {autodse.queries} designs in "
+        f"{autodse_hours:.1f} simulated hours, "
+        f"best {autodse_latency:,} cycles"
     )
-    if best_latency and autodse.best_latency:
-        speedup = autodse.elapsed_hours * 60.0 / gnn_minutes
-        quality = (autodse.best_latency - best_latency) / autodse.best_latency * 100
+    if best_latency and autodse_latency:
+        speedup = autodse_hours * 60.0 / gnn_minutes
+        quality = (autodse_latency - best_latency) / autodse_latency * 100
         print(
             f"\n=> GNN-DSE is {speedup:.0f}x faster with {quality:+.1f}% "
             f"latency difference (paper: 11-79x faster, -2%..+5% quality)"

@@ -10,8 +10,10 @@ bottom-up (each layer usable on its own):
 - :mod:`repro.hls` — the simulated Merlin+HLS evaluator (ground truth);
 - :mod:`repro.nn` — numpy autograd + GNN layers (PyTorch substitute);
 - :mod:`repro.model` — the M1–M7 predictive models and training;
-- :mod:`repro.explorer` — database generation (AutoDSE-style);
-- :mod:`repro.dse` — model-driven design-space exploration;
+- :mod:`repro.explorer` — the HLS-in-the-loop scorer and database
+  generation (AutoDSE's explorers, run as :mod:`repro.dse` strategies);
+- :mod:`repro.dse` — design-space exploration: one budgeted search
+  core, scored by the surrogate or by the HLS tool;
 - :mod:`repro.analysis` — t-SNE and attention analysis;
 - :mod:`repro.experiments` — one entry point per paper table/figure.
 

@@ -12,7 +12,7 @@ Commands mirror the three operating modes of Fig. 1(a) plus utilities:
 - ``loop``        — closed-loop active learning: DSE → HLS labels →
   fine-tune → publish to a registry (→ hot-swap a live server);
 - ``artifacts``   — verify a model registry or a single artifact;
-- ``autodse``     — run the HLS-in-the-loop bottleneck explorer;
+- ``autodse``     — run AutoDSE's bottleneck search with the HLS tool in the loop;
 - ``experiment``  — regenerate one paper table/figure.
 
 Examples::
@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", "--kernel", required=True)
     p.add_argument("-d", "--database", required=True)
 
-    p = sub.add_parser("autodse", help="HLS-in-the-loop bottleneck explorer")
+    p = sub.add_parser("autodse", help="HLS-in-the-loop bottleneck search")
     p.add_argument("-k", "--kernel", required=True)
     p.add_argument("--max-evals", type=int, default=100)
     p.add_argument("--max-hours", type=float, default=None, help="simulated tool-hours budget")
@@ -684,17 +684,19 @@ def _cmd_coverage(args) -> int:
 
 
 def _cmd_autodse(args) -> int:
-    from .explorer import BottleneckExplorer, Database, Evaluator
+    from .dse import BudgetedEvaluator, QueryBudget, StrategyRacer
+    from .explorer import Database, Evaluator
 
     spec = get_kernel(args.kernel)
     space = build_design_space(spec)
     evaluator = Evaluator(MerlinHLSTool(), Database(), parallelism=8)
-    explorer = BottleneckExplorer(spec, space, evaluator)
-    result = explorer.run(max_evals=args.max_evals, max_hours=args.max_hours)
-    best = f"{result.best_latency:,}" if result.best_latency else "none"
+    budget = QueryBudget(args.max_evals, max_hours=args.max_hours)
+    search = BudgetedEvaluator(evaluator, spec, space, budget)
+    result = StrategyRacer(search, ["bottleneck"]).run()
+    best = f"{result.top[0].prediction.latency:,}" if result.top else "none"
     print(
-        f"{args.kernel}: {result.evaluations} designs, "
-        f"{result.elapsed_hours:.1f} simulated tool-hours, best latency {best}"
+        f"{args.kernel}: {result.queries} designs, "
+        f"{evaluator.elapsed_hours:.1f} simulated tool-hours, best latency {best}"
     )
     return 0
 

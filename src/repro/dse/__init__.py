@@ -21,7 +21,9 @@
   :mod:`~repro.dse.race` — budgeted search strategies (simulated
   annealing, greedy, REINFORCE policy explorer, random) raced under one
   shared query budget by a UCB bandit; the ``sa`` arm is the repo's
-  annealer;
+  annealer.  AutoDSE's bottleneck search (:class:`BottleneckStrategy`,
+  arms ``bottleneck`` and ``hybrid``) runs on the same core with the
+  HLS tool's :class:`~repro.explorer.Evaluator` as the scorer;
 - :mod:`~repro.dse.hypervolume` — exact WFG hypervolume, the search
   quality metric the benchmarks gate on;
 - :func:`run_dse` — the one request path ``repro dse`` and
@@ -61,6 +63,7 @@ from .run import STRATEGIES, run_dse
 from .search import PARETO_KEYS, DSECandidate, DSEResult, Frontier, ModelDSE
 from .strategies import (
     AnnealingStrategy,
+    BottleneckStrategy,
     BudgetedEvaluator,
     GreedyStrategy,
     OrderedBeamStrategy,
@@ -99,6 +102,7 @@ __all__ = [
     "Frontier",
     "ModelDSE",
     "AnnealingStrategy",
+    "BottleneckStrategy",
     "BudgetedEvaluator",
     "DEFAULT_ARMS",
     "GreedyStrategy",

@@ -1,39 +1,49 @@
-"""Budgeted search strategies over one shared surrogate-query ledger.
+"""Budgeted search strategies over one shared query ledger.
 
-Every model-driven search in the repo is a :class:`SearchStrategy`
-stepped by :meth:`~repro.dse.race.StrategyRacer.run` on a
-:class:`BudgetedEvaluator`: the meta-searcher races simulated
-annealing, bottleneck-style greedy hill climbing, the RL policy
-explorer and random sampling under **one** query budget;
-:class:`~repro.dse.search.ModelDSE` runs the exhaustive sweep
-(:class:`SweepStrategy`) or the paper's ordered-pragma beam
-(:class:`OrderedBeamStrategy`) as a one-arm race; and every
-:class:`~repro.dse.parallel.ParallelDSE` shard is a sweep over its
-points.  Everything they share lives here:
+Every search in the repo, on the surrogate or with the HLS tool in the
+loop, is a :class:`SearchStrategy` stepped by
+:meth:`~repro.dse.race.StrategyRacer.run` on a
+:class:`BudgetedEvaluator`; what scores a point is the only difference.
+The meta-searcher races simulated annealing, bottleneck-style greedy
+hill climbing, the RL policy explorer and random sampling under
+**one** query budget; :class:`~repro.dse.search.ModelDSE` runs the
+exhaustive sweep (:class:`SweepStrategy`) or the paper's
+ordered-pragma beam (:class:`OrderedBeamStrategy`) as a one-arm race;
+every :class:`~repro.dse.parallel.ParallelDSE` shard is a sweep over
+its points; and AutoDSE's bottleneck search
+(:class:`BottleneckStrategy`) scores points with the HLS tool, both
+as Table 3's baseline and in the database generator's bottleneck,
+hybrid and random phases (:func:`repro.explorer.generate_database`).
+Everything they share lives here:
 
 - :class:`QueryBudget` — the hard cap on *distinct* design points
-  pushed through the surrogate.  Revisits are served from the shared
-  memo for free (exactly how the evaluation pipeline's point cache
-  behaves), so strategies compete on model compute, not on how often
-  they re-probe known points.
+  pushed through the scorer, and optionally on the scorer's simulated
+  tool-hours.  Revisits are served from the shared memo for free
+  (exactly how the evaluation pipeline's point cache behaves), so
+  strategies compete on scoring cost, not on how often they re-probe
+  known points.
 - :class:`BudgetedEvaluator` — batches candidate points through the
-  :class:`~repro.dse.pipeline.EvaluationPipeline` in lockstep (one
-  surrogate batch per step across all chains/episodes), charges the
-  budget for memo misses only, and maintains the **shared** top-M list
-  and Pareto front (over the target device's objective axes) every
-  strategy contributes to.
+  scorer in lockstep (one ``predict_batch`` per step across all
+  chains/episodes), charges the budget for memo misses only, and
+  maintains the **shared** top-M list and Pareto front (over the
+  target device's objective axes) every strategy contributes to.  The
+  scorer is an :class:`~repro.dse.pipeline.EvaluationPipeline` or the
+  tool-backed :class:`~repro.explorer.Evaluator`, which synthesizes
+  and commits each point to the design database.
 - :class:`SearchStrategy` — the stepper interface: ``step(grant)``
   advances the strategy until ``grant`` queries are spent (or it
   stalls), reporting how many new Pareto points the spend produced —
   the bandit's reward signal.
 
-Every strategy draws from its own ``random.Random(seed)`` stream in a
-fixed order, so a seeded run's edit trajectory and budget ledger are
-bit-reproducible.  The beam draws nothing at random.
+Every strategy draws from its own ``random.Random`` stream in a fixed
+order, so a seeded run's edit trajectory and budget ledger are
+bit-reproducible.  The beam and the bottleneck walk draw nothing at
+random.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -42,12 +52,14 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..designspace.space import DesignPoint, DesignSpace, point_key
 from ..errors import ReproError
+from ..frontend.pragmas import PragmaKind
 from .ordering import order_pragmas
 from .pareto import objective_keys_for
 from .search import DSECandidate, Frontier, is_usable
 
 __all__ = [
     "AnnealingStrategy",
+    "BottleneckStrategy",
     "BudgetedEvaluator",
     "GreedyStrategy",
     "OrderedBeamStrategy",
@@ -61,13 +73,21 @@ __all__ = [
 
 
 class QueryBudget:
-    """Hard cap on distinct surrogate queries, shared by all strategies."""
+    """Hard cap on distinct queries, shared by all strategies.
 
-    def __init__(self, limit: int):
+    ``max_hours`` (None = no cap) also caps the simulated tool-hours of
+    a scorer that keeps a clock (the HLS tool's
+    :class:`~repro.explorer.Evaluator`): :attr:`hours` is read off that
+    clock after each synthesis, and the cap is checked before the next.
+    """
+
+    def __init__(self, limit: int, max_hours: Optional[float] = None):
         if limit < 1:
             raise ReproError(f"query budget must be >= 1, got {limit}")
         self.limit = int(limit)
         self.spent = 0
+        self.max_hours = max_hours
+        self.hours = 0.0
 
     @property
     def remaining(self) -> int:
@@ -75,7 +95,9 @@ class QueryBudget:
 
     @property
     def exhausted(self) -> bool:
-        return self.spent >= self.limit
+        return self.spent >= self.limit or (
+            self.max_hours is not None and self.hours >= self.max_hours
+        )
 
     def charge(self, queries: int) -> None:
         if queries > self.remaining:
@@ -87,12 +109,18 @@ class QueryBudget:
 
 
 class BudgetedEvaluator:
-    """Shared, memoised, budget-charging surrogate evaluator.
+    """Shared, memoised, budget-charging evaluator.
 
     One instance is shared by every strategy in a race: the memo, the
     top-M list, and the Pareto front are global, so a point one
     strategy already paid for is free for the others and the front is
-    the union of everyone's discoveries.  ``device`` (None = the
+    the union of everyone's discoveries.  ``pipeline`` is the scorer:
+    anything with ``predict_batch(kernel, points, objectives_for)``
+    returning one result per point that has ``valid``, ``latency``,
+    ``objectives`` and ``fits(threshold, axes)`` — the surrogate's
+    :class:`~repro.dse.pipeline.EvaluationPipeline` or the HLS tool's
+    :class:`~repro.explorer.Evaluator` (which also keeps the simulated
+    clock a ``max_hours`` budget reads).  ``device`` (None = the
     reference device) picks the front's objective axes and the
     resource axes a usable design must fit on.
     """
@@ -115,6 +143,7 @@ class BudgetedEvaluator:
         self.fit_axes = getattr(device, "fit_axes", None)
         self.memo: Dict[str, DSECandidate] = {}
         self.frontier = Frontier(top_m, objective_keys_for(device), self.usable)
+        self._hours0 = pipeline.elapsed_hours if budget.max_hours is not None else 0.0
 
     def usable(self, candidate: DSECandidate) -> bool:
         return is_usable(candidate, self.fit_threshold, self.fit_axes)
@@ -129,7 +158,8 @@ class BudgetedEvaluator:
         Memo hits are free; distinct new points are charged against the
         budget.  When the remaining budget cannot cover every new point
         the batch is truncated deterministically (first-come order) and
-        the dropped tail comes back as ``None``.  The second list flags,
+        the dropped tail comes back as ``None``; so do the points an
+        hours cap stopped the scorer before.  The second list flags,
         per input point, whether it just entered the shared Pareto
         front — the novelty signal the RL reward and the racer's bandit
         both consume.
@@ -141,16 +171,13 @@ class BudgetedEvaluator:
                 new[key] = point
         affordable = min(len(new), self.budget.remaining)
         new_keys = list(itertools.islice(new, affordable))
-        new_points = [new[key] for key in new_keys]
         fresh_flags: Dict[str, bool] = {}
-        if new_points:
-            self.budget.charge(len(new_points))
-            predictions = self.pipeline.predict_batch(
-                self.spec.name, new_points, objectives_for="valid"
-            )
+        if new_keys:
+            predictions = self._score([new[key] for key in new_keys])
+            new_keys = new_keys[: len(predictions)]
             fresh = [
-                DSECandidate(point, prediction)
-                for point, prediction in zip(new_points, predictions)
+                DSECandidate(new[key], prediction)
+                for key, prediction in zip(new_keys, predictions)
             ]
             for key, candidate in zip(new_keys, fresh):
                 self.memo[key] = candidate
@@ -166,6 +193,25 @@ class BudgetedEvaluator:
             novel.append(is_novel)
             seen_in_call.add(key)
         return out, novel
+
+    def _score(self, points: List[DesignPoint]) -> list:
+        """Charge and score ``points``; under an hours cap, the prefix
+        scored before the cap was reached."""
+        if self.budget.max_hours is None:
+            self.budget.charge(len(points))
+            return self.pipeline.predict_batch(
+                self.spec.name, points, objectives_for="valid"
+            )
+        predictions: list = []
+        for point in points:
+            if self.budget.exhausted:
+                break
+            predictions += self.pipeline.predict_batch(
+                self.spec.name, [point], objectives_for="valid"
+            )
+            self.budget.charge(1)
+            self.budget.hours = self.pipeline.elapsed_hours - self._hours0
+        return predictions
 
     @property
     def queries(self) -> int:
@@ -501,12 +547,159 @@ class OrderedBeamStrategy(SearchStrategy):
         return [DSECandidate(p, pred) for p, pred in zip(points, predictions)]
 
 
+#: Knob-kind priority per loop bottleneck type: what AutoDSE tries first.
+_KIND_PRIORITY = {
+    "memory": (PragmaKind.TILE, PragmaKind.PARALLEL, PragmaKind.PIPELINE),
+    "dependence": (PragmaKind.PIPELINE, PragmaKind.TILE, PragmaKind.PARALLEL),
+    "trip": (PragmaKind.PIPELINE, PragmaKind.PARALLEL, PragmaKind.TILE),
+    "compute": (PragmaKind.PARALLEL, PragmaKind.PIPELINE, PragmaKind.TILE),
+    "": (PragmaKind.PARALLEL, PragmaKind.PIPELINE, PragmaKind.TILE),
+}
+
+
+class BottleneckStrategy(SearchStrategy):
+    """AutoDSE's bottleneck-driven search: Table 3's baseline and the
+    database generator's first two explorers (Section 4.1).
+
+    It reads the loop reports of an :class:`~repro.hls.report.HLSResult`,
+    so it runs on the HLS tool's :class:`~repro.explorer.Evaluator`.
+    Starting from the default point, it visits the best design's loops
+    from most to least cycles; on each loop it tries the knob kinds its
+    bottleneck type favours first, scoring every more aggressive
+    setting of one knob as one batch.  The first knob whose batch holds
+    a usable improvement commits its lowest-latency one, and the walk
+    restarts from the new best design's reports.  It ends when no knob
+    improves; ``propose`` then returns nothing.
+
+    ``hybrid`` adds the local search of the hybrid explorer: after a
+    commit that improves the best latency by at least
+    :attr:`IMPROVEMENT_THRESHOLD` (the paper's X%), it also scores
+    :attr:`NEIGHBOR_BUDGET` (P) shuffled one-knob neighbours of the new
+    best and commits the best of them if it improves further.
+
+    A batch whose points are all in the shared memo (a hybrid run
+    re-walking a bottleneck run's path) costs nothing, so ``propose``
+    answers it from the memo itself rather than count it toward a
+    stall.  :attr:`trajectory` lists ``(point key, latency)`` of the
+    start point and of every commit.
+    """
+
+    name = "bottleneck"
+
+    IMPROVEMENT_THRESHOLD = 0.10
+    NEIGHBOR_BUDGET = 8
+
+    def __init__(self, evaluator: BudgetedEvaluator, seed: int = 0, hybrid: bool = False):
+        super().__init__(evaluator, seed)
+        if hybrid:
+            self.name = "hybrid"
+        self.hybrid = hybrid
+        self.rng = random.Random(seed)  # the neighbour shuffle's stream
+        self.trajectory: List[Tuple[str, float]] = []
+        self._walk = self._search()
+        self._batch = self._send(None)
+
+    def propose(self) -> List[DesignPoint]:
+        memo = self.evaluator.memo
+        while self._batch:
+            keys = [point_key(p) for p in self._batch]
+            if any(key not in memo for key in keys):
+                break
+            self._batch = self._send([memo[key] for key in keys])
+        return self._batch
+
+    def observe(self, points, candidates, novel) -> None:
+        self._batch = self._send(candidates)
+
+    def _send(self, scored) -> List[DesignPoint]:
+        """Feed the walk one batch's scores; its next batch ([] = done)."""
+        try:
+            return self._walk.send(scored)
+        except StopIteration:
+            return []
+
+    def _search(self):
+        """The walk as a generator: yields batches, is sent their scores."""
+        space = self.evaluator.space
+        (best,) = yield [space.default_point()]
+        if best is None:
+            return
+        best_score = self._commit(best)
+        while True:
+            for knob in self._knobs(best):
+                candidates = self._more_aggressive(best.point, knob)
+                if not candidates:
+                    continue
+                choice = self._improvement((yield candidates), best_score)
+                if choice is not None:
+                    break
+            else:
+                return  # no knob improves the best design
+            before = best_score
+            best, best_score = choice, self._commit(choice)
+            if not self.hybrid or (
+                before != math.inf
+                and (before - best_score) / before < self.IMPROVEMENT_THRESHOLD
+            ):
+                continue
+            neighbors = space.neighbors(best.point)
+            self.rng.shuffle(neighbors)
+            if not neighbors:
+                continue
+            extra = self._improvement(
+                (yield neighbors[: self.NEIGHBOR_BUDGET]), best_score
+            )
+            if extra is not None:
+                best, best_score = extra, self._commit(extra)
+
+    def _commit(self, candidate: DSECandidate) -> float:
+        """Record a new best design; its score."""
+        self.trajectory.append((point_key(candidate.point), candidate.predicted_latency))
+        return self.score(candidate)
+
+    def _improvement(self, scored, bar: float) -> Optional[DSECandidate]:
+        """The first lowest-latency candidate scoring below ``bar``."""
+        best = None
+        for candidate in scored:
+            if self.score(candidate) < bar and (
+                best is None or candidate.predicted_latency < best.predicted_latency
+            ):
+                best = candidate
+        return best
+
+    def _knobs(self, best: DSECandidate):
+        """Knobs of the best design's loops, most cycles first, each
+        loop's ordered by its bottleneck type."""
+        loops = sorted(best.prediction.all_loops(), key=lambda loop: loop.cycles, reverse=True)
+        for report in loops:
+            kinds = _KIND_PRIORITY.get(report.bottleneck, _KIND_PRIORITY[""])
+            priority = {kind: i for i, kind in enumerate(kinds)}
+            knobs = [
+                k
+                for k in self.evaluator.space.knobs
+                if k.loop_label == report.label and k.function == report.function
+            ]
+            yield from sorted(knobs, key=lambda k: priority.get(k.kind, 9))
+
+    def _more_aggressive(self, point: DesignPoint, knob) -> List[DesignPoint]:
+        """The point with ``knob`` set to each later (more aggressive) candidate."""
+        rules = self.evaluator.space.rules
+        out = []
+        for candidate in knob.candidates[knob.index_of(point[knob.name]) + 1 :]:
+            mutated = dict(point)
+            mutated[knob.name] = candidate
+            out.append(rules.canonicalize(mutated) if rules is not None else mutated)
+        return out
+
+
 #: Strategy-name -> constructor.  ``rl`` is registered lazily by
 #: :mod:`repro.dse.rl` to keep this module import-light.
 _REGISTRY: Dict[str, Callable[..., SearchStrategy]] = {
     "random": RandomStrategy,
     "greedy": GreedyStrategy,
     "sa": AnnealingStrategy,
+    "bottleneck": BottleneckStrategy,
+    "hybrid": functools.partial(BottleneckStrategy, hybrid=True),
 }
 
 

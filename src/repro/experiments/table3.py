@@ -8,8 +8,10 @@ unseen kernel:
   heuristic for 2mm's ~10⁸ space), then the top-10 designs are
   synthesised in parallel with the (simulated) HLS tool.  Runtime =
   DSE wall-clock + the longest of the 10 parallel synthesis jobs.
-* **AutoDSE**: the bottleneck explorer with the HLS tool in the loop,
-  for up to 21 simulated hours with 8 parallel workers.
+* **AutoDSE**: the bottleneck search
+  (:class:`~repro.dse.strategies.BottleneckStrategy`) with the HLS tool
+  scoring each point, under a budget of 163 designs or 21 simulated
+  hours with 8 parallel workers.
 
 Reported: #pragmas, #configs, DSE+HLS runtime in minutes, #explored,
 runtime speedup over AutoDSE, and the achieved-latency ratio (the paper
@@ -22,8 +24,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..designspace.generator import build_design_space
-from ..dse.search import ModelDSE
-from ..explorer.bottleneck import BottleneckExplorer
+from ..dse import BudgetedEvaluator, ModelDSE, QueryBudget, StrategyRacer
 from ..explorer.database import Database
 from ..explorer.evaluator import Evaluator
 from ..kernels import UNSEEN_KERNELS, get_kernel
@@ -117,18 +118,19 @@ def run_table3(
         gnn_dse_seconds = result.seconds + synth_seconds
 
         # --- AutoDSE baseline: HLS in the loop for up to 21 hours.
-        scratch = Database()
-        evaluator = Evaluator(ctx.tool, scratch, parallelism=8)
-        explorer = BottleneckExplorer(
-            spec, space, evaluator, fit_threshold=fit_threshold, seed=ctx.seed
+        evaluator = Evaluator(ctx.tool, Database(), parallelism=8)
+        budget = QueryBudget(autodse_max_evals, max_hours=autodse_max_hours)
+        search = BudgetedEvaluator(
+            evaluator, spec, space, budget, fit_threshold=fit_threshold
         )
-        autodse = explorer.run(max_evals=autodse_max_evals, max_hours=autodse_max_hours)
-        autodse_seconds = min(autodse.elapsed_hours, autodse_max_hours) * 3600.0
+        autodse = StrategyRacer(search, ["bottleneck"], seed=ctx.seed).run()
+        autodse_latency = autodse.top[0].prediction.latency if autodse.top else None
+        autodse_seconds = min(evaluator.elapsed_hours, autodse_max_hours) * 3600.0
 
         speedup = autodse_seconds / gnn_dse_seconds if gnn_dse_seconds > 0 else 0.0
         ratio = (
-            best_latency / autodse.best_latency
-            if best_latency is not None and autodse.best_latency
+            best_latency / autodse_latency
+            if best_latency is not None and autodse_latency
             else float("inf")
         )
         rows.append(
@@ -140,8 +142,8 @@ def run_table3(
                 explored=result.explored,
                 runtime_speedup=speedup,
                 gnn_dse_latency=best_latency,
-                autodse_latency=autodse.best_latency,
-                autodse_hours=autodse.elapsed_hours,
+                autodse_latency=autodse_latency,
+                autodse_hours=evaluator.elapsed_hours,
                 latency_ratio=ratio if ratio != float("inf") else 999.0,
             )
         )

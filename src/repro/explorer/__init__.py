@@ -1,32 +1,30 @@
-"""Database generation: explorers + shared design database (Section 4.1).
+"""Database generation and the HLS-in-the-loop scorer (Section 4.1).
 
-Three explorers populate the training database (Fig. 2): the
-bottleneck-based optimiser (AutoDSE), a hybrid bottleneck+local-search
-explorer, and a random explorer.  :func:`generate_database` runs all
-three over the training kernels.
+:class:`Evaluator` wraps the HLS tool with database commit and
+simulated-time accounting; it is a scorer for
+:class:`~repro.dse.strategies.BudgetedEvaluator`, so AutoDSE's
+bottleneck search (:class:`~repro.dse.strategies.BottleneckStrategy`)
+and random sampling run on the same budgeted search core as the
+surrogate-driven DSE.  :func:`generate_database` runs the three
+explorers of Fig. 2 (bottleneck, hybrid bottleneck + local search, and
+random) over the training kernels into the shared :class:`Database`.
 """
 
-from .bottleneck import BottleneckExplorer, ExplorationResult
 from .coverage import CoverageReport, KnobCoverage, measure_coverage
 from .database import Database, DesignRecord, deserialize_point, serialize_point
 from .evaluator import Evaluator
-from .hybrid import HybridExplorer
-from .random_explorer import RandomExplorer
-from .runner import DEFAULT_TARGETS, generate_database
+from .runner import DEFAULT_TARGETS, GENERATOR_REVISION, generate_database
 
 __all__ = [
     "CoverageReport",
     "KnobCoverage",
     "measure_coverage",
-    "BottleneckExplorer",
-    "ExplorationResult",
     "Database",
     "DesignRecord",
     "deserialize_point",
     "serialize_point",
     "Evaluator",
-    "HybridExplorer",
-    "RandomExplorer",
     "DEFAULT_TARGETS",
+    "GENERATOR_REVISION",
     "generate_database",
 ]

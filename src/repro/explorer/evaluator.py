@@ -2,15 +2,21 @@
 
 Implements the Evaluator box of Fig. 2.  Every evaluation is committed
 to the shared database, and simulated tool wall-clock is accumulated so
-explorers can run against the same time budgets the paper uses (e.g.
-AutoDSE's 21 hours with a fixed number of parallel workers).
+searches can run against the same time budgets the paper uses (e.g.
+AutoDSE's 21 hours with a fixed number of parallel workers).  Its
+:meth:`~Evaluator.predict_batch` makes it a scorer for
+:class:`~repro.dse.strategies.BudgetedEvaluator`, so HLS-in-the-loop
+searches are the same budgeted strategies the surrogate runs.
 """
 
 from __future__ import annotations
 
+from typing import List
+
 from ..designspace.space import DesignPoint
 from ..hls.report import HLSResult
 from ..hls.tool import MerlinHLSTool
+from ..kernels import get_kernel
 from ..kernels.base import KernelSpec
 from .database import Database, DesignRecord
 
@@ -30,6 +36,9 @@ class Evaluator:
         Number of concurrent synthesis jobs the flow may run — AutoDSE
         evaluates a batch of candidates in parallel, so elapsed time is
         total synthesis seconds divided by this, batch-wise.
+
+    :attr:`source` is the tag :meth:`predict_batch` commits records with
+    (which explorer produced them); set it before each search.
     """
 
     def __init__(self, tool: MerlinHLSTool, database: Database, parallelism: int = 8):
@@ -40,6 +49,7 @@ class Evaluator:
         self.elapsed_seconds = 0.0
         self.evaluations = 0
         self._batch_slots = [0.0] * self.parallelism
+        self.source = ""
 
     def evaluate(
         self,
@@ -62,6 +72,18 @@ class Evaluator:
         )
         self.database.add(record)
         return result
+
+    def predict_batch(
+        self, kernel: str, points: List[DesignPoint], objectives_for: str = "all"
+    ) -> List[HLSResult]:
+        """Synthesize and commit each point in order, tagged :attr:`source`.
+
+        The scorer call :class:`~repro.dse.strategies.BudgetedEvaluator`
+        makes; ``kernel`` is a registered kernel name, and the tool
+        reports every objective whatever ``objectives_for`` asks.
+        """
+        spec = get_kernel(kernel)
+        return [self.evaluate(spec, point, source=self.source) for point in points]
 
     @property
     def elapsed_hours(self) -> float:

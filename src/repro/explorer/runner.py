@@ -1,23 +1,27 @@
 """Database-generation runner (Fig. 2 end to end).
 
 Builds the initial training database by running the three explorers of
-Section 4.1 on every training kernel.  Per-kernel evaluation targets
-default to (a scaled version of) the paper's Table 1 initial-database
-sizes, split across the explorers.
+Section 4.1 on every training kernel: AutoDSE's bottleneck search, the
+hybrid bottleneck + local search, and random sampling.  All three are
+budgeted strategies (:mod:`repro.dse.strategies`) stepped by one
+:class:`~repro.dse.race.StrategyRacer` on one
+:class:`~repro.dse.strategies.BudgetedEvaluator` per kernel, scored by
+the HLS tool's :class:`~repro.explorer.evaluator.Evaluator`, so a later
+phase gets a point an earlier one paid for free.  Per-kernel
+evaluation targets default to (a scaled version of) the paper's
+Table 1 initial-database sizes, split across the explorers.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Dict, Optional
 
 from ..designspace.generator import build_design_space
 from ..hls.tool import MerlinHLSTool
 from ..kernels import TRAINING_KERNELS, get_kernel
-from .bottleneck import BottleneckExplorer
 from .database import Database
 from .evaluator import Evaluator
-from .hybrid import HybridExplorer
-from .random_explorer import RandomExplorer
 
 __all__ = ["DEFAULT_TARGETS", "GENERATOR_REVISION", "generate_database"]
 
@@ -63,6 +67,15 @@ def generate_database(
     scale:
         Multiplier on all targets, for fast test/CI runs.
     """
+    # Imported here: repro.dse imports the model, which imports this package.
+    from ..dse.race import StrategyRacer
+    from ..dse.strategies import (
+        BottleneckStrategy,
+        BudgetedEvaluator,
+        QueryBudget,
+        SweepStrategy,
+    )
+
     kernels = list(kernels or TRAINING_KERNELS)
     targets = dict(targets or DEFAULT_TARGETS)
     tool = tool or MerlinHLSTool()
@@ -71,26 +84,31 @@ def generate_database(
     for index, name in enumerate(kernels):
         spec = get_kernel(name)
         space = build_design_space(spec)
-        evaluator = Evaluator(tool, database)
         target = max(int(targets.get(name, 200) * scale), 4)
         space_size = space.product_size()
         target = min(target, space_size)
         counts = [max(int(target * f), 1) for f in _SPLIT]
 
         before = database.stats(kernel=name)["total"]
-        bottleneck = BottleneckExplorer(
-            spec, space, evaluator, fit_threshold, seed=seed + index
+        evaluator = Evaluator(tool, database)
+        budget = QueryBudget(counts[0])
+        search = BudgetedEvaluator(
+            evaluator, spec, space, budget, fit_threshold=fit_threshold, device=tool.device
         )
-        bottleneck.run(max_evals=counts[0])
-        hybrid = HybridExplorer(
-            spec, space, evaluator, fit_threshold, seed=seed + index + 100
-        )
-        hybrid._seen = set(bottleneck._seen)  # don't re-pay for known points
-        hybrid.run(max_evals=counts[0] + counts[1])
+        evaluator.source = "bottleneck"
+        StrategyRacer(search, [BottleneckStrategy(search, seed + index)]).run()
+        # Limits are cumulative: the hybrid gets what the bottleneck left.
+        evaluator.source = "hybrid"
+        budget.limit = counts[0] + counts[1]
+        hybrid = BottleneckStrategy(search, seed + index + 100, hybrid=True)
+        StrategyRacer(search, [hybrid]).run()
         remaining = target - (database.stats(kernel=name)["total"] - before)
         if remaining > 0:
-            random_explorer = RandomExplorer(
-                spec, space, evaluator, fit_threshold, seed=seed + index + 200
-            )
-            random_explorer.run(max_evals=remaining)
+            # Up to 20 draws per wanted point; known designs are skipped.
+            rng = random.Random(seed + index + 200)
+            draws = (space.sample(rng, 1)[0] for _ in range(remaining * 20))
+            fresh = (p for p in draws if not database.has(name, p, tool.device.name))
+            evaluator.source = "random"
+            budget.limit = budget.spent + remaining
+            StrategyRacer(search, [SweepStrategy(search, fresh)]).run()
     return database

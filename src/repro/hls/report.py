@@ -15,7 +15,7 @@ INVALID_RESOURCE = "design far exceeds device resources"
 
 @dataclass
 class LoopReport:
-    """Per-loop scheduling outcome (drives the bottleneck explorer)."""
+    """Per-loop scheduling outcome (drives the bottleneck search)."""
 
     function: str
     label: str
@@ -62,9 +62,17 @@ class HLSResult:
         """Predicted objectives: latency + the device's utilizations."""
         return {"latency": float(self.latency), **self.utilization}
 
-    def fits(self, threshold: float = 0.8) -> bool:
-        """True when every utilization is below ``threshold`` (Eq. 7)."""
-        return all(u < threshold for u in self.utilization.values())
+    def fits(self, threshold: float = 0.8, axes=None) -> bool:
+        """True when every utilization is below ``threshold`` (Eq. 7).
+
+        ``axes`` (None = all) restricts the check to those resources, as
+        :meth:`~repro.model.predictor.Prediction.fits` does.
+        """
+        return all(
+            u < threshold
+            for name, u in self.utilization.items()
+            if axes is None or name in axes
+        )
 
     def all_loops(self) -> List[LoopReport]:
         out: List[LoopReport] = []

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.designspace import build_design_space
-from repro.explorer import Database, Evaluator, RandomExplorer, measure_coverage
+from repro.dse import BudgetedEvaluator, QueryBudget, StrategyRacer
+from repro.explorer import Database, Evaluator, measure_coverage
 from repro.hls import MerlinHLSTool
 from repro.kernels import get_kernel
 
@@ -32,11 +33,14 @@ class TestCoverage:
     def test_coverage_grows_with_sampling(self, tool, atax, atax_space):
         db = Database()
         evaluator = Evaluator(tool, db)
-        explorer = RandomExplorer(atax, atax_space, evaluator, seed=0)
-        explorer.run(max_evals=10)
+
+        def sample(max_evals, seed):
+            search = BudgetedEvaluator(evaluator, atax, atax_space, QueryBudget(max_evals))
+            StrategyRacer(search, ["random"], seed=seed).run()
+
+        sample(10, seed=0)
         small = measure_coverage(db, atax_space)
-        explorer2 = RandomExplorer(atax, atax_space, evaluator, seed=99)
-        explorer2.run(max_evals=60)
+        sample(60, seed=99)
         large = measure_coverage(db, atax_space)
         assert large.records > small.records
         assert large.mean_knob_fraction >= small.mean_knob_fraction

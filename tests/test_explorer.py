@@ -1,19 +1,20 @@
-"""Tests for the database, evaluator, and the three explorers."""
+"""Tests for the database, the evaluator, and the HLS-in-the-loop
+searches: AutoDSE's bottleneck and hybrid explorers and random sampling
+as budgeted strategies scored by the tool, and the database generator
+that runs them."""
 
 from dataclasses import asdict
 
 import pytest
 
 from repro.designspace import build_design_space
+from repro.dse import BottleneckStrategy, BudgetedEvaluator, QueryBudget, StrategyRacer
 from repro.durable import json_digest
 from repro.errors import DatabaseError
 from repro.explorer import (
-    BottleneckExplorer,
     Database,
     DesignRecord,
     Evaluator,
-    HybridExplorer,
-    RandomExplorer,
     deserialize_point,
     generate_database,
     serialize_point,
@@ -38,14 +39,26 @@ def evaluator():
     return Evaluator(MerlinHLSTool(), Database(), parallelism=8)
 
 
+def tool_search(evaluator, spec, space, strategy, max_evals, max_hours=None, seed=0):
+    """Run one registered strategy alone with the HLS tool scoring each
+    point; the records it commits carry the strategy's name."""
+    budget = QueryBudget(max_evals, max_hours=max_hours)
+    search = BudgetedEvaluator(evaluator, spec, space, budget)
+    evaluator.source = strategy
+    return StrategyRacer(search, [strategy], seed=seed).run()
+
+
+def best_latency(race):
+    return race.top[0].prediction.latency if race.top else None
+
+
 class TestSerialization:
     def test_point_roundtrip(self):
         point = {"__PIPE__L0": PipelineOption.FINE, "__PARA__L0": 8}
         assert deserialize_point(serialize_point(point)) == point
 
     def test_database_save_load(self, tmp_path, atax, atax_space, evaluator):
-        explorer = RandomExplorer(atax, atax_space, evaluator)
-        explorer.run(max_evals=10)
+        tool_search(evaluator, atax, atax_space, "random", max_evals=10)
         db = evaluator.database
         path = tmp_path / "db.json"
         db.save(path)
@@ -73,7 +86,7 @@ class TestDatabase:
             Database().get("atax", "nope")
 
     def test_best_valid_respects_fit(self, atax, atax_space, evaluator):
-        RandomExplorer(atax, atax_space, evaluator, seed=3).run(max_evals=40)
+        tool_search(evaluator, atax, atax_space, "random", max_evals=40, seed=3)
         db = evaluator.database
         best = db.best_valid("atax", fit_threshold=0.8)
         if best is not None:
@@ -158,40 +171,41 @@ class TestExplorers:
     def test_bottleneck_improves_over_default(self, atax, atax_space, evaluator):
         tool = evaluator.tool
         default_latency = tool.synthesize(atax, atax_space.default_point()).latency
-        explorer = BottleneckExplorer(atax, atax_space, evaluator)
-        result = explorer.run(max_evals=40)
-        assert result.best_latency is not None
-        assert result.best_latency < default_latency
+        result = tool_search(evaluator, atax, atax_space, "bottleneck", max_evals=40)
+        assert best_latency(result) is not None
+        assert best_latency(result) < default_latency
 
     def test_bottleneck_trajectory_monotone(self, atax, atax_space, evaluator):
-        result = BottleneckExplorer(atax, atax_space, evaluator).run(max_evals=40)
-        latencies = [lat for _, lat in result.trajectory]
+        search = BudgetedEvaluator(evaluator, atax, atax_space, QueryBudget(40))
+        arm = BottleneckStrategy(search)
+        StrategyRacer(search, [arm]).run()
+        latencies = [lat for _, lat in arm.trajectory]
         # After the first committed improvement, quality never regresses.
         assert all(b <= a for a, b in zip(latencies[1:], latencies[2:]))
 
     def test_budget_respected(self, atax, atax_space, evaluator):
-        result = BottleneckExplorer(atax, atax_space, evaluator).run(max_evals=15)
-        assert result.evaluations <= 15
+        result = tool_search(evaluator, atax, atax_space, "bottleneck", max_evals=15)
+        assert result.queries <= 15
 
     def test_time_budget_respected(self, atax, atax_space, evaluator):
-        explorer = BottleneckExplorer(atax, atax_space, evaluator)
-        result = explorer.run(max_evals=10_000, max_hours=0.5)
+        result = tool_search(
+            evaluator, atax, atax_space, "bottleneck", max_evals=10_000, max_hours=0.5
+        )
         # One synthesis exceeds the budget, so it stops almost at once.
-        assert result.evaluations < 30
+        assert result.queries < 30
 
     def test_hybrid_explores_neighbors(self, atax, atax_space, evaluator):
-        explorer = HybridExplorer(atax, atax_space, evaluator, neighbor_budget=4)
-        result = explorer.run(max_evals=60)
+        result = tool_search(evaluator, atax, atax_space, "hybrid", max_evals=60)
         sources = {r.source for r in evaluator.database}
         assert sources == {"hybrid"}
-        assert result.evaluations > 5
+        assert result.queries > 5
 
     def test_random_seeded_deterministic(self, atax, atax_space):
         tool = MerlinHLSTool()
         keys = []
         for _ in range(2):
             evaluator = Evaluator(tool, Database())
-            RandomExplorer(atax, atax_space, evaluator, seed=7).run(max_evals=10)
+            tool_search(evaluator, atax, atax_space, "random", max_evals=10, seed=7)
             keys.append(sorted(r.point_key for r in evaluator.database))
         assert keys[0] == keys[1]
 
@@ -247,12 +261,13 @@ class TestPinnedOutcomes:
         hours on 8 workers, seed 0."""
         spec = get_kernel(kernel)
         evaluator = Evaluator(MerlinHLSTool(), Database(), parallelism=8)
-        result = BottleneckExplorer(
-            spec, build_design_space(spec), evaluator, seed=0
-        ).run(max_evals=163, max_hours=21.0)
-        assert result.best_latency == latency
-        assert result.evaluations == evaluations
-        assert f"{result.elapsed_hours:.3f}" == hours
+        result = tool_search(
+            evaluator, spec, build_design_space(spec), "bottleneck",
+            max_evals=163, max_hours=21.0, seed=0,
+        )
+        assert best_latency(result) == latency
+        assert result.queries == evaluations
+        assert f"{evaluator.elapsed_hours:.3f}" == hours
 
 
 class TestConflictSemantics:
