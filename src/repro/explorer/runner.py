@@ -96,7 +96,7 @@ def generate_database(
             evaluator, spec, space, budget, fit_threshold=fit_threshold, device=tool.device
         )
         evaluator.source = "bottleneck"
-        StrategyRacer(search, [BottleneckStrategy(search, seed + index)]).run()
+        StrategyRacer(search, [BottleneckStrategy(search)]).run()
         # Limits are cumulative: the hybrid gets what the bottleneck left.
         evaluator.source = "hybrid"
         budget.limit = counts[0] + counts[1]

@@ -194,6 +194,18 @@ class TestExplorers:
         # One synthesis exceeds the budget, so it stops almost at once.
         assert result.queries < 30
 
+    def test_hours_cap_stops_the_tool_mid_batch(self, atax, atax_space, evaluator):
+        """The cap is read before each synthesis: once one design has
+        used it up, the rest of the batch comes back unscored and
+        uncharged."""
+        budget = QueryBudget(100, max_hours=1e-9)
+        search = BudgetedEvaluator(evaluator, atax, atax_space, budget)
+        points = atax_space.sample(__import__("random").Random(0), 5)
+        scored, _ = search.evaluate(points)
+        assert scored[0] is not None and scored[1:] == [None] * 4
+        assert budget.spent == 1 and budget.exhausted
+        assert len(evaluator.database) == 1
+
     def test_hybrid_explores_neighbors(self, atax, atax_space, evaluator):
         result = tool_search(evaluator, atax, atax_space, "hybrid", max_evals=60)
         sources = {r.source for r in evaluator.database}
